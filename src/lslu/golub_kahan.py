@@ -14,13 +14,20 @@ import numpy as np
 
 from . import reductions
 from .hessenberg import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
-                         BREAKDOWN_TOL)
+                         BREAKDOWN_TOL, allocate, check_maxiter,
+                         initial_capacity, reserve)
 
 
 class BidiagState:
-    """Growing bidiagonalization state; after k steps U has k+1 columns."""
+    """Growing bidiagonalization state; after k steps U has k+1 columns.
 
-    def __init__(self, op, r0, x0, reorth):
+    Stored like HessenbergState: row-major bases (_V is (cap, n), _U is
+    (cap + 1, m)) behind (n, k) and (m, u_count) views, and B in a
+    (cap + 1, cap) array, all sized from the run's maxiter capped at
+    min(m, n) and grown by doubling only when stepped past that.
+    """
+
+    def __init__(self, op, r0, x0, reorth, cap):
         m, n = op.shape
         self.m, self.n = m, n
         self.x0 = x0
@@ -30,30 +37,23 @@ class BidiagState:
         self.u_count = 0
         self.beta1 = 0.0
         self.breakdown = BREAKDOWN_NONE
-        self.alphas = []
-        self.betas = []  # betas[i] couples u_{i+2}; beta1 kept separate
-        cap = 8
-        self._U = np.zeros((m, cap))
-        self._V = np.zeros((n, cap))
+        allocate(self, cap)
+
+    def _layout(self, cap):
+        return {"_V": (cap, self.n), "_U": (cap + 1, self.m)}, {"_B": (cap + 1, cap)}
 
     @property
     def U(self):
-        return self._U[:, :self.u_count]
+        return self._U[:self.u_count].T
 
     @property
     def V(self):
-        return self._V[:, :self.k]
+        return self._V[:self.k].T
 
     @property
     def B(self):
         """Lower bidiagonal (k+1)-by-k projected matrix."""
-        k = self.k
-        B = np.zeros((k + 1, k))
-        for i, a in enumerate(self.alphas):
-            B[i, i] = a
-        for i, b in enumerate(self.betas):
-            B[i + 1, i] = b
-        return B
+        return self._B[:self.k + 1, :self.k]
 
     @property
     def beta(self):
@@ -67,41 +67,31 @@ class BidiagState:
     def solution_basis(self):
         return self.V
 
-    def _ensure_capacity(self, k):
-        cap = self._U.shape[1]
-        if k < cap:
-            return
-        new = max(2 * cap, k + 1)
-        for name, rows in (("_U", self.m), ("_V", self.n)):
-            old = getattr(self, name)
-            grown = np.zeros((rows, new))
-            grown[:, :cap] = old
-            setattr(self, name, grown)
 
-
-def _reorthogonalize(vec, basis):
+def _reorthogonalize(vec, rows):
     # two classical Gram-Schmidt passes; enough for 1e-12 at desk scale
     for _ in range(2):
-        vec = vec - basis @ (basis.T @ vec)
+        vec = vec - rows.T @ (rows @ vec)
     return vec
 
 
-def gk_init(op, b, x0=None, reorth=True):
-    """Normalize the initial residual into u_1."""
+def gk_init(op, b, x0=None, reorth=True, maxiter=None):
+    """Normalize the initial residual into u_1; maxiter sizes the storage."""
     m, n = op.shape
+    cap = initial_capacity(op.shape, maxiter)
     b = np.asarray(b, dtype=float)
     if x0 is None:
         x0 = np.zeros(n)
     else:
         x0 = np.asarray(x0, dtype=float)
     r0 = b - op.forward(x0) if np.any(x0) else b.copy()
-    state = BidiagState(op, r0, x0, reorth)
+    state = BidiagState(op, r0, x0, reorth, cap)
     beta1 = reductions.norm2(r0)
     if beta1 == 0.0:
         state.breakdown = BREAKDOWN_EXACT
         return state
     state.beta1 = beta1
-    state._U[:, 0] = r0 / beta1
+    state._U[0] = r0 / beta1
     state.u_count = 1
     return state
 
@@ -111,42 +101,42 @@ def gk_step(state, op):
     if state.breakdown != BREAKDOWN_NONE:
         raise ValueError("cannot step a broken-down state")
     kp = state.k + 1
-    state._ensure_capacity(kp)
+    reserve(state, kp)
+    U, V, B = state._U, state._V, state._B
 
-    q = op.adjoint(state._U[:, kp - 1])
+    q = op.adjoint(U[kp - 1])
     q_scale = reductions.norm2(q)
     if kp > 1:
-        q = q - state.betas[-1] * state._V[:, kp - 2]
+        q = q - B[kp - 1, kp - 2] * V[kp - 2]
     if state.reorth and kp > 1:
-        q = _reorthogonalize(q, state._V[:, :kp - 1])
+        q = _reorthogonalize(q, V[:kp - 1])
     alpha = reductions.norm2(q)
     if alpha <= BREAKDOWN_TOL * max(q_scale, 1e-300):
         state.breakdown = BREAKDOWN_RANK
         return state
-    state.alphas.append(alpha)
-    state._V[:, kp - 1] = q / alpha
+    B[kp - 1, kp - 1] = alpha
+    V[kp - 1] = q / alpha
     state.k = kp
 
-    p = op.forward(state._V[:, kp - 1])
+    p = op.forward(V[kp - 1])
     p_scale = reductions.norm2(p)
-    p = p - alpha * state._U[:, kp - 1]
+    p = p - alpha * U[kp - 1]
     if state.reorth:
-        p = _reorthogonalize(p, state._U[:, :kp])
+        p = _reorthogonalize(p, U[:kp])
     beta = reductions.norm2(p)
     if beta <= BREAKDOWN_TOL * max(p_scale, 1e-300):
         state.breakdown = BREAKDOWN_EXACT
         return state
-    state.betas.append(beta)
-    state._U[:, kp] = p / beta
+    B[kp, kp - 1] = beta
+    U[kp] = p / beta
     state.u_count = kp + 1
     return state
 
 
 def gk_run(op, b, x0=None, maxiter=50, reorth=True):
     """Iterate until maxiter or breakdown (zero coupling norm)."""
-    if maxiter < 1:
-        raise ValueError("maxiter must be at least 1")
-    state = gk_init(op, b, x0, reorth)
+    check_maxiter(maxiter)
+    state = gk_init(op, b, x0, reorth, maxiter)
     while state.k < maxiter and state.breakdown == BREAKDOWN_NONE:
         gk_step(state, op)
     return state

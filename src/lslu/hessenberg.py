@@ -15,9 +15,11 @@ the whole recurrence is free of inner products.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 
 BREAKDOWN_NONE = "none"
 BREAKDOWN_EXACT = "exact_solution"
@@ -70,16 +72,61 @@ class PivotStrategy:
         return cls(kind="sampled", sample_size=sample_size, seed=seed)
 
 
+def check_maxiter(maxiter):
+    """Reject an iteration limit that is not an integer >= 1 (bools included)."""
+    if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral):
+        raise ValueError(f"maxiter must be an integer, got {maxiter!r}")
+    if maxiter < 1:
+        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
+
+
+def initial_capacity(shape, maxiter):
+    """Iterations to preallocate: maxiter capped at min(m, n), else 8."""
+    if maxiter is None:
+        return 8
+    check_maxiter(maxiter)
+    return min(maxiter, *shape)
+
+
+def allocate(state, cap):
+    """(Re)size the arrays of state._layout(cap), keeping what is stored.
+
+    Basis vectors are rows, so a grown array keeps its old block in its
+    leading rows and columns.  Every basis row is written whole before a
+    view exposes it, so the bases are left uninitialized: capacity an
+    early stop never reaches costs neither a memset nor a page.  The
+    small factors rely on their structural zeros and are zeroed.
+    """
+    bases, factors = state._layout(cap)
+    for fill, layout in ((np.empty, bases), (np.zeros, factors)):
+        for name, shape in layout.items():
+            grown = fill(shape)
+            old = getattr(state, name, None)
+            if old is not None:
+                grown[tuple(map(slice, old.shape))] = old
+            setattr(state, name, grown)
+    state.cap = cap
+
+
+def reserve(state, k):
+    """Make room for k iterations, doubling when a stepped state outgrows its size."""
+    if k > state.cap:
+        allocate(state, max(2 * state.cap, k))
+
+
 class HessenbergState:
     """Growing factorization state owned by a single solve.
 
     Permutations t and g are 0-based index arrays; column j of D has an
     exact 1.0 at row t[j] and exact 0.0 at rows t[i] for i < j (same for
-    L with g).  Storage grows by amortized doubling, one column per
-    completed iteration.
+    L with g).  The bases are stored row-major, one contiguous row per
+    basis vector (_L is (cap, n), _D is (cap + 1, m)); L and D are the
+    (n, k) and (m, d_count) transposed views.  cap comes from the run's
+    maxiter, capped at min(m, n); a state stepped past it by hand grows
+    by doubling.
     """
 
-    def __init__(self, op, r0, x0, strategy):
+    def __init__(self, op, r0, x0, strategy, cap):
         m, n = op.shape
         self.m, self.n = m, n
         self.x0 = x0
@@ -93,21 +140,21 @@ class HessenbergState:
         self.g = np.arange(n)
         self._rng = (np.random.default_rng(strategy.seed)
                      if strategy.kind == "sampled" else None)
-        cap = 8
-        self._L = np.zeros((n, cap))
-        self._D = np.zeros((m, cap))
-        self._H = np.zeros((cap + 1, cap))
-        self._W = np.zeros((cap, cap))
+        allocate(self, cap)
+
+    def _layout(self, cap):
+        return ({"_L": (cap, self.n), "_D": (cap + 1, self.m)},
+                {"_H": (cap + 1, cap), "_W": (cap, cap)})
 
     # -- views over the populated part of the storage
 
     @property
     def L(self):
-        return self._L[:, :self.k]
+        return self._L[:self.k].T
 
     @property
     def D(self):
-        return self._D[:, :self.d_count]
+        return self._D[:self.d_count].T
 
     @property
     def H(self):
@@ -127,23 +174,6 @@ class HessenbergState:
     def solution_basis(self):
         return self.L
 
-    def _ensure_capacity(self, k):
-        cap = self._L.shape[1]
-        if k < cap:
-            return
-        new = max(2 * cap, k + 1)
-        for name, rows in (("_L", self.n), ("_D", self.m)):
-            old = getattr(self, name)
-            grown = np.zeros((rows, new))
-            grown[:, :cap] = old
-            setattr(self, name, grown)
-        grown = np.zeros((new + 1, new))
-        grown[:cap + 1, :cap] = self._H
-        self._H = grown
-        grown = np.zeros((new, new))
-        grown[:cap, :cap] = self._W
-        self._W = grown
-
 
 def _pick_pivot(vec, perm, start, strategy, rng):
     """Index into perm (>= start) of the chosen pivot, or None if no window."""
@@ -160,15 +190,33 @@ def _pick_pivot(vec, perm, start, strategy, rng):
     return start + int(sample[np.argmax(np.abs(vec[window[sample]]))])
 
 
-def hess_init(op, b, x0=None, strategy=None):
+def _eliminate(vec, rows, piv):
+    """Eliminate vec against basis rows in place; return the coefficients.
+
+    rows[j] holds an exact 1.0 at piv[j] and exact zeros at piv[:j], so
+    rows[:, piv].T is unit lower triangular and the coefficients are its
+    forward substitution against vec[piv] (what eliminating one basis
+    vector at a time computes).  One gemv then removes every basis
+    vector, and the pivot entries are set to their exact zeros.
+    """
+    coef = dtrsv(rows[:, piv].T, vec[piv], lower=1, diag=1)
+    vec -= rows.T @ coef
+    vec[piv] = 0.0
+    return coef
+
+
+def hess_init(op, b, x0=None, strategy=None, maxiter=None):
     """Start the factorization: residual, first pivot, and d_1.
 
-    A zero initial residual yields a k=0 state flagged exact_solution.
-    A zero pivot entry under the 'none' strategy raises BreakdownError,
-    since pivoting would repair it.
+    maxiter sizes the storage (capped at min(m, n)); without it the
+    state starts small and grows as it is stepped.  A zero initial
+    residual yields a k=0 state flagged exact_solution.  A zero pivot
+    entry under the 'none' strategy raises BreakdownError, since
+    pivoting would repair it.
     """
     strategy = strategy or PivotStrategy.full()
     m, n = op.shape
+    cap = initial_capacity(op.shape, maxiter)
     if strategy.kind == "sampled" and strategy.sample_size > max(m, n):
         raise ValueError("sample_size exceeds max(m, n)")
     b = np.asarray(b, dtype=float)
@@ -178,7 +226,7 @@ def hess_init(op, b, x0=None, strategy=None):
         x0 = np.asarray(x0, dtype=float)
     r0 = b - op.forward(x0) if np.any(x0) else b.copy()
 
-    state = HessenbergState(op, r0, x0, strategy)
+    state = HessenbergState(op, r0, x0, strategy, cap)
     if np.max(np.abs(r0)) == 0.0:
         state.breakdown = BREAKDOWN_EXACT
         return state
@@ -192,7 +240,7 @@ def hess_init(op, b, x0=None, strategy=None):
             f"zero pivot entry in the initial residual; {advice}")
     state.beta = float(beta)
     state.t[[0, pos]] = state.t[[pos, 0]]
-    state._D[:, 0] = r0 / beta
+    state._D[0] = r0 / beta
     state.d_count = 1
     return state
 
@@ -208,16 +256,15 @@ def hess_step(state, op):
     if state.breakdown != BREAKDOWN_NONE:
         raise ValueError("cannot step a broken-down state")
     kp = state.k + 1
-    state._ensure_capacity(kp)
+    reserve(state, kp)
     t, g = state.t, state.g
+    L, D = state._L, state._D
 
     # solution-space half: eliminate A^T d_k against l_1..l_{k-1}
-    q = op.adjoint(state._D[:, kp - 1])
+    q = op.adjoint(D[kp - 1])
     q_scale = np.max(np.abs(q))
-    for j in range(kp - 1):
-        w = q[g[j]]
-        state._W[j, kp - 1] = w
-        q -= w * state._L[:, j]
+    if kp > 1:
+        state._W[:kp - 1, kp - 1] = _eliminate(q, L[:kp - 1], g[:kp - 1])
 
     pos = _pick_pivot(q, g, kp - 1, state.strategy, state._rng)
     if pos is None or np.max(np.abs(q[g[kp - 1:]])) <= BREAKDOWN_TOL * q_scale:
@@ -230,15 +277,12 @@ def hess_step(state, op):
     g[[kp - 1, pos]] = g[[pos, kp - 1]]
     w = q[g[kp - 1]]
     state._W[kp - 1, kp - 1] = w
-    state._L[:, kp - 1] = q / w
+    L[kp - 1] = q / w
 
     # residual-space half: eliminate A l_k against d_1..d_k
-    u = op.forward(state._L[:, kp - 1])
+    u = op.forward(L[kp - 1])
     u_scale = np.max(np.abs(u))
-    for j in range(kp):
-        h = u[t[j]]
-        state._H[j, kp - 1] = h
-        u -= h * state._D[:, j]
+    state._H[:kp, kp - 1] = _eliminate(u, D[:kp], t[:kp])
 
     pos = _pick_pivot(u, t, kp, state.strategy, state._rng)
     if pos is None:
@@ -261,16 +305,15 @@ def hess_step(state, op):
     t[[kp, pos]] = t[[pos, kp]]
     h = u[t[kp]]
     state._H[kp, kp - 1] = h
-    state._D[:, kp] = u / h
+    D[kp] = u / h
     state.d_count = kp + 1
     return state
 
 
 def hess_run(op, b, x0=None, strategy=None, maxiter=50):
     """Iterate until maxiter, breakdown, or dimension exhaustion."""
-    if maxiter < 1:
-        raise ValueError("maxiter must be at least 1")
-    state = hess_init(op, b, x0, strategy)
+    check_maxiter(maxiter)
+    state = hess_init(op, b, x0, strategy, maxiter)
     while state.k < maxiter and state.breakdown == BREAKDOWN_NONE:
         hess_step(state, op)
     return state

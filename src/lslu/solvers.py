@@ -11,6 +11,7 @@ reduction count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import reductions
 from .golub_kahan import BidiagState, gk_init, gk_step
 from .hessenberg import (BREAKDOWN_NONE, HessenbergState, PivotStrategy,
-                         hess_init, hess_step)
+                         check_maxiter, hess_init, hess_step)
 from .projected import (LambdaRule, ghat, ls_projected, select_lambda,
                         stop_check, svd_small, tikhonov_projected)
 
@@ -46,10 +47,11 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.maxiter < 1:
-            raise ValueError("maxiter must be at least 1")
-        if self.stop_tol is not None and self.stop_tol <= 0:
-            raise ValueError("stop_tol must be positive when set")
+        check_maxiter(self.maxiter)
+        if self.stop_tol is not None and not (math.isfinite(self.stop_tol)
+                                              and self.stop_tol > 0):
+            raise ValueError(
+                f"stop_tol must be finite and positive when set, got {self.stop_tol!r}")
 
 
 @dataclass
@@ -86,10 +88,10 @@ def _drive(op, b, config, family, hybrid):
     b = np.asarray(b, dtype=float)
     m, n = op.shape
     if family == "lslu":
-        state = hess_init(op, b, config.x0, config.pivot)
+        state = hess_init(op, b, config.x0, config.pivot, config.maxiter)
         step = hess_step
     else:
-        state = gk_init(op, b, config.x0, config.reorth)
+        state = gk_init(op, b, config.x0, config.reorth, config.maxiter)
         step = gk_step
     x0 = state.x0
     rule = config.lambda_rule

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lslu import (BREAKDOWN_EXACT, gk_run, ls_projected, make_dense_operator,
-                  svd_small)
+from lslu import (BREAKDOWN_EXACT, gk_init, gk_run, gk_step, ls_projected,
+                  make_dense_operator, svd_small)
 
 
 def test_identity_hand_recurrence():
@@ -56,3 +56,18 @@ def test_projected_solution_matches_dense_least_squares():
     x = state.V @ y
     x_dense = np.linalg.lstsq(matrix, b, rcond=None)[0]
     assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+
+
+@pytest.mark.parametrize("reorth", [True, False])
+def test_hand_stepped_state_grows_to_match_run(gravity64, reorth):
+    op, b = gravity64.op, gravity64.b
+    stepped = gk_init(op, b, reorth=reorth)
+    start_cap = stepped.cap
+    for _ in range(20):
+        gk_step(stepped, op)
+    run = gk_run(op, b, maxiter=20, reorth=reorth)
+    assert start_cap < 20 < stepped.cap and run.cap == 20
+    assert stepped.k == run.k == 20
+    for key in ("U", "V", "B"):
+        np.testing.assert_array_equal(getattr(stepped, key), getattr(run, key),
+                                      err_msg=key)

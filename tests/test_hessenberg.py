@@ -4,6 +4,7 @@ import pytest
 from lslu import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
                   BreakdownError, PivotStrategy, hess_init, hess_run,
                   hess_step, make_dense_operator)
+from lslu.hessenberg import BREAKDOWN_TOL, _pick_pivot
 
 A22 = np.array([[1.0, 2.0], [3.0, 4.0]])
 
@@ -241,3 +242,107 @@ def test_sample_size_validation():
         PivotStrategy.sampled(0, seed=0)
     with pytest.raises(ValueError):
         PivotStrategy(kind="diagonal")
+
+
+def _reference_run(op, b, strategy, maxiter):
+    """The process with (n, k) column storage, eliminating one column at a time.
+
+    Each basis column is removed by its own axpy, reading the coefficient
+    off the current pivot entry.  hess_step's triangular solve plus one
+    gemv must reproduce this: the same pivots, and the same factors to
+    rounding.  Returns the populated factors and the breakdown flag.
+    """
+    m, n = op.shape
+    rng = (np.random.default_rng(strategy.seed) if strategy.kind == "sampled"
+           else None)
+    t, g = np.arange(m), np.arange(n)
+    L, D = np.zeros((n, maxiter)), np.zeros((m, maxiter + 1))
+    H, W = np.zeros((maxiter + 1, maxiter)), np.zeros((maxiter, maxiter))
+    b = np.asarray(b, dtype=float)
+    pos = _pick_pivot(b, t, 0, strategy, rng)
+    t[[0, pos]] = t[[pos, 0]]
+    D[:, 0] = b / b[t[0]]
+    k, d_count, breakdown = 0, 1, BREAKDOWN_NONE
+    for kp in range(1, maxiter + 1):
+        q = op.adjoint(D[:, kp - 1])
+        q_tol = BREAKDOWN_TOL * np.max(np.abs(q))
+        for j in range(kp - 1):
+            W[j, kp - 1] = w = q[g[j]]
+            q -= w * L[:, j]
+        pos = _pick_pivot(q, g, kp - 1, strategy, rng)
+        if pos is None or abs(q[g[pos]]) <= q_tol:
+            breakdown = BREAKDOWN_RANK
+            break
+        g[[kp - 1, pos]] = g[[pos, kp - 1]]
+        W[kp - 1, kp - 1] = w = q[g[kp - 1]]
+        L[:, kp - 1] = q / w
+
+        u = op.forward(L[:, kp - 1])
+        u_tol = BREAKDOWN_TOL * np.max(np.abs(u))
+        for j in range(kp):
+            H[j, kp - 1] = h = u[t[j]]
+            u -= h * D[:, j]
+        pos = _pick_pivot(u, t, kp, strategy, rng)
+        if pos is None:
+            k, breakdown = kp, BREAKDOWN_RANK
+            break
+        if np.max(np.abs(u[t[kp:]])) <= u_tol:
+            k, breakdown = kp, BREAKDOWN_EXACT
+            break
+        if abs(u[t[pos]]) <= u_tol:
+            breakdown = BREAKDOWN_RANK
+            break
+        t[[kp, pos]] = t[[pos, kp]]
+        H[kp, kp - 1] = h = u[t[kp]]
+        D[:, kp] = u / h
+        k, d_count = kp, kp + 1
+    factors = {"L": L[:, :k], "D": D[:, :d_count], "H": H[:k + 1, :k],
+               "W": W[:k, :k]}
+    return t, g, factors, breakdown
+
+
+@pytest.mark.parametrize("kind", ["none", "full", "sampled"])
+@pytest.mark.parametrize("name", ["tomo16", "gravity64"])
+def test_blocked_elimination_matches_column_reference(name, kind, request):
+    # One gemv sums in another order than successive axpys, and every step
+    # amplifies earlier rounding; without pivoting the bases of gravity64
+    # reach entries of 1e3 by k = 3 and 1e9 by k = 13.  So the runs are
+    # short enough that 1e-12 measures the elimination, not that growth.
+    prob = request.getfixturevalue(name)
+    m, n = prob.op.shape
+    strategy = dict(zip(("none", "full", "sampled"), _strategies(m, n)))[kind]
+    maxiter = 3 if kind == "none" else 10
+    state = hess_run(prob.op, prob.b, strategy=strategy, maxiter=maxiter)
+    t, g, factors, breakdown = _reference_run(prob.op, prob.b, strategy, maxiter)
+    np.testing.assert_array_equal(state.t, t)
+    np.testing.assert_array_equal(state.g, g)
+    assert state.breakdown == breakdown
+    for key, ref in factors.items():
+        got = getattr(state, key)
+        assert got.shape == ref.shape, key
+        scale = np.max(np.abs(ref)) if ref.size else 0.0
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale,
+                                   err_msg=key)
+
+
+@pytest.mark.parametrize("kind", ["full", "sampled"])
+def test_hand_stepped_state_grows_to_match_run(gravity64, kind):
+    # hess_init without maxiter starts small; stepping past that capacity
+    # must grow the storage without changing a single stored value
+    strategy = dict(zip(("none", "full", "sampled"), _strategies(64, 64)))[kind]
+    op, b = gravity64.op, gravity64.b
+    stepped = hess_init(op, b, strategy=strategy)
+    start_cap = stepped.cap
+    for _ in range(20):
+        hess_step(stepped, op)
+    run = hess_run(op, b, strategy=strategy, maxiter=20)
+    assert start_cap < 20 < stepped.cap and run.cap == 20
+    assert stepped.k == run.k == 20
+    for key in ("t", "g", "L", "D", "H", "W"):
+        np.testing.assert_array_equal(getattr(stepped, key), getattr(run, key),
+                                      err_msg=key)
+
+
+def test_storage_sized_from_maxiter_capped_by_dimensions(gravity32):
+    assert hess_run(gravity32.op, gravity32.b, maxiter=500).cap == 32
+    assert hess_run(gravity32.op, gravity32.b, maxiter=5).cap == 5

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lslu import (CountingOperator, LambdaRule, PivotStrategy, SolverConfig,
-                  make_dense_operator, run_hybrid_lslu, run_hybrid_lsqr,
-                  run_lslu, run_lsqr, solve)
+                  gk_run, hess_run, make_dense_operator, run_hybrid_lslu,
+                  run_hybrid_lsqr, run_lslu, run_lsqr, solve)
 from lslu import reductions
 
 A22 = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -262,3 +262,31 @@ def test_config_validation():
         SolverConfig(method="lslu", maxiter=0)
     with pytest.raises(ValueError):
         SolverConfig(method="hybrid_lslu", stop_tol=0.0)
+
+
+@pytest.mark.parametrize("maxiter", [2.5, 3.0, True, False, "3", None, 0, -2])
+def test_maxiter_must_be_positive_integer(maxiter):
+    # storage is sized from maxiter, so a float must not slip through and
+    # run ceil(maxiter) iterations (or fail later inside an allocation)
+    op = make_dense_operator(A22)
+    with pytest.raises(ValueError, match="maxiter"):
+        SolverConfig(method="lslu", maxiter=maxiter)
+    with pytest.raises(ValueError, match="maxiter"):
+        hess_run(op, [1.0, 1.0], maxiter=maxiter)
+    with pytest.raises(ValueError, match="maxiter"):
+        gk_run(op, [1.0, 1.0], maxiter=maxiter)
+
+
+def test_numpy_integer_maxiter_accepted(gravity32):
+    res = run_lslu(gravity32.op, gravity32.b,
+                   SolverConfig(method="lslu", maxiter=np.int64(4)))
+    assert res.k_reached == 4
+    assert hess_run(gravity32.op, gravity32.b, maxiter=np.int32(4)).k == 4
+    assert gk_run(gravity32.op, gravity32.b, maxiter=np.int32(4)).k == 4
+
+
+@pytest.mark.parametrize("stop_tol", [float("nan"), float("inf"), -float("inf"),
+                                      0.0, -1e-4])
+def test_stop_tol_must_be_finite_positive(stop_tol):
+    with pytest.raises(ValueError, match="stop_tol"):
+        SolverConfig(method="hybrid_lslu", stop_tol=stop_tol)
