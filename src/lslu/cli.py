@@ -2,9 +2,11 @@
 
 Reproduces the library's figure- and table-style pipelines at desk
 scale, emitting CSV histories, JSON summaries, and PGM images.  All
-outputs are byte-reproducible given the same config and seed.  Flags
-mirror the RunConfig fields (kebab-case); --config loads a flat JSON
-file with the same keys, and command-line flags override it.
+outputs are byte-reproducible given the same config and seed.  RunConfig
+is the one schema: every field is a flag (kebab-case), and --config
+loads a flat JSON object with the same keys, whose values parse exactly
+like the flag text (command-line flags override them).  The library's
+constructors validate the resulting config objects.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
@@ -14,21 +16,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+import typing
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .diagnostics import plain_bound_report, hybrid_bound_report
 from .golub_kahan import gk_run
-from .hessenberg import PivotStrategy, hess_run
+from .hessenberg import PivotStrategy, check_maxiter, hess_run
 from .operators import (load_dense_problem, make_gravity_problem,
                         make_tomo_problem)
 from .pgm import write_pgm
 from .projected import LambdaRule
-from .solvers import SolverConfig, run_hybrid_lsqr, solve
+from .solvers import METHODS, SolverConfig, run_hybrid_lsqr, solve
 from .uq import build_uq, build_uq_bidiag, covariance_sum, variance_diagonal
 
+PROBLEMS = ("gravity", "tomo", "dense_file")
 EMIT_CHOICES = ("history_csv", "summary_json", "recon_pgm", "basis_pgm",
                 "bounds_csv", "uq_csv")
 
@@ -41,7 +46,7 @@ class UsageError(Exception):
 class RunConfig:
     """Flat experiment configuration (JSON schema and CLI flags)."""
 
-    problem: str = "gravity"
+    problem: str = field(default="gravity", metadata={"choices": PROBLEMS})
     n: int = 32
     depth: float = 0.25
     angles: int | None = None
@@ -50,20 +55,66 @@ class RunConfig:
     rhs_file: str | None = None
     noise_level: float = 1e-2
     seed: int = 0
-    method: str = "hybrid_lslu"
+    method: str = field(default="hybrid_lslu", metadata={"choices": METHODS})
     maxiter: int = 50
-    lambda_rule: str = "wgcv"
+    lambda_rule: str = field(default="wgcv", metadata={"choices": LambdaRule.KINDS})
     lambda_value: float | None = None
     stop_tol: float | None = None
-    pivot: str = "full"
+    pivot: str = field(default="full", metadata={"choices": PivotStrategy.KINDS})
     sample_size: int | None = None
     pivot_seed: int = 0
-    sample_sizes: list = field(default_factory=lambda: [25, 50, 100])
+    sample_sizes: list[int] = field(default_factory=lambda: [25, 50, 100])
     k_max: int = 15
     sigma2: float | None = None
     reg: float | None = None
     output_dir: str = "."
-    emit: list = field(default_factory=lambda: ["history_csv", "summary_json"])
+    emit: list[str] = field(default_factory=lambda: ["history_csv", "summary_json"],
+                            metadata={"choices": EMIT_CHOICES})
+
+
+_HINTS = typing.get_type_hints(RunConfig)
+
+
+def _scalar(kind, value, choices):
+    # a JSON number reads as its text, so 3.0 is no int, as on the command line
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    try:
+        result = kind(str(value))
+    except ValueError:
+        raise ValueError(f"expected {kind.__name__}, got {value!r}") from None
+    if choices and result not in choices:
+        raise ValueError(f"{result!r} is not one of {', '.join(choices)}")
+    return result
+
+
+def parse_field(f, value, source):
+    """One RunConfig value from flag text or a JSON value (a UsageError
+    naming source if bad).  A list is comma-separated text or a JSON array."""
+    hint = _HINTS[f.name]
+    if type(None) in typing.get_args(hint):
+        if value is None:
+            return None
+        hint = typing.get_args(hint)[0]
+    choices = f.metadata.get("choices")
+    try:
+        if typing.get_origin(hint) is not list:
+            return _scalar(hint, value, choices)
+        items = [s for s in value.split(",") if s] if isinstance(value, str) else value
+        if not isinstance(items, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return [_scalar(typing.get_args(hint)[0], item, choices) for item in items]
+    except ValueError as exc:
+        raise UsageError(f"{source}: {exc}") from None
+
+
+@contextmanager
+def config_errors(prefix=""):
+    """Report a library config object's ValueError as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
 
 
 def _fmt(value):
@@ -87,56 +138,29 @@ def build_problem(config):
     Returns (op, b, x_true, e, image_shapes) where image_shapes maps
     'solution'/'data' to 2-D shapes when the spaces are images.
     """
-    if config.problem == "gravity":
-        prob = make_gravity_problem(config.n, config.depth,
-                                    config.noise_level, config.seed)
-        return prob.op, prob.b, prob.x_true, prob.e, {}
-    if config.problem == "tomo":
-        prob = make_tomo_problem(config.n, config.angles, config.detectors,
-                                 config.noise_level, config.seed)
-        detectors = (config.detectors if config.detectors is not None
-                     else int(round(np.sqrt(2.0) * config.n)))
-        angles = config.angles if config.angles is not None else config.n
-        shapes = {"solution": (config.n, config.n),
-                  "data": (angles, detectors)}
-        return prob.op, prob.b, prob.x_true, prob.e, shapes
     if config.problem == "dense_file":
         if not config.matrix_file or not config.rhs_file:
             raise UsageError("dense_file problem needs --matrix-file and --rhs-file")
         op, b = load_dense_problem(config.matrix_file, config.rhs_file)
         return op, b, None, None, {}
-    raise UsageError(f"unknown problem {config.problem!r}")
+    if config.problem == "tomo":
+        prob = make_tomo_problem(config.n, config.angles, config.detectors,
+                                 config.noise_level, config.seed)
+    else:
+        prob = make_gravity_problem(config.n, config.depth,
+                                    config.noise_level, config.seed)
+    return prob.op, prob.b, prob.x_true, prob.e, prob.image_shapes
 
 
-def make_pivot(config):
-    if config.pivot == "sampled":
-        if config.sample_size is None:
-            raise UsageError("sampled pivoting needs --sample-size")
-        return PivotStrategy.sampled(config.sample_size, seed=config.pivot_seed)
-    return PivotStrategy(kind=config.pivot)
-
-
-def make_rule(config, x_true):
-    if config.lambda_rule == "fixed":
-        if config.lambda_value is None:
-            raise UsageError("fixed lambda rule needs --lambda-value")
-        return LambdaRule.fixed(config.lambda_value)
-    if config.lambda_rule == "optimal":
-        if x_true is None:
-            raise UsageError("optimal lambda rule needs a problem with a known truth")
-        return LambdaRule.optimal(x_true)
-    return LambdaRule(kind=config.lambda_rule)
-
-
-def make_solver_config(config, x_true, method=None, pivot=None):
-    return SolverConfig(
-        method=method or config.method,
-        maxiter=config.maxiter,
-        pivot=pivot or make_pivot(config),
-        lambda_rule=make_rule(config, x_true),
-        stop_tol=config.stop_tol,
-        track_truth=x_true,
-    )
+def make_solver_config(config, x_true):
+    with config_errors():
+        # sample_size is ignored unless the pivoting is sampled
+        pivot = (PivotStrategy.sampled(config.sample_size, seed=config.pivot_seed)
+                 if config.pivot == "sampled" else PivotStrategy(kind=config.pivot))
+        rule = LambdaRule(config.lambda_rule, config.lambda_value, x_true=x_true)
+        return SolverConfig(config.method, config.maxiter, pivot=pivot,
+                            lambda_rule=rule, stop_tol=config.stop_tol,
+                            track_truth=x_true)
 
 
 def _history_rows(result):
@@ -148,6 +172,7 @@ def _history_rows(result):
 
 
 def cmd_solve(config):
+    """run one solver, emit history/summary/images"""
     op, b, x_true, _, shapes = build_problem(config)
     result = solve(op, b, make_solver_config(config, x_true))
     outdir = Path(config.output_dir)
@@ -198,6 +223,7 @@ def cmd_solve(config):
 
 
 def cmd_compare(config):
+    """error curves for pivot variants and the baseline"""
     op, b, x_true, _, _ = build_problem(config)
     if x_true is None:
         raise UsageError("compare needs a problem with a known truth")
@@ -205,22 +231,18 @@ def cmd_compare(config):
     base_lu = "hybrid_lslu" if hybrid else "lslu"
     base_qr = "hybrid_lsqr" if hybrid else "lsqr"
 
-    curves = []
-    cfg_full = make_solver_config(config, x_true, method=base_lu,
-                                  pivot=PivotStrategy.full())
-    curves.append((f"{base_lu}_full", solve(op, b, cfg_full)))
+    variants = [(f"{base_lu}_full", replace(config, method=base_lu, pivot="full"))]
     limit = max(op.nrows, op.ncols)
     for size in config.sample_sizes:
         if size > limit:
             print(f"skipping sample size {size}: exceeds max(m, n) = {limit}",
                   file=sys.stderr)
             continue
-        cfg_s = make_solver_config(
-            config, x_true, method=base_lu,
-            pivot=PivotStrategy.sampled(size, seed=config.pivot_seed))
-        curves.append((f"{base_lu}_s{size}", solve(op, b, cfg_s)))
-    curves.append((base_qr, solve(op, b, make_solver_config(
-        config, x_true, method=base_qr))))
+        variants.append((f"{base_lu}_s{size}", replace(
+            config, method=base_lu, pivot="sampled", sample_size=size)))
+    variants.append((base_qr, replace(config, method=base_qr)))
+    configs = [(name, make_solver_config(cfg, x_true)) for name, cfg in variants]
+    curves = [(name, solve(op, b, cfg)) for name, cfg in configs]
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -238,9 +260,15 @@ def cmd_compare(config):
 
 
 def cmd_uq(config):
+    """posterior covariance sums from both factorizations"""
     op, b, x_true, e, shapes = build_problem(config)
     if e is None:
         raise UsageError("uq needs a generated problem (known noise)")
+    stop_tol = config.stop_tol if config.stop_tol is not None else 1e-4
+    hybrid_config = make_solver_config(replace(
+        config, method="hybrid_lsqr", lambda_rule="wgcv", stop_tol=stop_tol), x_true)
+    with config_errors("k_max: "):
+        check_maxiter(config.k_max)
     m = op.nrows
     sigma2 = config.sigma2
     if sigma2 is None:
@@ -250,11 +278,7 @@ def cmd_uq(config):
     if reg is None or "solution" in shapes:
         # the automatically-stopped hybrid baseline supplies the default
         # regularization scale and the iteration for the variance images
-        hybrid = run_hybrid_lsqr(op, b, SolverConfig(
-            method="hybrid_lsqr", maxiter=config.maxiter,
-            lambda_rule=LambdaRule.wgcv(),
-            stop_tol=config.stop_tol if config.stop_tol is not None else 1e-4,
-            track_truth=x_true))
+        hybrid = run_hybrid_lsqr(op, b, hybrid_config)
         k_stop = hybrid.k_stop
         if reg is None:
             if k_stop < 1:
@@ -264,7 +288,7 @@ def cmd_uq(config):
         raise UsageError("reg must be positive")
 
     k_max = config.k_max
-    hstate = hess_run(op, b, strategy=make_pivot(config), maxiter=k_max)
+    hstate = hess_run(op, b, strategy=hybrid_config.pivot, maxiter=k_max)
     gstate = gk_run(op, b, maxiter=k_max)
     kk = min(hstate.k, gstate.k, k_max)
     rows = []
@@ -291,13 +315,14 @@ def cmd_uq(config):
 
 
 def cmd_bounds(config):
-    op, b, _, _, _ = build_problem(config)
+    """residual-bound report (fixed lambda: hybrid form)"""
+    op, b, x_true, _, _ = build_problem(config)
+    pivot = make_solver_config(config, x_true).pivot
     if config.lambda_value is not None:
         report = hybrid_bound_report(op, b, config.lambda_value,
-                                     config.maxiter, pivot=make_pivot(config))
+                                     config.maxiter, pivot=pivot)
     else:
-        report = plain_bound_report(op, b, config.maxiter,
-                                    pivot=make_pivot(config))
+        report = plain_bound_report(op, b, config.maxiter, pivot=pivot)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = zip(report.iterations, report.r_lu, report.r_qr, report.kappa,
@@ -307,31 +332,8 @@ def cmd_bounds(config):
     return 0
 
 
-def _add_common_flags(p):
-    p.add_argument("--config", help="JSON file with RunConfig fields")
-    p.add_argument("--problem", choices=("gravity", "tomo", "dense_file"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--depth", type=float)
-    p.add_argument("--angles", type=int)
-    p.add_argument("--detectors", type=int)
-    p.add_argument("--matrix-file")
-    p.add_argument("--rhs-file")
-    p.add_argument("--noise-level", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--method", choices=("lslu", "hybrid_lslu", "lsqr", "hybrid_lsqr"))
-    p.add_argument("--maxiter", type=int)
-    p.add_argument("--lambda-rule", choices=("fixed", "gcv", "wgcv", "optimal"))
-    p.add_argument("--lambda-value", type=float)
-    p.add_argument("--stop-tol", type=float)
-    p.add_argument("--pivot", choices=("none", "full", "sampled"))
-    p.add_argument("--sample-size", type=int)
-    p.add_argument("--pivot-seed", type=int)
-    p.add_argument("--sample-sizes", help="comma-separated list for compare")
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--sigma2", type=float)
-    p.add_argument("--reg", type=float)
-    p.add_argument("--output-dir")
-    p.add_argument("--emit", help="comma-separated subset of " + ",".join(EMIT_CHOICES))
+_COMMANDS = {"solve": cmd_solve, "compare": cmd_compare,
+             "uq": cmd_uq, "bounds": cmd_bounds}
 
 
 def build_parser():
@@ -339,43 +341,36 @@ def build_parser():
         prog="lslu", description="Inner-product-free Krylov solvers for "
         "ill-posed inverse problems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("solve", "run one solver, emit history/summary/images"),
-                      ("compare", "error curves for pivot variants and the baseline"),
-                      ("uq", "posterior covariance sums from both factorizations"),
-                      ("bounds", "residual-bound report (fixed lambda: hybrid form)")):
-        _add_common_flags(sub.add_parser(name, help=doc))
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
+        p.add_argument("--config", help="JSON file with RunConfig fields")
+        for f in fields(RunConfig):
+            choices = f.metadata.get("choices")
+            p.add_argument("--" + f.name.replace("_", "-"), help=f.type,
+                           metavar="{" + ",".join(choices) + "}" if choices else None)
     return parser
 
 
 def resolve_config(args):
-    config = RunConfig()
+    values = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        known = {f.name for f in fields(RunConfig)}
+        if not isinstance(loaded, dict):
+            raise UsageError(f"{args.config}: expected a JSON object")
+        known = {f.name: f for f in fields(RunConfig)}
         for key, value in loaded.items():
             if key not in known:
                 raise UsageError(f"unknown config key {key!r}")
-            setattr(config, key, value)
+            values[key] = parse_field(known[key], value, f"{args.config}: {key}")
     for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(config, f.name, value)
-    if isinstance(config.sample_sizes, str):
-        config.sample_sizes = [int(s) for s in config.sample_sizes.split(",") if s]
-    if isinstance(config.emit, str):
-        config.emit = [s for s in config.emit.split(",") if s]
-    for item in config.emit:
-        if item not in EMIT_CHOICES:
-            raise UsageError(f"unknown emit target {item!r}")
-    return config
-
-
-_COMMANDS = {"solve": cmd_solve, "compare": cmd_compare,
-             "uq": cmd_uq, "bounds": cmd_bounds}
+        text = getattr(args, f.name)
+        if text is not None:
+            values[f.name] = parse_field(f, text, "--" + f.name.replace("_", "-"))
+    return RunConfig(**values)
 
 
 def main(argv=None):

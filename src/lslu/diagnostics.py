@@ -117,8 +117,8 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     for k in range(1, limit + 1):
         assembled = scipy.linalg.block_diag(
             state.D[:, :min(k + 1, state.d_count)], state.L[:, :k])
-        kap = _cond_from_singular_values(scipy.linalg.svdvals(assembled))
-        report.append(k, stacked(res_lu, k), stacked(res_qr, k), kap)
+        report.append(k, stacked(res_lu, k), stacked(res_qr, k),
+                      kappa_svd(assembled))
     return report
 
 

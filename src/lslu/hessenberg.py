@@ -44,12 +44,14 @@ class PivotStrategy:
     random index sample (avoiding a global max-reduction).
     """
 
+    KINDS = ("none", "full", "sampled")
+
     kind: str = "full"
     sample_size: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "full", "sampled"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown pivot strategy kind {self.kind!r}")
         if self.kind == "sampled":
             if self.sample_size is None or self.sample_size < 1:

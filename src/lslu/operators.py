@@ -9,7 +9,7 @@ parallel-beam tomography system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,7 +94,11 @@ class CountingOperator(LinearOperator):
 
 @dataclass
 class InverseProblem:
-    """A generated test instance: operator, truth, exact and noisy data."""
+    """A generated test instance: operator, truth, exact and noisy data.
+
+    image_shapes maps 'solution'/'data' to 2-D shapes when those spaces
+    are images; it is empty for 1-D problems.
+    """
 
     op: LinearOperator
     x_true: np.ndarray
@@ -103,6 +107,7 @@ class InverseProblem:
     e: np.ndarray
     noise_level: float
     seed: int
+    image_shapes: dict = field(default_factory=dict)
 
 
 def make_dense_operator(matrix):
@@ -251,7 +256,8 @@ def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed
 
     b_exact = matrix @ x_true
     b, e = add_noise(b_exact, noise_level, seed)
-    return InverseProblem(op, x_true, b_exact, b, e, noise_level, seed)
+    shapes = {"solution": (n, n), "data": (n_angles, n_detectors)}
+    return InverseProblem(op, x_true, b_exact, b, e, noise_level, seed, shapes)
 
 
 def load_dense_problem(matrix_path, rhs_path):

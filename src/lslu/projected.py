@@ -8,6 +8,7 @@ stopping function, and the parameter search itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +128,12 @@ class LambdaRule:
 
     kind 'fixed' uses value verbatim; 'gcv' and 'wgcv' minimize the
     corresponding function; 'optimal' minimizes the true solution error
-    (diagnostic only; needs x_true).  lo/hi override the default search
-    window [max(1e-12, 1e-6*sigma_1), sigma_1].
+    (diagnostic only; needs x_true).  Other kinds ignore value and
+    x_true.  lo/hi override the default search window
+    [max(1e-12, 1e-6*sigma_1), sigma_1].
     """
+
+    KINDS = ("fixed", "gcv", "wgcv", "optimal")
 
     kind: str = "wgcv"
     value: float | None = None
@@ -138,10 +142,18 @@ class LambdaRule:
     x_true: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "gcv", "wgcv", "optimal"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown lambda rule kind {self.kind!r}")
-        if self.kind == "fixed" and (self.value is None or self.value < 0):
-            raise ValueError("fixed rule needs a nonnegative value")
+        if self.value is not None and not (math.isfinite(self.value)
+                                           and self.value >= 0):
+            raise ValueError(
+                f"lambda value must be finite and nonnegative, got {self.value!r}")
+        if self.kind == "fixed" and self.value is None:
+            raise ValueError("fixed rule needs a lambda value")
+        if self.kind == "optimal" and self.x_true is None:
+            raise ValueError("optimal rule needs x_true")
+        if self.x_true is not None:
+            self.x_true = np.asarray(self.x_true, dtype=float)
         if self.lo is not None and self.lo <= 0:
             raise ValueError("search window lower bound must be positive")
 
@@ -159,7 +171,7 @@ class LambdaRule:
 
     @classmethod
     def optimal(cls, x_true):
-        return cls(kind="optimal", x_true=np.asarray(x_true, dtype=float))
+        return cls(kind="optimal", x_true=x_true)
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -209,8 +221,8 @@ def select_lambda(rule, svd, beta, k, m, basis=None, x0=None):
         omega = min(1.0, max(0.0, (k + 1) / m))
         func = lambda lam: wgcv_value(svd, beta, lam, omega, k=k)
     else:
-        if rule.x_true is None or basis is None:
-            raise ValueError("optimal rule needs x_true and the solution basis")
+        if basis is None:
+            raise ValueError("optimal rule needs the solution basis")
         x_true = rule.x_true
         base = (x0 if x0 is not None else 0.0) - x_true
         coeff = beta * svd.ue1[:svd.k]

@@ -41,7 +41,6 @@ class SolverConfig:
     lambda_rule: LambdaRule = field(default_factory=LambdaRule.wgcv)
     stop_tol: float | None = None
     track_truth: np.ndarray | None = None
-    reorth: bool = True
     pure: bool = False
 
     def __post_init__(self):
@@ -91,25 +90,13 @@ def _drive(op, b, config, family, hybrid):
         state = hess_init(op, b, config.x0, config.pivot, config.maxiter)
         step = hess_step
     else:
-        state = gk_init(op, b, config.x0, config.reorth, config.maxiter)
+        state = gk_init(op, b, config.x0, maxiter=config.maxiter)
         step = gk_step
     x0 = state.x0
     rule = config.lambda_rule
 
     ys, lambdas, ghats = [], [], []
-    residual_norms, relative_errors = [], []
-    truth = None
-    truth_norm = None
-    if config.track_truth is not None and not config.pure:
-        truth = np.asarray(config.track_truth, dtype=float)
-        truth_norm = reductions.norm2(truth)
-
-    if state.breakdown != BREAKDOWN_NONE:
-        return SolveResult(x0.copy(), 0, STOP_BREAKDOWN, residual_norms,
-                           relative_errors, lambdas, ghats, ys, state)
-
     stop_reason = None
-    k_stop = None
     while state.k < config.maxiter and state.breakdown == BREAKDOWN_NONE:
         prev_k = state.k
         step(state, op)
@@ -129,20 +116,11 @@ def _drive(op, b, config, family, hybrid):
         gh = ghat(svd, state.beta, lam, k, m, n) if k < m else float("nan")
         ghats.append(gh)
 
-        if not config.pure:
-            x_k = _reconstruct(state, x0, y)
-            residual_norms.append(reductions.norm2(b - op.forward(x_k)))
-            if truth is not None:
-                err = reductions.norm2(x_k - truth)
-                relative_errors.append(err / truth_norm if truth_norm > 0
-                                       else float("nan"))
-
         if (hybrid and config.stop_tol is not None and len(ghats) >= 2
                 and np.isfinite(ghats[0]) and np.isfinite(ghats[-1])
                 and np.isfinite(ghats[-2])
                 and stop_check(ghats, config.stop_tol)):
             stop_reason = STOP_GHAT
-            k_stop = k
             break
 
     if stop_reason is None:
@@ -150,11 +128,15 @@ def _drive(op, b, config, family, hybrid):
             stop_reason = STOP_BREAKDOWN
         else:
             stop_reason = STOP_MAXITER
-        k_stop = len(ys)
+    k_stop = len(ys)
 
     x_final = _reconstruct(state, x0, ys[k_stop - 1] if k_stop >= 1 else None)
-    return SolveResult(x_final, k_stop, stop_reason, residual_norms,
-                       relative_errors, lambdas, ghats, ys, state)
+    result = SolveResult(x_final, k_stop, stop_reason, [], [], lambdas, ghats,
+                         ys, state)
+    if not config.pure:
+        result.residual_norms, result.relative_errors = compute_histories(
+            result, op, b, config.track_truth)
+    return result
 
 
 def run_lslu(op, b, config=None):
@@ -191,13 +173,13 @@ def solve(op, b, config):
 
 
 def compute_histories(result, op, b, x_true=None):
-    """Residual (and error) histories recomputed after a pure-mode solve.
+    """Residual (and error) histories of a finished solve.
 
-    Pure mode keeps the iteration free of long-vector reductions by
-    deferring all norm evaluations; this reconstructs every iterate from
-    the stored basis and projected solutions and returns the same
-    (residual_norms, relative_errors) lists a reporting run would have
-    recorded.
+    Reconstructs every iterate from the stored basis and projected
+    solutions and returns (residual_norms, relative_errors).  A reporting
+    run fills its histories with this after its loop; pure mode skips it
+    to keep the solve free of long-vector reductions, and a caller can
+    apply it to a pure-mode result afterwards.
     """
     b = np.asarray(b, dtype=float)
     state = result.state

@@ -157,7 +157,7 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(lines) == 7  # header + 6 iterations (flag overrode the file)
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("solve", "--no-such-flag") == 1
     assert run_cli("solve", "--problem", "dense_file",
                    "--output-dir", str(tmp_path)) == 1
@@ -165,6 +165,51 @@ def test_usage_errors_exit_1(tmp_path):
                    "--output-dir", str(tmp_path)) == 1
     bad = tmp_path / "missing.json"
     assert run_cli("solve", "--config", str(bad)) == 1
+
+    # flag values the library's constructors reject, and JSON values that
+    # do not parse as their flag text would; the message names the input
+    cases = [
+        (("--maxiter", "0"), "maxiter"),
+        (("--pivot", "sampled", "--sample-size", "0"), "sample_size"),
+        (("--stop-tol", "-1"), "stop_tol"),
+        (("--lambda-value", "nan"), "lambda value"),
+        (("--lambda-rule", "fixed", "--lambda-value", "nan"), "lambda value"),
+        (("--method", "bogus"), "--method"),
+        (("--maxiter", "3.0"), "--maxiter"),
+    ]
+    for name, content, named in (("float_int", '{"maxiter": 3.0}', "maxiter"),
+                                 ("not_object", "[1, 2]", "JSON object"),
+                                 ("method", '{"method": "bogus"}', "method"),
+                                 ("bool", '{"n": true}', "n")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(content)
+        cases.append((("--config", str(path)), named))
+    for args, named in cases:
+        capsys.readouterr()
+        assert run_cli("solve", "--problem", "gravity", "--n", "16",
+                       *args, "--output-dir", str(tmp_path / "out")) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, (args, err)
+    assert run_cli("uq", "--n", "16", "--k-max", "0",
+                   "--output-dir", str(tmp_path / "out")) == 1
+    assert "k_max" in capsys.readouterr().err
+
+
+def test_json_lists_and_comma_strings_agree(tmp_path):
+    outputs = []
+    for form, (sizes, emit) in enumerate((([10, 20], ["history_csv", "summary_json"]),
+                                          ("10,20", "history_csv,summary_json"))):
+        path = tmp_path / f"cfg{form}.json"
+        path.write_text(json.dumps({"problem": "gravity", "n": 16, "method": "lslu",
+                                    "maxiter": 4, "sample_sizes": sizes,
+                                    "emit": emit}))
+        out = tmp_path / f"out{form}"
+        assert run_cli("solve", "--config", str(path), "--output-dir", str(out)) == 0
+        assert run_cli("compare", "--config", str(path),
+                       "--output-dir", str(out)) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["compare.csv", "history.csv", "summary.json"]
+    assert outputs[0] == outputs[1]
 
 
 def test_runtime_errors_exit_2(tmp_path):

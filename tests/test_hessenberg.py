@@ -166,10 +166,17 @@ class TestStructuralInvariants:
     def test_tomo_all_strategies(self, tomo16):
         dense = tomo16.op.to_dense()
         m, n = tomo16.op.shape
-        for strategy in _strategies(m, n):
+        unpivoted, *pivoted = _strategies(m, n)
+        for strategy in pivoted:
             state = hess_run(tomo16.op, tomo16.b, strategy=strategy, maxiter=15)
+            assert state.k >= 1
             _assert_unit_triangular(state)
             _assert_relations(dense, state)
+        # without pivoting the first step's eliminated forward image is zero
+        # at the next natural data coordinate, so the run stops before k = 1
+        state = hess_run(tomo16.op, tomo16.b, strategy=unpivoted, maxiter=15)
+        assert state.k == 0
+        assert state.breakdown == BREAKDOWN_RANK
 
 
 def test_span_matches_explicit_krylov_matrices():

@@ -271,3 +271,37 @@ class TestSelectLambda:
         svd = svd_small([[2.0], [0.0]])
         with pytest.raises(ValueError):
             select_lambda(LambdaRule(kind="gcv", lo=3.0, hi=None), svd, 1.0, 1, 2)
+
+
+class TestLambdaRuleConstructor:
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"kind": "bogus"}, "unknown lambda rule kind"),
+        ({"kind": "fixed"}, "fixed rule needs a lambda value"),
+        ({"kind": "fixed", "value": -0.5}, "finite and nonnegative"),
+        ({"kind": "fixed", "value": float("nan")}, "finite and nonnegative"),
+        ({"kind": "fixed", "value": float("inf")}, "finite and nonnegative"),
+        ({"kind": "wgcv", "value": float("nan")}, "finite and nonnegative"),
+        ({"kind": "optimal"}, "optimal rule needs x_true"),
+        ({"kind": "gcv", "lo": 0.0}, "lower bound must be positive"),
+    ])
+    def test_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            LambdaRule(**kwargs)
+
+    def test_optimal_classmethod_rejects_missing_truth(self):
+        with pytest.raises(ValueError, match="optimal rule needs x_true"):
+            LambdaRule.optimal(None)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "fixed", "value": 0.0},
+        {"kind": "fixed", "value": 2.5},
+        {"kind": "wgcv", "value": 0.1},
+        {"kind": "gcv", "x_true": [1.0, 2.0]},
+    ])
+    def test_accepted(self, kwargs):
+        assert LambdaRule(**kwargs).kind == kwargs["kind"]
+
+    def test_truth_is_stored_as_float_array(self):
+        rule = LambdaRule.optimal([1, 2])
+        assert rule.x_true.dtype == float
+        np.testing.assert_array_equal(rule.x_true, [1.0, 2.0])
