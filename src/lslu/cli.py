@@ -154,9 +154,9 @@ def build_problem(config):
 
 def make_solver_config(config, x_true):
     with config_errors():
-        # sample_size is ignored unless the pivoting is sampled
-        pivot = (PivotStrategy.sampled(config.sample_size, seed=config.pivot_seed)
-                 if config.pivot == "sampled" else PivotStrategy(kind=config.pivot))
+        seed = config.pivot_seed if config.pivot == "sampled" else None
+        pivot = PivotStrategy(kind=config.pivot, sample_size=config.sample_size,
+                              seed=seed)
         rule = LambdaRule(config.lambda_rule, config.lambda_value, x_true=x_true)
         return SolverConfig(config.method, config.maxiter, pivot=pivot,
                             lambda_rule=rule, stop_tol=config.stop_tol,
@@ -231,7 +231,8 @@ def cmd_compare(config):
     base_lu = "hybrid_lslu" if hybrid else "lslu"
     base_qr = "hybrid_lsqr" if hybrid else "lsqr"
 
-    variants = [(f"{base_lu}_full", replace(config, method=base_lu, pivot="full"))]
+    variants = [(f"{base_lu}_full", replace(config, method=base_lu, pivot="full",
+                                            sample_size=None))]
     limit = max(op.nrows, op.ncols)
     for size in config.sample_sizes:
         if size > limit:
@@ -240,7 +241,9 @@ def cmd_compare(config):
             continue
         variants.append((f"{base_lu}_s{size}", replace(
             config, method=base_lu, pivot="sampled", sample_size=size)))
-    variants.append((base_qr, replace(config, method=base_qr)))
+    # LSQR reads no pivot strategy
+    variants.append((base_qr, replace(config, method=base_qr, pivot="full",
+                                      sample_size=None)))
     configs = [(name, make_solver_config(cfg, x_true)) for name, cfg in variants]
     curves = [(name, solve(op, b, cfg)) for name, cfg in configs]
 
@@ -316,6 +319,10 @@ def cmd_uq(config):
 
 def cmd_bounds(config):
     """residual-bound report (fixed lambda: hybrid form)"""
+    with config_errors():
+        if config.lambda_value is not None and not config.lambda_value > 0:
+            raise ValueError("the hybrid bound report needs a positive lambda value, "
+                             f"got {config.lambda_value!r}")
     op, b, x_true, _, _ = build_problem(config)
     pivot = make_solver_config(config, x_true).pivot
     if config.lambda_value is not None:

@@ -158,8 +158,14 @@ def gravity_kernel_matrix(n, depth=0.25):
     if depth <= 0:
         raise ValueError("depth must be positive")
     pts = (np.arange(n) + 0.5) / n
-    diff = pts[:, None] - pts[None, :]
-    return depth * (depth**2 + diff**2) ** (-1.5) / n
+    # depth * (depth**2 + diff**2) ** (-1.5) / n, evaluated in one array
+    out = pts[:, None] - pts[None, :]
+    np.square(out, out=out)
+    out += depth**2
+    np.power(out, -1.5, out=out)
+    out *= depth
+    out /= n
+    return out
 
 
 def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
@@ -173,14 +179,16 @@ def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
     return InverseProblem(op, x_true, b_exact, b, e, noise_level, seed)
 
 
-def trace_ray(n, point, direction):
-    """Exact intersection lengths of one ray with the cells of an n-by-n grid.
+def trace_view(n, points, direction):
+    """Exact intersection lengths of parallel rays with the cells of an n-by-n grid.
 
     The grid covers [0, n] x [0, n] with unit cells; cell (i, j) spans
-    [j, j+1] x [i, i+1] and has flat index i*n + j.  Returns (indices,
-    lengths) for the cells the ray crosses, ordered along the ray.
+    [j, j+1] x [i, i+1] and has flat index i*n + j.  Ray r starts from
+    points[r] and every ray shares one direction.  Returns (rays, indices,
+    lengths), one entry per crossed cell, ordered by ray and then along
+    the ray.
     """
-    point = np.asarray(point, dtype=float)
+    points = np.asarray(points, dtype=float)
     direction = np.asarray(direction, dtype=float)
     nd = np.linalg.norm(direction)
     if nd == 0:
@@ -188,33 +196,48 @@ def trace_ray(n, point, direction):
     direction = direction / nd
 
     # Slab test for the bounding box, then all grid-line crossings inside it.
-    t_lo, t_hi = -np.inf, np.inf
+    hit = np.ones(points.shape[0], dtype=bool)
+    t_lo = np.full(points.shape[0], -np.inf)
+    t_hi = np.full(points.shape[0], np.inf)
+    axes = []
     for ax in range(2):
-        d, p = direction[ax], point[ax]
+        d, p = direction[ax], points[:, ax]
         if abs(d) < 1e-300:
-            if p <= 0 or p >= n:
-                return np.empty(0, dtype=int), np.empty(0)
+            hit &= (p > 0) & (p < n)
         else:
+            axes.append(ax)
             t0, t1 = (0.0 - p) / d, (n - p) / d
-            t_lo = max(t_lo, min(t0, t1))
-            t_hi = min(t_hi, max(t0, t1))
-    if t_hi <= t_lo:
-        return np.empty(0, dtype=int), np.empty(0)
+            t_lo = np.maximum(t_lo, np.minimum(t0, t1))
+            t_hi = np.minimum(t_hi, np.maximum(t0, t1))
+    hit &= t_hi > t_lo
 
-    taus = [np.array([t_lo, t_hi])]
-    for ax in range(2):
-        d, p = direction[ax], point[ax]
-        if abs(d) >= 1e-300:
-            crossings = (np.arange(n + 1) - p) / d
-            taus.append(crossings[(crossings > t_lo) & (crossings < t_hi)])
-    taus = np.unique(np.concatenate(taus))
+    # A crossing outside the window is moved onto t_hi: it sorts to the end
+    # of its ray and bounds only zero-length segments, which are dropped.
+    taus = [t_lo[:, None], t_hi[:, None]]
+    for ax in axes:
+        crossings = (np.arange(n + 1) - points[:, ax, None]) / direction[ax]
+        inside = (crossings > t_lo[:, None]) & (crossings < t_hi[:, None])
+        taus.append(np.where(inside, crossings, t_hi[:, None]))
+    taus = np.sort(np.concatenate(taus, axis=1), axis=1)
 
-    lengths = np.diff(taus)
-    mids = point[None, :] + 0.5 * (taus[:-1] + taus[1:])[:, None] * direction[None, :]
+    lengths = np.diff(taus, axis=1)
+    keep = (lengths > 1e-14) & hit[:, None]
+    rays, seg = np.nonzero(keep)
+    half = 0.5 * (taus[rays, seg] + taus[rays, seg + 1])
+    mids = points[rays] + half[:, None] * direction[None, :]
     cols = np.clip(np.floor(mids[:, 0]).astype(int), 0, n - 1)
     rows = np.clip(np.floor(mids[:, 1]).astype(int), 0, n - 1)
-    keep = lengths > 1e-14
-    return (rows * n + cols)[keep], lengths[keep]
+    return rays, rows * n + cols, lengths[keep]
+
+
+def trace_ray(n, point, direction):
+    """Exact intersection lengths of one ray with the cells of an n-by-n grid.
+
+    The one-ray case of trace_view: returns (indices, lengths) for the
+    cells the ray crosses, ordered along the ray.
+    """
+    _, indices, lengths = trace_view(n, [point], direction)
+    return indices, lengths
 
 
 def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed=0):
@@ -234,20 +257,23 @@ def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed
     m = n_angles * n_detectors
     center = np.array([n / 2.0, n / 2.0])
     spacing = n * np.sqrt(2.0) / n_detectors
+    offsets = (np.arange(n_detectors) - (n_detectors - 1) / 2.0) * spacing
 
     rows_idx, cols_idx, vals = [], [], []
     for a in range(n_angles):
         theta = a * np.pi / n_angles
         direction = np.array([np.cos(theta), np.sin(theta)])
         offset_dir = np.array([-np.sin(theta), np.cos(theta)])
-        for d in range(n_detectors):
-            s = (d - (n_detectors - 1) / 2.0) * spacing
-            idx, lens = trace_ray(n, center + s * offset_dir, direction)
-            row = a * n_detectors + d
-            rows_idx.extend([row] * len(idx))
-            cols_idx.extend(idx.tolist())
-            vals.extend(lens.tolist())
-    matrix = sp.csr_matrix((vals, (rows_idx, cols_idx)), shape=(m, n * n))
+        rays, idx, lens = trace_view(n, center + offsets[:, None] * offset_dir,
+                                     direction)
+        rows_idx.append(a * n_detectors + rays)
+        cols_idx.append(idx)
+        vals.append(lens)
+    # where a ray passes close to a grid corner, two of its segments can
+    # land in one cell; the COO constructor sums them in triplet order
+    matrix = sp.csr_matrix((np.concatenate(vals),
+                            (np.concatenate(rows_idx), np.concatenate(cols_idx))),
+                           shape=(m, n * n))
     op = make_sparse_operator(matrix)
 
     jj, ii = np.meshgrid(np.arange(n) + 0.5, np.arange(n) + 0.5)

@@ -176,6 +176,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         (("--lambda-rule", "fixed", "--lambda-value", "nan"), "lambda value"),
         (("--method", "bogus"), "--method"),
         (("--maxiter", "3.0"), "--maxiter"),
+        (("--pivot", "full", "--sample-size", "25"), "sample_size"),
     ]
     for name, content, named in (("float_int", '{"maxiter": 3.0}', "maxiter"),
                                  ("not_object", "[1, 2]", "JSON object"),
@@ -193,6 +194,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("uq", "--n", "16", "--k-max", "0",
                    "--output-dir", str(tmp_path / "out")) == 1
     assert "k_max" in capsys.readouterr().err
+    assert run_cli("bounds", "--n", "16", "--maxiter", "3", "--lambda-value", "0",
+                   "--output-dir", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda value" in err and "0.0" in err
 
 
 def test_json_lists_and_comma_strings_agree(tmp_path):

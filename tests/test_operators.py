@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lslu import (add_noise, make_dense_operator, make_gravity_problem,
                   make_tomo_problem, trace_ray)
@@ -78,13 +79,121 @@ class TestGravity:
         above = s[s > 1e-14 * s[0]]
         assert np.all(np.diff(above) < 0)
 
+    @pytest.mark.parametrize("n, depth", [(2, 0.25), (257, 0.25), (64, 0.1)])
+    def test_kernel_matches_expression(self, n, depth):
+        pts = (np.arange(n) + 0.5) / n
+        diff = pts[:, None] - pts[None, :]
+        expected = depth * (depth**2 + diff**2) ** (-1.5) / n
+        np.testing.assert_array_equal(gravity_kernel_matrix(n, depth), expected)
+
     def test_symmetric_positive_entries(self):
         matrix = gravity_kernel_matrix(20)
         assert np.all(matrix > 0)
         np.testing.assert_allclose(matrix, matrix.T, rtol=0, atol=1e-15)
 
 
+def _reference_trace_ray(n, point, direction):
+    """Per-ray tracer with one Python pass per ray (test reference)."""
+    point = np.asarray(point, dtype=float)
+    direction = np.asarray(direction, dtype=float)
+    direction = direction / np.linalg.norm(direction)
+    t_lo, t_hi = -np.inf, np.inf
+    for ax in range(2):
+        d, p = direction[ax], point[ax]
+        if abs(d) < 1e-300:
+            if p <= 0 or p >= n:
+                return np.empty(0, dtype=int), np.empty(0)
+        else:
+            t0, t1 = (0.0 - p) / d, (n - p) / d
+            t_lo = max(t_lo, min(t0, t1))
+            t_hi = min(t_hi, max(t0, t1))
+    if t_hi <= t_lo:
+        return np.empty(0, dtype=int), np.empty(0)
+
+    taus = [np.array([t_lo, t_hi])]
+    for ax in range(2):
+        d, p = direction[ax], point[ax]
+        if abs(d) >= 1e-300:
+            crossings = (np.arange(n + 1) - p) / d
+            taus.append(crossings[(crossings > t_lo) & (crossings < t_hi)])
+    taus = np.unique(np.concatenate(taus))
+
+    lengths = np.diff(taus)
+    mids = point[None, :] + 0.5 * (taus[:-1] + taus[1:])[:, None] * direction[None, :]
+    cols = np.clip(np.floor(mids[:, 0]).astype(int), 0, n - 1)
+    rows = np.clip(np.floor(mids[:, 1]).astype(int), 0, n - 1)
+    keep = lengths > 1e-14
+    return (rows * n + cols)[keep], lengths[keep]
+
+
+def _reference_tomo_matrix(n, n_angles, n_detectors):
+    """The tomography matrix built ray by ray from _reference_trace_ray."""
+    center = np.array([n / 2.0, n / 2.0])
+    spacing = n * np.sqrt(2.0) / n_detectors
+    rows_idx, cols_idx, vals = [], [], []
+    for a in range(n_angles):
+        theta = a * np.pi / n_angles
+        direction = np.array([np.cos(theta), np.sin(theta)])
+        offset_dir = np.array([-np.sin(theta), np.cos(theta)])
+        for d in range(n_detectors):
+            s = (d - (n_detectors - 1) / 2.0) * spacing
+            idx, lens = _reference_trace_ray(n, center + s * offset_dir, direction)
+            row = a * n_detectors + d
+            rows_idx.extend([row] * len(idx))
+            cols_idx.extend(idx.tolist())
+            vals.extend(lens.tolist())
+    return sp.csr_matrix((vals, (rows_idx, cols_idx)),
+                         shape=(n_angles * n_detectors, n * n))
+
+
 class TestTomo:
+    # default geometry (n angles: even, and odd for n=5), odd and even
+    # angle counts (even ones include theta = pi/2), and many detectors;
+    # at n=128 the diagonal views cross cells twice (summed entries)
+    @pytest.mark.parametrize("n, n_angles, n_detectors", [
+        *[(n, n_angles, n_detectors) for n in (4, 5, 8, 16)
+          for n_angles, n_detectors in ((None, None), (7, 11), (6, 3 * n))],
+        (128, 4, 181),
+    ])
+    def test_matrix_matches_per_ray_reference(self, n, n_angles, n_detectors):
+        prob = make_tomo_problem(n, n_angles, n_detectors)
+        n_angles, n_detectors = prob.image_shapes["data"]
+        expected = _reference_tomo_matrix(n, n_angles, n_detectors)
+        matrix = prob.op.matrix
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(matrix, name), getattr(expected, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        # the edge rays of the axis-aligned views miss the grid
+        assert np.any(np.diff(matrix.indptr) == 0)
+        np.testing.assert_array_equal(prob.b_exact, expected @ prob.x_true)
+
+    @pytest.mark.parametrize("point, direction", [
+        ([-1.0, 5.5], [1.0, 0.0]),    # parallel to the x axis, above the grid
+        ([4.0, 1.0], [0.0, -1.0]),    # along the grid's right edge
+        ([10.0, 0.0], [1.0, 1.0]),    # oblique, passes beside the grid
+    ])
+    def test_ray_missing_grid_is_empty(self, point, direction):
+        idx, lens = trace_ray(4, point, direction)
+        assert idx.shape == lens.shape == (0,)
+        assert idx.dtype.kind == "i" and lens.dtype == float
+
+    @pytest.mark.parametrize("point, direction, cells", [
+        ([0.0, 0.0], [2.0, 1.0], [0, 1, 6, 7]),
+        ([4.0, 0.0], [-1.0, 1.0], [3, 6, 9, 12]),
+        ([0.0, 1.0], [1.0, 1.0], [4, 9, 14]),
+    ])
+    def test_ray_through_grid_corners(self, point, direction, cells):
+        # x and y crossings coincide at every corner the ray passes through
+        idx, lens = trace_ray(4, point, direction)
+        assert idx.tolist() == cells
+        # each segment spans one unit along the ray's longer axis
+        step = np.linalg.norm(direction) / np.max(np.abs(direction))
+        np.testing.assert_allclose(lens, np.full(len(cells), step), rtol=0, atol=1e-12)
+        ref_idx, ref_lens = _reference_trace_ray(4, point, direction)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(lens, ref_lens)
+
     def test_axis_aligned_ray_unit_lengths(self):
         # a horizontal ray strictly inside a row crosses 4 unit cells
         idx, lens = trace_ray(4, point=[-1.0, 1.5], direction=[1.0, 0.0])
