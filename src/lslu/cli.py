@@ -224,6 +224,14 @@ def cmd_solve(config):
 
 def cmd_compare(config):
     """error curves for pivot variants and the baseline"""
+    with config_errors():
+        # compare sets the pivoting of each variant itself
+        if config.sample_size is not None:
+            raise ValueError("compare takes no --sample-size; "
+                             "list the sampled variants with --sample-sizes")
+        if config.pivot != "full":
+            raise ValueError(f"compare takes no --pivot (got {config.pivot!r}); it runs "
+                             "full pivoting and the --sample-sizes variants")
     op, b, x_true, _, _ = build_problem(config)
     if x_true is None:
         raise UsageError("compare needs a problem with a known truth")
@@ -231,8 +239,7 @@ def cmd_compare(config):
     base_lu = "hybrid_lslu" if hybrid else "lslu"
     base_qr = "hybrid_lsqr" if hybrid else "lsqr"
 
-    variants = [(f"{base_lu}_full", replace(config, method=base_lu, pivot="full",
-                                            sample_size=None))]
+    variants = [(f"{base_lu}_full", replace(config, method=base_lu))]
     limit = max(op.nrows, op.ncols)
     for size in config.sample_sizes:
         if size > limit:
@@ -241,9 +248,7 @@ def cmd_compare(config):
             continue
         variants.append((f"{base_lu}_s{size}", replace(
             config, method=base_lu, pivot="sampled", sample_size=size)))
-    # LSQR reads no pivot strategy
-    variants.append((base_qr, replace(config, method=base_qr, pivot="full",
-                                      sample_size=None)))
+    variants.append((base_qr, replace(config, method=base_qr)))
     configs = [(name, make_solver_config(cfg, x_true)) for name, cfg in variants]
     curves = [(name, solve(op, b, cfg)) for name, cfg in configs]
 

@@ -107,9 +107,9 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     res_qr = run_hybrid_lsqr(op, b, config_qr)
 
     def stacked(res, k):
+        # residual_norms[k - 1] is ||b - A x_k|| of this same x_k
         x = res.state.x0 + res.state.solution_basis[:, :k] @ res.ys[k - 1]
-        return float(np.hypot(np.linalg.norm(b - op.forward(x)),
-                              lam * np.linalg.norm(x)))
+        return float(np.hypot(res.residual_norms[k - 1], lam * np.linalg.norm(x)))
 
     report = BoundReport()
     state = res_lu.state

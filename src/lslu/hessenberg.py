@@ -269,11 +269,9 @@ def hess_step(state, op):
         state._W[:kp - 1, kp - 1] = _eliminate(q, L[:kp - 1], g[:kp - 1])
 
     pos = _pick_pivot(q, g, kp - 1, state.strategy, state._rng)
-    if pos is None or np.max(np.abs(q[g[kp - 1:]])) <= BREAKDOWN_TOL * q_scale:
-        state.breakdown = BREAKDOWN_RANK
-        return state
-    if abs(q[g[pos]]) <= BREAKDOWN_TOL * q_scale:
-        # only under none/sampled: the candidate misses the live entries
+    # no live entry left, or (under none/sampled) the candidate misses
+    # them; the pivot lies in the window, so a dead window fails here too
+    if pos is None or abs(q[g[pos]]) <= BREAKDOWN_TOL * q_scale:
         state.breakdown = BREAKDOWN_RANK
         return state
     g[[kp - 1, pos]] = g[[pos, kp - 1]]

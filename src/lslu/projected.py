@@ -69,6 +69,33 @@ def _residual_terms(svd, lam):
     return float(np.sum((filt * svd.ue1[:k]) ** 2) + svd.ue1[k] ** 2), filt
 
 
+def _wgcv_function(svd, beta, omega, k):
+    """The weighted-GCV function of lam > 0, with its lam-free terms built once.
+
+    A parameter search evaluates it some twenty times per iteration, so
+    each evaluation does only the operations that involve lam.
+    """
+    s2 = svd.sigma**2
+    u = svd.ue1[:svd.k]
+    tail = svd.ue1[svd.k] ** 2
+    a = (1.0 - omega) * s2
+    kb = k * beta**2
+
+    def value(lam):
+        # no zero guard on den: it vanishes only where lam**2 underflows
+        # at a zero singular value, and there the trace is 0/0 regardless
+        l2 = lam**2
+        den = s2 + l2
+        t = l2 / den
+        t *= u
+        t *= t
+        terms = float(np.add.reduce(t) + tail)
+        trace = 1.0 + np.add.reduce((a + l2) / den)
+        return kb * terms / trace**2
+
+    return value
+
+
 def wgcv_value(svd, beta, lam, omega, k=None):
     """Weighted-GCV function of the projected problem.
 
@@ -81,10 +108,7 @@ def wgcv_value(svd, beta, lam, omega, k=None):
         raise ValueError("omega must lie in [0, 1]")
     if k is None:
         k = svd.k
-    terms, _ = _residual_terms(svd, lam)
-    s2 = svd.sigma**2
-    trace = 1.0 + np.sum(((1.0 - omega) * s2 + lam**2) / (s2 + lam**2))
-    return k * beta**2 * terms / trace**2
+    return _wgcv_function(svd, beta, omega, k)(lam)
 
 
 def gcv_value(svd, beta, lam, k=None):
@@ -216,10 +240,9 @@ def select_lambda(rule, svd, beta, k, m, basis=None, x0=None):
         return float(lo)
 
     if rule.kind == "gcv":
-        func = lambda lam: gcv_value(svd, beta, lam, k=k)
+        func = _wgcv_function(svd, beta, 1.0, k)
     elif rule.kind == "wgcv":
-        omega = min(1.0, max(0.0, (k + 1) / m))
-        func = lambda lam: wgcv_value(svd, beta, lam, omega, k=k)
+        func = _wgcv_function(svd, beta, min(1.0, max(0.0, (k + 1) / m)), k)
     else:
         if basis is None:
             raise ValueError("optimal rule needs the solution basis")

@@ -198,6 +198,16 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                    "--output-dir", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "lambda value" in err and "0.0" in err
+    # compare chooses each variant's pivoting; it rejects the single-run flags
+    for args, named in ((("--sample-size", "25"), "--sample-size"),
+                        (("--pivot", "none"), "--pivot"),
+                        (("--pivot", "sampled", "--sample-size", "25"), "--sample-size")):
+        assert run_cli("compare", "--n", "16", "--maxiter", "3", *args,
+                       "--output-dir", str(tmp_path / "out")) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "--sample-sizes" in err, (
+            args, err)
+    assert not (tmp_path / "out" / "compare.csv").exists()
 
 
 def test_json_lists_and_comma_strings_agree(tmp_path):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from lslu import (PivotStrategy, hess_init, hess_run, kappa_qr, kappa_svd,
-                  make_dense_operator, relation_residuals, plain_bound_report,
-                  hybrid_bound_report)
+from lslu import (LambdaRule, PivotStrategy, SolverConfig, hess_init, hess_run,
+                  kappa_qr, kappa_svd, make_dense_operator, relation_residuals,
+                  plain_bound_report, hybrid_bound_report, solve)
 
 
 class TestPlainBounds:
@@ -53,6 +53,22 @@ class TestHybridBounds:
         assert report.all_ok()
         for lu, qr in zip(report.r_lu, report.r_qr):
             assert lu / qr == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("pivot", [PivotStrategy.full(), PivotStrategy.sampled(10)])
+    def test_stacked_residuals_match_direct_evaluation(self, gravity32, pivot):
+        lam, maxiter = 0.1, 12
+        op, b = gravity32.op, gravity32.b
+        report = hybrid_bound_report(op, b, lam, maxiter, pivot=pivot)
+        for method, reported in (("hybrid_lslu", report.r_lu),
+                                 ("hybrid_lsqr", report.r_qr)):
+            res = solve(op, b, SolverConfig(method, maxiter, pivot=pivot,
+                                            lambda_rule=LambdaRule.fixed(lam)))
+            direct = []
+            for k in report.iterations:
+                x = res.state.x0 + res.state.solution_basis[:, :k] @ res.ys[k - 1]
+                direct.append(float(np.hypot(np.linalg.norm(b - op.forward(x)),
+                                             lam * np.linalg.norm(x))))
+            assert reported == direct, method
 
     def test_nonpositive_lambda_rejected(self, gravity32):
         with pytest.raises(ValueError):

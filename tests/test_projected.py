@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lslu import (LambdaRule, gcv_value, ghat, select_lambda, stop_check,
-                  svd_small, tikhonov_projected, wgcv_value)
+from lslu import (LambdaRule, ProjectedSvd, gcv_value, ghat, select_lambda,
+                  stop_check, svd_small, tikhonov_projected, wgcv_value)
+from lslu.projected import golden_section_log
 
 
 def _tikhonov_pinv(H, lam):
@@ -28,6 +29,20 @@ def wgcv_oracle(H, beta, lam, omega):
     num = k * np.linalg.norm((np.eye(k + 1) - HHl) @ (beta * e1)) ** 2
     den = np.trace(np.eye(k + 1) - omega * HHl) ** 2
     return num / den
+
+
+def wgcv_reference(svd, beta, lam, omega, k=None):
+    """The weighted-GCV value built anew at every lam, with the
+    zero-denominator guard; the library evaluates the same operations
+    with its lam-free terms built once, so the two agree bit for bit."""
+    if k is None:
+        k = svd.k
+    s2 = svd.sigma**2
+    denom = s2 + lam**2
+    filt = np.where(denom > 0, lam**2 / np.where(denom > 0, denom, 1.0), 0.0)
+    terms = float(np.sum((filt * svd.ue1[:svd.k]) ** 2) + svd.ue1[svd.k] ** 2)
+    trace = 1.0 + np.sum(((1.0 - omega) * s2 + lam**2) / (s2 + lam**2))
+    return k * beta**2 * terms / trace**2
 
 
 def ghat_oracle(H, beta, lam, m, n):
@@ -146,6 +161,50 @@ class TestGcvForms:
                 w = wgcv_value(svd, beta, lam, omega)
                 assert w == pytest.approx(wgcv_oracle(H, beta, lam, omega),
                                           rel=1e-10)
+
+
+class TestGcvMatchesReference:
+    LAMS = np.logspace(-12, 3, 46)
+
+    @staticmethod
+    def _svd_with_zero_sigma(rng, k):
+        # an exact zero singular value, which svd_small rarely produces
+        U = np.linalg.qr(rng.standard_normal((k + 1, k + 1)))[0]
+        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        sigma = np.sort(10.0 ** rng.uniform(-8, 2, k))[::-1]
+        sigma[-1] = 0.0
+        return ProjectedSvd(U=U, sigma=sigma, V=V, ue1=U[0, :].copy())
+
+    @pytest.mark.parametrize("k", [1, 7, 60])
+    @pytest.mark.parametrize("zero_sigma", [False, True])
+    def test_values_bitwise(self, k, zero_sigma):
+        rng = np.random.default_rng(k)
+        if zero_sigma:
+            svd = self._svd_with_zero_sigma(rng, k)
+        else:
+            svd = svd_small(np.triu(rng.standard_normal((k + 1, k)), -1))
+        beta = float(rng.standard_normal())
+        for lam in self.LAMS:
+            assert gcv_value(svd, beta, lam) == wgcv_reference(svd, beta, lam, 1.0)
+            assert gcv_value(svd, beta, lam, k=k + 3) == wgcv_reference(
+                svd, beta, lam, 1.0, k=k + 3)
+            for omega in (0.0, 0.37, 1.0):
+                assert wgcv_value(svd, beta, lam, omega) == wgcv_reference(
+                    svd, beta, lam, omega), (lam, omega)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_selected_lambda_bitwise(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        k = int(rng.integers(2, 40))
+        m = int(rng.integers(k + 1, 4 * k))
+        svd = svd_small(np.triu(rng.standard_normal((k + 1, k)), -1))
+        beta = float(rng.standard_normal())
+        lo, hi = max(1e-12, 1e-6 * svd.sigma[0]), svd.sigma[0]
+        omega = min(1.0, max(0.0, (k + 1) / m))
+        for rule, w in ((LambdaRule.gcv(), 1.0), (LambdaRule.wgcv(), omega)):
+            expected = golden_section_log(
+                lambda lam: wgcv_reference(svd, beta, lam, w, k=k), lo, hi)
+            assert select_lambda(rule, svd, beta, k, m) == expected
 
 
 class TestGhat:
