@@ -211,7 +211,7 @@ def cmd_solve(config):
         sol_shape = shapes.get("solution", (1, op.ncols))
         data_shape = shapes.get("data", (1, op.nrows))
         basis = state.solution_basis
-        resid_basis = state.D if hasattr(state, "D") else state.U
+        resid_basis = state.residual_basis
         for k in (2, 4, 6, 8, 10):
             if k <= basis.shape[1]:
                 write_pgm(outdir / f"basis_L_k{k:02d}.pgm",

@@ -93,7 +93,8 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
 
     The stacked residual of an iterate x is sqrt(||b - A x||^2 +
     lam^2 ||x||^2); the condition number is that of the block-diagonal
-    assembly of D_{k+1} and L_k.
+    assembly of D_{k+1} and L_k, whose singular values are those of the
+    two blocks together.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -107,7 +108,8 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     res_qr = run_hybrid_lsqr(op, b, config_qr)
 
     def stacked(res, k):
-        # residual_norms[k - 1] is ||b - A x_k|| of this same x_k
+        # residual_norms[k - 1] is ||b - A x_k|| of this same x_k, as the
+        # factorization gives it
         x = res.state.x0 + res.state.solution_basis[:, :k] @ res.ys[k - 1]
         return float(np.hypot(res.residual_norms[k - 1], lam * np.linalg.norm(x)))
 
@@ -115,10 +117,10 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     state = res_lu.state
     limit = min(res_lu.k_reached, res_qr.k_reached)
     for k in range(1, limit + 1):
-        assembled = scipy.linalg.block_diag(
-            state.D[:, :min(k + 1, state.d_count)], state.L[:, :k])
+        blocks = (state.D[:, :min(k + 1, state.d_count)], state.L[:, :k])
+        sigma = np.concatenate([scipy.linalg.svdvals(block) for block in blocks])
         report.append(k, stacked(res_lu, k), stacked(res_qr, k),
-                      kappa_svd(assembled))
+                      _cond_from_singular_values(np.sort(sigma)[::-1]))
     return report
 
 

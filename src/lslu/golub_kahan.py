@@ -14,8 +14,9 @@ import numpy as np
 
 from . import reductions
 from .hessenberg import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
-                         BREAKDOWN_TOL, allocate, check_maxiter,
-                         initial_capacity, reserve)
+                         BREAKDOWN_TOL, allocate, check_image, check_maxiter,
+                         check_start, initial_capacity, initial_residual,
+                         reserve)
 
 
 class BidiagState:
@@ -67,6 +68,10 @@ class BidiagState:
     def solution_basis(self):
         return self.V
 
+    @property
+    def residual_basis(self):
+        return self.U
+
 
 def _reorthogonalize(vec, rows):
     # two classical Gram-Schmidt passes; enough for 1e-12 at desk scale
@@ -76,17 +81,16 @@ def _reorthogonalize(vec, rows):
 
 
 def gk_init(op, b, x0=None, reorth=True, maxiter=None):
-    """Normalize the initial residual into u_1; maxiter sizes the storage."""
-    m, n = op.shape
+    """Normalize the initial residual into u_1; maxiter sizes the storage.
+
+    A b or x0 of the wrong length or with non-finite entries raises a
+    ValueError naming it.
+    """
     cap = initial_capacity(op.shape, maxiter)
-    b = np.asarray(b, dtype=float)
-    if x0 is None:
-        x0 = np.zeros(n)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-    r0 = b - op.forward(x0) if np.any(x0) else b.copy()
-    state = BidiagState(op, r0, x0, reorth, cap)
+    b, x0, r0 = initial_residual(op, b, x0)
     beta1 = reductions.norm2(r0)
+    check_start(beta1, b, x0, r0)
+    state = BidiagState(op, r0, x0, reorth, cap)
     if beta1 == 0.0:
         state.breakdown = BREAKDOWN_EXACT
         return state
@@ -97,7 +101,10 @@ def gk_init(op, b, x0=None, reorth=True, maxiter=None):
 
 
 def gk_step(state, op):
-    """One iteration: new v_k (with alpha_k), then new u_{k+1} (with beta_{k+1})."""
+    """One iteration: new v_k (with alpha_k), then new u_{k+1} (with beta_{k+1}).
+
+    An operator image with non-finite entries raises a ValueError.
+    """
     if state.breakdown != BREAKDOWN_NONE:
         raise ValueError("cannot step a broken-down state")
     kp = state.k + 1
@@ -106,6 +113,7 @@ def gk_step(state, op):
 
     q = op.adjoint(U[kp - 1])
     q_scale = reductions.norm2(q)
+    check_image(q_scale, "adjoint", kp)
     if kp > 1:
         q = q - B[kp - 1, kp - 2] * V[kp - 2]
     if state.reorth and kp > 1:
@@ -120,6 +128,7 @@ def gk_step(state, op):
 
     p = op.forward(V[kp - 1])
     p_scale = reductions.norm2(p)
+    check_image(p_scale, "forward", kp)
     p = p - alpha * U[kp - 1]
     if state.reorth:
         p = _reorthogonalize(p, U[:kp])

@@ -176,6 +176,10 @@ class HessenbergState:
     def solution_basis(self):
         return self.L
 
+    @property
+    def residual_basis(self):
+        return self.D
+
 
 def _pick_pivot(vec, perm, start, strategy, rng):
     """Index into perm (>= start) of the chosen pivot, or None if no window."""
@@ -207,6 +211,48 @@ def _eliminate(vec, rows, piv):
     return coef
 
 
+def initial_residual(op, b, x0):
+    """b, x0 (zeros when None) and r0 = b - A x0 as float vectors.
+
+    A b or x0 whose shape does not match the operator raises a
+    ValueError naming it.  Finiteness is left to check_start, through
+    the scale of r0 that every init takes anyway.
+    """
+    m, n = op.shape
+    b = np.asarray(b, dtype=float)
+    if b.shape != (m,):
+        raise ValueError(f"b must be a vector of length {m} (the operator's rows), "
+                         f"got shape {b.shape}")
+    if x0 is None:
+        x0 = np.zeros(n)
+    else:
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (n,):
+            raise ValueError(f"x0 must be a vector of length {n} (the operator's "
+                             f"columns), got shape {x0.shape}")
+    r0 = b - op.forward(x0) if np.any(x0) else b.copy()
+    return b, x0, r0
+
+
+def check_start(scale, b, x0, r0):
+    """Raise a ValueError naming the input at fault when r0's scale is not finite."""
+    if np.isfinite(scale):
+        return
+    for name, vec in (("b", b), ("x0", x0)):
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"{name} has non-finite entries")
+    if not np.all(np.isfinite(r0)):
+        raise ValueError("the forward map returned non-finite values at x0")
+    raise ValueError("the scale of the initial residual b - A x0 overflows")
+
+
+def check_image(scale, name, k):
+    """Raise a ValueError when an operator image's scale is not finite."""
+    if not np.isfinite(scale):
+        raise ValueError(f"the {name} map returned non-finite values "
+                         f"at iteration {k}")
+
+
 def hess_init(op, b, x0=None, strategy=None, maxiter=None):
     """Start the factorization: residual, first pivot, and d_1.
 
@@ -214,22 +260,20 @@ def hess_init(op, b, x0=None, strategy=None, maxiter=None):
     state starts small and grows as it is stepped.  A zero initial
     residual yields a k=0 state flagged exact_solution.  A zero pivot
     entry under the 'none' strategy raises BreakdownError, since
-    pivoting would repair it.
+    pivoting would repair it.  A b or x0 of the wrong length or with
+    non-finite entries raises a ValueError naming it.
     """
     strategy = strategy or PivotStrategy.full()
     m, n = op.shape
     cap = initial_capacity(op.shape, maxiter)
     if strategy.kind == "sampled" and strategy.sample_size > max(m, n):
         raise ValueError("sample_size exceeds max(m, n)")
-    b = np.asarray(b, dtype=float)
-    if x0 is None:
-        x0 = np.zeros(n)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-    r0 = b - op.forward(x0) if np.any(x0) else b.copy()
+    b, x0, r0 = initial_residual(op, b, x0)
+    scale = np.max(np.abs(r0))
+    check_start(scale, b, x0, r0)
 
     state = HessenbergState(op, r0, x0, strategy, cap)
-    if np.max(np.abs(r0)) == 0.0:
+    if scale == 0.0:
         state.breakdown = BREAKDOWN_EXACT
         return state
 
@@ -253,7 +297,8 @@ def hess_step(state, op):
     Terminal conditions set state.breakdown instead of raising:
     rank_deficient when no solution-space pivot survives elimination (or
     the residual-space window is exhausted), exact_solution when the
-    eliminated forward image vanishes.  Completed columns are kept.
+    eliminated forward image vanishes.  Completed columns are kept.  An
+    operator image with non-finite entries raises a ValueError.
     """
     if state.breakdown != BREAKDOWN_NONE:
         raise ValueError("cannot step a broken-down state")
@@ -265,6 +310,7 @@ def hess_step(state, op):
     # solution-space half: eliminate A^T d_k against l_1..l_{k-1}
     q = op.adjoint(D[kp - 1])
     q_scale = np.max(np.abs(q))
+    check_image(q_scale, "adjoint", kp)
     if kp > 1:
         state._W[:kp - 1, kp - 1] = _eliminate(q, L[:kp - 1], g[:kp - 1])
 
@@ -282,6 +328,7 @@ def hess_step(state, op):
     # residual-space half: eliminate A l_k against d_1..d_k
     u = op.forward(L[kp - 1])
     u_scale = np.max(np.abs(u))
+    check_image(u_scale, "forward", kp)
     state._H[:kp, kp - 1] = _eliminate(u, D[:kp], t[:kp])
 
     pos = _pick_pivot(u, t, kp, state.strategy, state._rng)

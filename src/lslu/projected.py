@@ -96,14 +96,22 @@ def _wgcv_function(svd, beta, omega, k):
     return value
 
 
+def _check_search_lam(lam, name, what):
+    # a lam whose square underflows to 0 makes the trace 0/0 at an exact
+    # zero singular value; the float() product cannot raise OverflowError
+    if not (lam > 0 and float(lam) * float(lam) > 0):
+        raise ValueError(f"{what} must be positive with a square that does "
+                         f"not underflow to 0, got {name}={lam!r}")
+
+
 def wgcv_value(svd, beta, lam, omega, k=None):
     """Weighted-GCV function of the projected problem.
 
     The omega weight only enters the trace denominator; omega=1 is the
-    standard GCV function (same floating-point path, bit for bit).
+    standard GCV function (same floating-point path, bit for bit).  lam
+    must be positive, and large enough that lam**2 does not underflow.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_search_lam(lam, "lam", "lam")
     if not 0 <= omega <= 1:
         raise ValueError("omega must lie in [0, 1]")
     if k is None:
@@ -178,8 +186,8 @@ class LambdaRule:
             raise ValueError("optimal rule needs x_true")
         if self.x_true is not None:
             self.x_true = np.asarray(self.x_true, dtype=float)
-        if self.lo is not None and self.lo <= 0:
-            raise ValueError("search window lower bound must be positive")
+        if self.lo is not None:
+            _check_search_lam(self.lo, "lo", "search window lower bound")
 
     @classmethod
     def fixed(cls, value):

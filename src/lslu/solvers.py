@@ -5,8 +5,9 @@ factorization, SVD the small projected matrix, pick the regularization
 parameter, solve the projected problem, and (for the hybrid methods)
 evaluate the stopping function.  The LSLU family's hot path stays free
 of long-vector inner products; history reporting is the only place
-norms appear, and `pure=True` turns it off so tests can witness a zero
-reduction count.
+norms appear (one residual norm per iteration, read off the
+factorization without an operator product), and `pure=True` turns it
+off so tests can witness a zero reduction count.
 """
 
 from __future__ import annotations
@@ -58,8 +59,11 @@ class SolveResult:
     """Final iterate plus per-iteration histories and the basis state.
 
     Histories all have length k_reached (iterations completed); the
-    residual and error lists stay empty in pure mode or when no truth
-    is tracked.  x_final equals x0 + (solution basis) @ y_{k_stop}.
+    residual and error lists stay empty in pure mode, and the error
+    list also when no truth is tracked.  residual_norms[k - 1] is
+    ||b - A x_k|| as the factorization gives it (see compute_histories),
+    equal to a direct evaluation up to rounding.  x_final equals
+    x0 + (solution basis) @ y_{k_stop}.
     """
 
     x_final: np.ndarray
@@ -84,7 +88,6 @@ def _reconstruct(state, x0, y):
 
 
 def _drive(op, b, config, family, hybrid):
-    b = np.asarray(b, dtype=float)
     m, n = op.shape
     if family == "lslu":
         state = hess_init(op, b, config.x0, config.pivot, config.maxiter)
@@ -135,7 +138,7 @@ def _drive(op, b, config, family, hybrid):
                          ys, state)
     if not config.pure:
         result.residual_norms, result.relative_errors = compute_histories(
-            result, op, b, config.track_truth)
+            result, config.track_truth)
     return result
 
 
@@ -172,28 +175,37 @@ def solve(op, b, config):
     return _RUNNERS[config.method](op, b, config)
 
 
-def compute_histories(result, op, b, x_true=None):
+def compute_histories(result, x_true=None):
     """Residual (and error) histories of a finished solve.
 
-    Reconstructs every iterate from the stored basis and projected
-    solutions and returns (residual_norms, relative_errors).  A reporting
-    run fills its histories with this after its loop; pure mode skips it
-    to keep the solve free of long-vector reductions, and a caller can
-    apply it to a pure-mode result afterwards.
+    Returns (residual_norms, relative_errors).  Each residual comes from
+    the factorization rather than the operator: A (solution basis)_k =
+    (residual basis) M and r_0 = beta times the first residual basis
+    vector, so b - A x_k = (residual basis)[:, :d] (beta e_1 - M[:d, :k] y_k)
+    with M the projected matrix and d = min(k + 1, residual basis
+    columns); a terminal exact-solve iteration holds only k of them.
+    That is one gemv over the stored basis and one counted norm per
+    iteration, and no operator product.  Iterates are rebuilt only to
+    measure the error against x_true.  A reporting run fills its
+    histories with this after its loop; pure mode skips it to keep the
+    solve free of long-vector reductions, and a caller can apply it to
+    a pure-mode result afterwards.
     """
-    b = np.asarray(b, dtype=float)
     state = result.state
-    x0 = state.x0
+    basis, projected = state.residual_basis, state.projected_matrix
     truth_norm = None
     if x_true is not None:
         x_true = np.asarray(x_true, dtype=float)
         truth_norm = reductions.norm2(x_true)
     residual_norms, relative_errors = [], []
     for y in result.ys:
-        x_k = _reconstruct(state, x0, y)
-        residual_norms.append(reductions.norm2(b - op.forward(x_k)))
+        k = y.shape[0]
+        d = min(k + 1, basis.shape[1])
+        z = -(projected[:d, :k] @ y)
+        z[0] += state.beta
+        residual_norms.append(reductions.norm2(basis[:, :d] @ z))
         if x_true is not None:
-            err = reductions.norm2(x_k - x_true)
+            err = reductions.norm2(_reconstruct(state, state.x0, y) - x_true)
             relative_errors.append(err / truth_norm if truth_norm > 0
                                    else float("nan"))
     return residual_norms, relative_errors

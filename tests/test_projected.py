@@ -147,6 +147,23 @@ class TestGcvForms:
         assert np.isfinite(value)
         assert value == pytest.approx(1.0 / 4.0, rel=1e-6)  # (1+k)^2 = 4 at k=1
 
+    @pytest.mark.parametrize("lam", [1e-200, 1e-163, 0.0, -1.0, float("nan")])
+    def test_underflowing_lambda_rejected(self, lam):
+        # lam**2 == 0 at an exact zero singular value would make the trace 0/0
+        svd = svd_small([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        assert svd.sigma[-1] == 0.0
+        with pytest.raises(ValueError, match="lam"):
+            gcv_value(svd, 1.0, lam)
+        with pytest.raises(ValueError, match="lam"):
+            wgcv_value(svd, 1.0, lam, 0.5)
+
+    def test_smallest_lambdas_with_a_square_stay_finite(self):
+        svd = svd_small([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        for lam in (1e-150, 1e-161):
+            assert lam * lam > 0
+            assert np.isfinite(gcv_value(svd, 1.0, lam))
+            assert np.isfinite(wgcv_value(svd, 1.0, lam, 0.5))
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_trace_oracles(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -342,6 +359,8 @@ class TestLambdaRuleConstructor:
         ({"kind": "wgcv", "value": float("nan")}, "finite and nonnegative"),
         ({"kind": "optimal"}, "optimal rule needs x_true"),
         ({"kind": "gcv", "lo": 0.0}, "lower bound must be positive"),
+        ({"kind": "gcv", "lo": 1e-200}, "got lo=1e-200"),
+        ({"kind": "wgcv", "lo": float("nan")}, "lower bound must be positive"),
     ])
     def test_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

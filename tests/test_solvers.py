@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
-from lslu import (CountingOperator, LambdaRule, PivotStrategy, SolverConfig,
-                  gk_run, hess_run, make_dense_operator, run_hybrid_lslu,
-                  run_hybrid_lsqr, run_lslu, run_lsqr, solve)
+from lslu import (CountingOperator, LambdaRule, LinearOperator, PivotStrategy,
+                  SolverConfig, gk_init, gk_run, hess_init, hess_run,
+                  make_dense_operator, run_hybrid_lslu, run_hybrid_lsqr,
+                  run_lslu, run_lsqr, solve)
 from lslu import reductions
+from lslu.solvers import METHODS
 
 A22 = np.array([[1.0, 2.0], [3.0, 4.0]])
 
@@ -243,10 +246,121 @@ class TestInnerProductFreeWitness:
         res_live = run_lslu(gravity32.op, gravity32.b,
                             SolverConfig(method="lslu", maxiter=10,
                                          track_truth=gravity32.x_true))
-        resid, relerr = compute_histories(res_pure, gravity32.op, gravity32.b,
-                                          x_true=gravity32.x_true)
+        resid, relerr = compute_histories(res_pure, x_true=gravity32.x_true)
         assert resid == res_live.residual_norms
         assert relerr == res_live.relative_errors
+
+
+class TestReportingFromFactorization:
+    @pytest.mark.parametrize("method", ["hybrid_lslu", "hybrid_lsqr"])
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_one_forward_and_one_adjoint_per_iteration(self, gravity32, method,
+                                                       pure):
+        # reporting reads residuals off the factorization, so it adds no
+        # operator product to the K of each kind the recurrence makes
+        cop = CountingOperator(gravity32.op)
+        res = solve(cop, gravity32.b, SolverConfig(
+            method, maxiter=10, pure=pure, track_truth=gravity32.x_true))
+        assert res.k_reached == 10
+        assert len(res.residual_norms) == (0 if pure else 10)
+        assert (cop.n_forward, cop.n_adjoint) == (10, 10)
+
+    @staticmethod
+    def _exact_problem():
+        # r0 = b - A x0 lies in the span of 3 left singular vectors, so
+        # both recurrences end in exact_solution at k = 3 with only 3
+        # residual-basis columns; Hadamard factors keep A, b and r0 exact
+        m, n = 16, 8
+        matrix = (hadamard(m)[:, :n] @ np.diag([8.0, 6, 4, 3, 2, 1.5, 1, 0.5])
+                  @ hadamard(n).T)
+        x0 = np.arange(1.0, n + 1)
+        b = matrix @ x0 + hadamard(m)[:, :3] @ np.array([3.0, -2.0, 1.0])
+        return matrix, b, x0
+
+    @pytest.mark.parametrize("method", ["lslu", "hybrid_lslu", "lsqr", "hybrid_lsqr"])
+    @pytest.mark.parametrize("pivot", [PivotStrategy.none(), PivotStrategy.full(),
+                                       PivotStrategy.sampled(5, seed=2)],
+                             ids=["none", "full", "sampled"])
+    def test_residuals_match_direct_evaluation(self, method, pivot):
+        matrix, b, x0 = self._exact_problem()
+        res = solve(make_dense_operator(matrix), b,
+                    SolverConfig(method, maxiter=20, x0=x0, pivot=pivot))
+        state = res.state
+        assert state.breakdown == "exact_solution"
+        assert state.residual_basis.shape[1] == state.k == res.k_reached == 3
+        a_fro = np.linalg.norm(matrix, "fro")
+        for k, (reported, y) in enumerate(zip(res.residual_norms, res.ys), 1):
+            x = x0 + state.solution_basis[:, :k] @ y
+            direct = np.linalg.norm(b - matrix @ x)
+            tol = 1e-12 * (np.linalg.norm(b) + a_fro * np.linalg.norm(x))
+            assert abs(reported - direct) <= tol, k
+
+
+def _poisoned(matrix, which, call):
+    """Dense operator whose `which` map returns NaNs on its call-th application."""
+    calls = {"forward": 0, "adjoint": 0}
+
+    def apply(name, mat, v):
+        calls[name] += 1
+        out = mat @ v
+        return np.full_like(out, np.nan) if name == which and calls[name] == call else out
+
+    return LinearOperator(*matrix.shape, lambda x: apply("forward", matrix, x),
+                          lambda y: apply("adjoint", matrix.T, y))
+
+
+@pytest.mark.parametrize("init", [hess_init, gk_init], ids=["hessenberg", "golub_kahan"])
+class TestInputsCheckedAtInit:
+    @pytest.mark.parametrize("b", [[1.0, 2.0, 3.0], [1.0], [[1.0], [2.0]]])
+    def test_wrong_length_b(self, init, b):
+        with pytest.raises(ValueError, match=r"b must be a vector of length 2"):
+            init(make_dense_operator(A22), b)
+
+    @pytest.mark.parametrize("x0", [np.zeros(3), np.ones(3), np.ones((2, 1))])
+    def test_wrong_length_x0(self, init, x0):
+        with pytest.raises(ValueError, match=r"x0 must be a vector of length 2"):
+            init(make_dense_operator(A22), [1.0, 2.0], x0=x0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_b(self, init, bad):
+        with pytest.raises(ValueError, match="b has non-finite entries"):
+            init(make_dense_operator(A22), [1.0, bad])
+        with pytest.raises(ValueError, match="b has non-finite entries"):
+            init(make_dense_operator(A22), [1.0, bad], x0=[1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_x0(self, init, bad):
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            init(make_dense_operator(A22), [1.0, 2.0], x0=[bad, 0.0])
+
+    def test_non_finite_forward_at_x0(self, init):
+        op = _poisoned(A22, "forward", 1)
+        with pytest.raises(ValueError, match="forward map returned non-finite "
+                                             "values at x0"):
+            init(op, [1.0, 2.0], x0=[1.0, 0.0])
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("which,call", [("adjoint", 1), ("adjoint", 3),
+                                        ("forward", 2)])
+def test_non_finite_operator_image_named(gravity32, method, which, call):
+    op = _poisoned(gravity32.op.to_dense(), which, call)
+    with pytest.raises(ValueError, match=f"the {which} map returned non-finite "
+                                         f"values at iteration {call}"):
+        solve(op, gravity32.b, SolverConfig(method, maxiter=6))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_bad_inputs_reach_the_caller_from_solve(gravity32, method):
+    b = gravity32.b.copy()
+    b[3] = np.nan
+    with pytest.raises(ValueError, match="b has non-finite entries"):
+        solve(gravity32.op, b, SolverConfig(method, maxiter=4))
+    with pytest.raises(ValueError, match="b must be a vector of length 32"):
+        solve(gravity32.op, gravity32.b[:-1], SolverConfig(method, maxiter=4))
+    with pytest.raises(ValueError, match="x0 must be a vector of length 32"):
+        solve(gravity32.op, gravity32.b,
+              SolverConfig(method, maxiter=4, x0=np.zeros(31)))
 
 
 def test_solve_dispatch(gravity32):
