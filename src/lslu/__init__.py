@@ -12,8 +12,8 @@ from .diagnostics import (BoundReport, kappa_qr, kappa_svd, relation_residuals,
                           plain_bound_report, hybrid_bound_report)
 from .golub_kahan import BidiagState, gk_init, gk_run, gk_step
 from .hessenberg import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
-                         BreakdownError, HessenbergState, PivotStrategy,
-                         hess_init, hess_run, hess_step)
+                         BreakdownError, HessenbergState, KrylovState,
+                         PivotStrategy, hess_init, hess_run, hess_step)
 from .operators import (CountingOperator, InverseProblem, LinearOperator,
                         add_noise, export_dense_matrix, load_dense_problem,
                         make_dense_operator, make_gravity_problem,
@@ -31,8 +31,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BidiagState", "BoundReport", "BreakdownError", "CountingOperator",
-    "HessenbergState", "InverseProblem", "LambdaRule", "LinearOperator",
-    "PivotStrategy", "ProjectedSvd", "SolveResult", "SolverConfig",
+    "HessenbergState", "InverseProblem", "KrylovState", "LambdaRule",
+    "LinearOperator", "PivotStrategy", "ProjectedSvd", "SolveResult", "SolverConfig",
     "UqApprox", "add_noise", "build_uq", "build_uq_bidiag",
     "compute_histories", "covariance_sum", "export_dense_matrix",
     "gcv_value", "ghat", "gk_init",

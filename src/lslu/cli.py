@@ -31,7 +31,7 @@ from .operators import (load_dense_problem, make_gravity_problem,
 from .pgm import write_pgm
 from .projected import LambdaRule
 from .solvers import METHODS, SolverConfig, run_hybrid_lsqr, solve
-from .uq import build_uq, build_uq_bidiag, covariance_sum, variance_diagonal
+from .uq import build_uq, check_noise_model, covariance_sum, variance_diagonal
 
 PROBLEMS = ("gravity", "tomo", "dense_file")
 EMIT_CHOICES = ("history_csv", "summary_json", "recon_pgm", "basis_pgm",
@@ -292,33 +292,28 @@ def cmd_uq(config):
             if k_stop < 1:
                 raise UsageError("cannot derive reg: hybrid run produced no iterations")
             reg = float(hybrid.lambdas[k_stop - 1])
-    if reg <= 0:
-        raise UsageError("reg must be positive")
+    with config_errors():
+        check_noise_model(sigma2, reg)
 
     k_max = config.k_max
-    hstate = hess_run(op, b, strategy=hybrid_config.pivot, maxiter=k_max)
-    gstate = gk_run(op, b, maxiter=k_max)
-    kk = min(hstate.k, gstate.k, k_max)
+    states = (("lslu", hess_run(op, b, strategy=hybrid_config.pivot, maxiter=k_max)),
+              ("lsqr", gk_run(op, b, maxiter=k_max)))
+    kk = min(state.k for _, state in states)
     rows = []
-    last = None
     for k in range(1, kk + 1):
-        uq_h = build_uq(hstate, sigma2, reg, k=k)
-        uq_g = build_uq_bidiag(gstate, sigma2, reg, k=k)
-        s_h, s_g = covariance_sum(uq_h), covariance_sum(uq_g)
+        s_h, s_g = (covariance_sum(build_uq(state, sigma2, reg, k=k))
+                    for _, state in states)
         rows.append((k, s_h, s_g, abs(s_h - s_g)))
-        last = (uq_h, uq_g)
 
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(outdir / "uq.csv", ["k", "sum_lslu", "sum_lsqr", "abs_diff"], rows)
-    if "solution" in shapes and last is not None:
+    if "solution" in shapes and kk >= 1:
         k_star = min(max(k_stop or kk, 1), kk)
-        uq_h = build_uq(hstate, sigma2, reg, k=k_star)
-        uq_g = build_uq_bidiag(gstate, sigma2, reg, k=k_star)
-        write_pgm(outdir / "variance_lslu.pgm",
-                  variance_diagonal(uq_h).reshape(shapes["solution"]))
-        write_pgm(outdir / "variance_lsqr.pgm",
-                  variance_diagonal(uq_g).reshape(shapes["solution"]))
+        for name, state in states:
+            uq = build_uq(state, sigma2, reg, k=k_star)
+            write_pgm(outdir / f"variance_{name}.pgm",
+                      variance_diagonal(uq).reshape(shapes["solution"]))
     return 0
 
 

@@ -82,7 +82,7 @@ def plain_bound_report(op, b, maxiter, pivot=None):
     for k in range(1, limit + 1):
         # at a terminal exact-solve iteration d_{k+1} never materializes;
         # the k available residual-basis columns stand in (residuals are 0)
-        kap = kappa_qr(state.D[:, :min(k + 1, state.d_count)])
+        kap = kappa_qr(state.D[:, :k + 1])
         report.append(k, res_lu.residual_norms[k - 1],
                       res_qr.residual_norms[k - 1], kap)
     return report
@@ -117,7 +117,7 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     state = res_lu.state
     limit = min(res_lu.k_reached, res_qr.k_reached)
     for k in range(1, limit + 1):
-        blocks = (state.D[:, :min(k + 1, state.d_count)], state.L[:, :k])
+        blocks = (state.D[:, :k + 1], state.L[:, :k])
         sigma = np.concatenate([scipy.linalg.svdvals(block) for block in blocks])
         report.append(k, stacked(res_lu, k), stacked(res_qr, k),
                       _cond_from_singular_values(np.sort(sigma)[::-1]))
@@ -125,16 +125,18 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
 
 
 def relation_residuals(state, op):
-    """Frobenius residuals of the two factorization relations.
+    """Frobenius residuals of either state's two factorization relations.
 
-    rho1 = ||A L_k - D H||_F and rho2 = ||A^T D_k - L_k W_k||_F, the
-    second truncated to the k completed columns of D.
+    rho1 = ||A S - R M||_F and rho2 = ||A^T R_k - S C_k||_F, in the
+    KrylovState names (S solution basis, R residual basis, M projected
+    matrix, C coupling), the second over the first k columns of R.
     """
     if state.k < 1:
         raise ValueError("state has no completed iterations")
-    L, D, H, W = state.L, state.D, state.H, state.W
-    AL = np.column_stack([op.forward(L[:, j]) for j in range(state.k)])
-    AtD = np.column_stack([op.adjoint(D[:, j]) for j in range(state.k)])
-    rho1 = float(np.linalg.norm(AL - D @ H[:state.d_count, :], "fro"))
-    rho2 = float(np.linalg.norm(AtD - L @ W, "fro"))
+    S, R = state.solution_basis, state.residual_basis
+    AS = np.column_stack([op.forward(S[:, j]) for j in range(state.k)])
+    AtR = np.column_stack([op.adjoint(R[:, j]) for j in range(state.k)])
+    M = state.projected_matrix[:R.shape[1], :]
+    rho1 = float(np.linalg.norm(AS - R @ M, "fro"))
+    rho2 = float(np.linalg.norm(AtR - S @ state.coupling, "fro"))
     return rho1, rho2

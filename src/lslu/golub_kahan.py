@@ -1,11 +1,13 @@
 """Golub-Kahan bidiagonalization: the orthonormal-basis baseline.
 
 Produces U_{k+1} (residual space), V_k (solution space) and the lower
-bidiagonal B_{k+1,k} with A V_k = U_{k+1} B.  Unlike the Hessenberg
-process this recurrence takes inner products and norms of long vectors;
-those all go through the counted reductions module, which is how tests
-contrast the two families.  Full reorthogonalization is on by default
-so the baseline is trustworthy as an oracle at desk scale.
+bidiagonal B_{k+1,k} with A V_k = U_{k+1} B and A^T U_k = V_k B_k^T (B_k
+its leading square block).  BidiagState is a KrylovState; V, U and B
+name its views.  Unlike the Hessenberg process this recurrence takes
+inner products and norms of long vectors; those all go through the
+counted reductions module, which is how tests contrast the two
+families.  Full reorthogonalization is on by default so the baseline is
+trustworthy as an oracle at desk scale.
 """
 
 from __future__ import annotations
@@ -14,63 +16,25 @@ import numpy as np
 
 from . import reductions
 from .hessenberg import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
-                         BREAKDOWN_TOL, allocate, check_image, check_maxiter,
+                         BREAKDOWN_TOL, KrylovState, check_image, check_maxiter,
                          check_start, initial_capacity, initial_residual,
                          reserve)
 
 
-class BidiagState:
-    """Growing bidiagonalization state; after k steps U has k+1 columns.
+class BidiagState(KrylovState):
+    """The coupling is B_k^T, the transposed leading square block of B."""
 
-    Stored like HessenbergState: row-major bases (_V is (cap, n), _U is
-    (cap + 1, m)) behind (n, k) and (m, u_count) views, and B in a
-    (cap + 1, cap) array, all sized from the run's maxiter capped at
-    min(m, n) and grown by doubling only when stepped past that.
-    """
-
-    def __init__(self, op, r0, x0, reorth, cap):
-        m, n = op.shape
-        self.m, self.n = m, n
-        self.x0 = x0
-        self.r0 = r0
+    def __init__(self, op, x0, reorth, cap):
         self.reorth = reorth
-        self.k = 0
-        self.u_count = 0
-        self.beta1 = 0.0
-        self.breakdown = BREAKDOWN_NONE
-        allocate(self, cap)
-
-    def _layout(self, cap):
-        return {"_V": (cap, self.n), "_U": (cap + 1, self.m)}, {"_B": (cap + 1, cap)}
+        super().__init__(op, x0, cap)
 
     @property
-    def U(self):
-        return self._U[:self.u_count].T
+    def coupling(self):
+        return self._proj[:self.k, :self.k].T
 
-    @property
-    def V(self):
-        return self._V[:self.k].T
-
-    @property
-    def B(self):
-        """Lower bidiagonal (k+1)-by-k projected matrix."""
-        return self._B[:self.k + 1, :self.k]
-
-    @property
-    def beta(self):
-        return self.beta1
-
-    @property
-    def projected_matrix(self):
-        return self.B
-
-    @property
-    def solution_basis(self):
-        return self.V
-
-    @property
-    def residual_basis(self):
-        return self.U
+    V = KrylovState.solution_basis
+    U = KrylovState.residual_basis
+    B = KrylovState.projected_matrix
 
 
 def _reorthogonalize(vec, rows):
@@ -88,15 +52,15 @@ def gk_init(op, b, x0=None, reorth=True, maxiter=None):
     """
     cap = initial_capacity(op.shape, maxiter)
     b, x0, r0 = initial_residual(op, b, x0)
-    beta1 = reductions.norm2(r0)
-    check_start(beta1, b, x0, r0)
-    state = BidiagState(op, r0, x0, reorth, cap)
-    if beta1 == 0.0:
+    beta = reductions.norm2(r0)
+    check_start(beta, b, x0, r0)
+    state = BidiagState(op, x0, reorth, cap)
+    if beta == 0.0:
         state.breakdown = BREAKDOWN_EXACT
         return state
-    state.beta1 = beta1
-    state._U[0] = r0 / beta1
-    state.u_count = 1
+    state.beta = beta
+    state._res[0] = r0 / beta
+    state.residual_count = 1
     return state
 
 
@@ -109,7 +73,7 @@ def gk_step(state, op):
         raise ValueError("cannot step a broken-down state")
     kp = state.k + 1
     reserve(state, kp)
-    U, V, B = state._U, state._V, state._B
+    U, V, B = state._res, state._sol, state._proj
 
     q = op.adjoint(U[kp - 1])
     q_scale = reductions.norm2(q)
@@ -138,7 +102,7 @@ def gk_step(state, op):
         return state
     B[kp, kp - 1] = beta
     U[kp] = p / beta
-    state.u_count = kp + 1
+    state.residual_count = kp + 1
     return state
 
 

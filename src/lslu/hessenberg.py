@@ -10,7 +10,8 @@ H_{k+1,k} (upper Hessenberg) and W_k (upper triangular) satisfying
 
 Both bases are unit lower triangular up to the row permutations t (for
 D) and g (for L), and every pivot decision is a coordinate maximum, so
-the whole recurrence is free of inner products.
+the whole recurrence is free of inner products.  KrylovState holds what
+this and the Golub-Kahan state share; L, D, H and W name its views.
 """
 
 from __future__ import annotations
@@ -116,69 +117,70 @@ def reserve(state, k):
         allocate(state, max(2 * state.cap, k))
 
 
-class HessenbergState:
-    """Growing factorization state owned by a single solve.
+class KrylovState:
+    """Growing factorization state of either family, owned by one solve.
 
-    Permutations t and g are 0-based index arrays; column j of D has an
-    exact 1.0 at row t[j] and exact 0.0 at rows t[i] for i < j (same for
-    L with g).  The bases are stored row-major, one contiguous row per
-    basis vector (_L is (cap, n), _D is (cap + 1, m)); L and D are the
-    (n, k) and (m, d_count) transposed views.  cap comes from the run's
-    maxiter, capped at min(m, n); a state stepped past it by hand grows
-    by doubling.
+    After k steps: A S = R M and A^T R_k = S C_k for the solution basis
+    S (k columns), the residual basis R (residual_count columns: k + 1,
+    or k after a terminal step), the (k+1)-by-k projected matrix M and
+    the k-by-k `coupling` C_k, which each family defines; r0 = b - A x0
+    is beta times the first column of R.  The bases are stored
+    row-major, one row per basis vector (_sol is (cap, n), _res is
+    (cap + 1, m)), and M in a (cap + 1, cap) array.  cap comes from the
+    run's maxiter, capped at min(m, n); a state stepped past it by hand
+    grows by doubling.
     """
 
-    def __init__(self, op, r0, x0, strategy, cap):
-        m, n = op.shape
-        self.m, self.n = m, n
+    def __init__(self, op, x0, cap):
+        self.m, self.n = op.shape
         self.x0 = x0
-        self.r0 = r0
-        self.strategy = strategy
         self.k = 0
-        self.d_count = 0
+        self.residual_count = 0
         self.beta = 0.0
         self.breakdown = BREAKDOWN_NONE
-        self.t = np.arange(m)
-        self.g = np.arange(n)
-        self._rng = (np.random.default_rng(strategy.seed)
-                     if strategy.kind == "sampled" else None)
         allocate(self, cap)
 
     def _layout(self, cap):
-        return ({"_L": (cap, self.n), "_D": (cap + 1, self.m)},
-                {"_H": (cap + 1, cap), "_W": (cap, cap)})
-
-    # -- views over the populated part of the storage
-
-    @property
-    def L(self):
-        return self._L[:self.k].T
-
-    @property
-    def D(self):
-        return self._D[:self.d_count].T
-
-    @property
-    def H(self):
-        return self._H[:self.k + 1, :self.k]
-
-    @property
-    def W(self):
-        return self._W[:self.k, :self.k]
-
-    # Uniform names shared with BidiagState so the solver drivers can
-    # treat either factorization interchangeably.
-    @property
-    def projected_matrix(self):
-        return self.H
+        return ({"_sol": (cap, self.n), "_res": (cap + 1, self.m)},
+                {"_proj": (cap + 1, cap)})
 
     @property
     def solution_basis(self):
-        return self.L
+        return self._sol[:self.k].T
 
     @property
     def residual_basis(self):
-        return self.D
+        return self._res[:self.residual_count].T
+
+    @property
+    def projected_matrix(self):
+        return self._proj[:self.k + 1, :self.k]
+
+
+class HessenbergState(KrylovState):
+    """Permutations t and g are 0-based index arrays; column j of D has an
+    exact 1.0 at row t[j] and exact 0.0 at rows t[i] for i < j (same for
+    L with g).  The coupling is the upper triangular W_k."""
+
+    def __init__(self, op, x0, strategy, cap):
+        super().__init__(op, x0, cap)
+        self.strategy = strategy
+        self.t, self.g = np.arange(self.m), np.arange(self.n)
+        self._rng = (np.random.default_rng(strategy.seed)
+                     if strategy.kind == "sampled" else None)
+
+    def _layout(self, cap):
+        bases, factors = super()._layout(cap)
+        return bases, {**factors, "_W": (cap, cap)}
+
+    @property
+    def coupling(self):
+        return self._W[:self.k, :self.k]
+
+    L = KrylovState.solution_basis
+    D = KrylovState.residual_basis
+    H = KrylovState.projected_matrix
+    W = coupling
 
 
 def _pick_pivot(vec, perm, start, strategy, rng):
@@ -272,7 +274,7 @@ def hess_init(op, b, x0=None, strategy=None, maxiter=None):
     scale = np.max(np.abs(r0))
     check_start(scale, b, x0, r0)
 
-    state = HessenbergState(op, r0, x0, strategy, cap)
+    state = HessenbergState(op, x0, strategy, cap)
     if scale == 0.0:
         state.breakdown = BREAKDOWN_EXACT
         return state
@@ -286,8 +288,8 @@ def hess_init(op, b, x0=None, strategy=None, maxiter=None):
             f"zero pivot entry in the initial residual; {advice}")
     state.beta = float(beta)
     state.t[[0, pos]] = state.t[[pos, 0]]
-    state._D[0] = r0 / beta
-    state.d_count = 1
+    state._res[0] = r0 / beta
+    state.residual_count = 1
     return state
 
 
@@ -305,7 +307,7 @@ def hess_step(state, op):
     kp = state.k + 1
     reserve(state, kp)
     t, g = state.t, state.g
-    L, D = state._L, state._D
+    L, D = state._sol, state._res
 
     # solution-space half: eliminate A^T d_k against l_1..l_{k-1}
     q = op.adjoint(D[kp - 1])
@@ -329,7 +331,7 @@ def hess_step(state, op):
     u = op.forward(L[kp - 1])
     u_scale = np.max(np.abs(u))
     check_image(u_scale, "forward", kp)
-    state._H[:kp, kp - 1] = _eliminate(u, D[:kp], t[:kp])
+    state._proj[:kp, kp - 1] = _eliminate(u, D[:kp], t[:kp])
 
     pos = _pick_pivot(u, t, kp, state.strategy, state._rng)
     if pos is None:
@@ -351,9 +353,9 @@ def hess_step(state, op):
     state.k = kp
     t[[kp, pos]] = t[[pos, kp]]
     h = u[t[kp]]
-    state._H[kp, kp - 1] = h
+    state._proj[kp, kp - 1] = h
     D[kp] = u / h
-    state.d_count = kp + 1
+    state.residual_count = kp + 1
     return state
 
 

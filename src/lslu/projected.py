@@ -60,26 +60,19 @@ def ls_projected(svd, beta, rcond=1e-14):
     return svd.V @ (inv * (beta * svd.ue1[:svd.k]))
 
 
-def _residual_terms(svd, lam):
-    """Sum of squared filtered residual coefficients plus the tail term."""
-    s2 = svd.sigma**2
-    denom = s2 + lam**2
-    filt = np.where(denom > 0, lam**2 / np.where(denom > 0, denom, 1.0), 0.0)
-    k = svd.k
-    return float(np.sum((filt * svd.ue1[:k]) ** 2) + svd.ue1[k] ** 2), filt
+def _wgcv_function(svd, beta, omega, factor, offset=1.0):
+    """The GCV-family function of lam > 0, with its lam-free terms built once.
 
-
-def _wgcv_function(svd, beta, omega, k):
-    """The weighted-GCV function of lam > 0, with its lam-free terms built once.
-
-    A parameter search evaluates it some twenty times per iteration, so
-    each evaluation does only the operations that involve lam.
+    Weighted GCV has factor k and trace offset 1; the stopping function
+    has omega 1, factor n and offset m - k.  A parameter search evaluates
+    it some twenty times per iteration, so each evaluation does only the
+    operations that involve lam.
     """
     s2 = svd.sigma**2
     u = svd.ue1[:svd.k]
     tail = svd.ue1[svd.k] ** 2
     a = (1.0 - omega) * s2
-    kb = k * beta**2
+    fb = factor * beta**2
 
     def value(lam):
         # no zero guard on den: it vanishes only where lam**2 underflows
@@ -90,8 +83,8 @@ def _wgcv_function(svd, beta, omega, k):
         t *= u
         t *= t
         terms = float(np.add.reduce(t) + tail)
-        trace = 1.0 + np.add.reduce((a + l2) / den)
-        return kb * terms / trace**2
+        trace = offset + np.add.reduce((a + l2) / den)
+        return fb * terms / trace**2
 
     return value
 
@@ -135,9 +128,11 @@ def ghat(svd, beta, lam, k, m, n):
         raise ValueError("lam must be nonnegative")
     if m <= k:
         raise ValueError("requires m > k")
-    terms, filt = _residual_terms(svd, lam)
-    trace = (m - k) + np.sum(filt)
-    return n * beta**2 * terms / trace**2
+    if lam**2 == 0:
+        # every filter factor is 0: the lam-free value, with no 0/0 at a
+        # zero singular value
+        return n * beta**2 * svd.ue1[svd.k] ** 2 / (m - k) ** 2
+    return _wgcv_function(svd, beta, 1.0, n, m - k)(lam)
 
 
 def stop_check(ghat_history, tol):

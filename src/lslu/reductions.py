@@ -11,6 +11,7 @@ latter is the whole point of the Hessenberg-based methods.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -27,25 +28,25 @@ class ReductionCounter:
         self.by_length[length] = self.by_length.get(length, 0) + 1
 
 
-_active: ReductionCounter | None = None
+# innermost track() of this context; a new thread starts without one
+_active = ContextVar("lslu_reduction_counter", default=None)
 
 
 @contextmanager
 def track():
-    """Count every dot/norm2 call made while the context is active."""
-    global _active
-    previous = _active
+    """Count every dot/norm2 call made in this context while it is active."""
     counter = ReductionCounter()
-    _active = counter
+    token = _active.set(counter)
     try:
         yield counter
     finally:
-        _active = previous
+        _active.reset(token)
 
 
 def _record(length):
-    if _active is not None:
-        _active.record(int(length))
+    counter = _active.get()
+    if counter is not None:
+        counter.record(int(length))
 
 
 def dot(x, y):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reductions
-from .golub_kahan import BidiagState, gk_init, gk_step
-from .hessenberg import (BREAKDOWN_NONE, HessenbergState, PivotStrategy,
+from .golub_kahan import gk_init, gk_step
+from .hessenberg import (BREAKDOWN_NONE, KrylovState, PivotStrategy,
                          check_maxiter, hess_init, hess_step)
 from .projected import (LambdaRule, ghat, ls_projected, select_lambda,
                         stop_check, svd_small, tikhonov_projected)
@@ -63,7 +63,8 @@ class SolveResult:
     list also when no truth is tracked.  residual_norms[k - 1] is
     ||b - A x_k|| as the factorization gives it (see compute_histories),
     equal to a direct evaluation up to rounding.  x_final equals
-    x0 + (solution basis) @ y_{k_stop}.
+    x0 + (solution basis) @ y_{k_stop}.  state is the HessenbergState or
+    BidiagState the solve grew, both read through the KrylovState names.
     """
 
     x_final: np.ndarray
@@ -74,7 +75,7 @@ class SolveResult:
     lambdas: list
     ghats: list
     ys: list
-    state: HessenbergState | BidiagState
+    state: KrylovState
 
     @property
     def k_reached(self):

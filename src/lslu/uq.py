@@ -14,6 +14,8 @@ k-by-k) symmetric matrix.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -45,13 +47,9 @@ def woodbury_delta(Z, spectrum, reg):
 
 
 def _assemble(L_mat, D_mat, W_mat, sigma2, reg):
-    if reg <= 0:
-        raise ValueError("reg must be positive")
+    # keep only as many columns as the residual-basis Gram matrix supports;
+    # the loop leaves the Gram matrix of the k it settles on in gram
     k = L_mat.shape[1]
-    if k < 1:
-        raise ValueError("need at least one completed iteration")
-
-    # keep only as many columns as the residual-basis Gram matrix supports
     while k >= 1:
         gram = D_mat[:, :k].T @ D_mat[:, :k]
         eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
@@ -64,7 +62,6 @@ def _assemble(L_mat, D_mat, W_mat, sigma2, reg):
         warnings.warn(f"ill-conditioned Gram matrix; truncating rank to {k}",
                       RuntimeWarning)
 
-    gram = (D_mat[:, :k].T @ D_mat[:, :k])
     W = W_mat[:k, :k]
     core = W @ np.linalg.solve((gram + gram.T) / 2.0, W.T)
     core = (core + core.T) / 2.0
@@ -82,35 +79,38 @@ def _assemble(L_mat, D_mat, W_mat, sigma2, reg):
                     reg=float(reg), k=int(vals.shape[0]))
 
 
+def check_noise_model(sigma2, reg):
+    """Reject a noise variance sigma2 that is not finite and >= 0, or a
+    regularization reg that is not finite and > 0, naming the input."""
+    for name, value in (("sigma2", sigma2), ("reg", reg)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if sigma2 < 0:
+        raise ValueError(f"sigma2 must be nonnegative, got {sigma2!r}")
+    if reg <= 0:
+        raise ValueError("reg must be positive")
+
+
 def build_uq(state, sigma2, reg, k=None):
-    """Posterior pieces from a Hessenberg factorization state.
-
-    Uses the first k columns of both bases and the k-by-k upper
-    triangular coupling W_k, through the identity
-    A^T A ~= L_k W_k (D_k^T D_k)^{-1} W_k^T L_k^T.  k defaults to the
-    largest rank the state supports.
-    """
+    """Posterior pieces from either factorization state, through
+    A^T A ~= S_k C_k (R_k^T R_k)^{-1} C_k^T S_k^T with the first k columns
+    of its solution and residual bases and its k-by-k coupling (W_k or
+    B_k^T).  k is an integer >= 1, capped at (and defaulting to) the
+    largest rank the state supports."""
+    check_noise_model(sigma2, reg)
+    if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral)
+                          or k < 1):
+        raise ValueError(f"k must be an integer >= 1 when given, got {k!r}")
     if state.k < 1:
         raise ValueError("state has no completed iterations")
-    kmax = min(state.k, state.d_count)
+    kmax = min(state.k, state.residual_count)
     k = kmax if k is None else min(k, kmax)
-    return _assemble(state.L[:, :k], state.D[:, :k], state.W[:k, :k].copy(),
-                     sigma2, reg)
+    return _assemble(state.solution_basis[:, :k], state.residual_basis[:, :k],
+                     state.coupling[:k, :k].copy(), sigma2, reg)
 
 
-def build_uq_bidiag(state, sigma2, reg, k=None):
-    """Posterior pieces from a bidiagonalization state (baseline route).
-
-    Mirrors build_uq with U_k as the residual basis, V_k as the solution
-    basis, and the transposed square bidiagonal block as the coupling.
-    """
-    if state.k < 1:
-        raise ValueError("state has no completed iterations")
-    kmax = min(state.k, state.u_count)
-    k = kmax if k is None else min(k, kmax)
-    B = state.B
-    return _assemble(state.V[:, :k], state.U[:, :k], B[:k, :k].T.copy(),
-                     sigma2, reg)
+#: The bidiagonalization route is build_uq itself, kept under its old name.
+build_uq_bidiag = build_uq
 
 
 def variance_diagonal(uq):

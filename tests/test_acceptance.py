@@ -62,7 +62,7 @@ def test_criterion_01_exact_structural_invariants(suite):
             assert state.L[state.g[j], j] == 1.0, (name, kind, j)
             for i in range(j):
                 assert state.L[state.g[i], j] == 0.0, (name, kind, i, j)
-        for j in range(state.d_count):
+        for j in range(state.residual_count):
             assert state.D[state.t[j], j] == 1.0, (name, kind, j)
             for i in range(j):
                 assert state.D[state.t[i], j] == 0.0, (name, kind, i, j)
@@ -76,7 +76,7 @@ def test_criterion_02_factorization_relations(suite):
         matrix = cases[name][0].to_dense()
         scale = np.linalg.norm(matrix, "fro")
         rho1 = np.linalg.norm(
-            matrix @ state.L - state.D @ state.H[:state.d_count, :], "fro")
+            matrix @ state.L - state.D @ state.H[:state.residual_count, :], "fro")
         assert rho1 <= 1e-10 * scale * np.linalg.norm(state.L, "fro"), (name, kind)
         rho2 = np.linalg.norm(
             matrix.T @ state.D[:, :state.k] - state.L @ state.W, "fro")
@@ -118,7 +118,7 @@ def test_criterion_04_qmr_identity(suite):
             e1[0] = 1.0
             lhs = np.linalg.norm(state.beta * e1
                                  - state.H[:k + 1, :k] @ res.ys[k - 1])
-            d_cols = state.D[:, :min(k + 1, state.d_count)]
+            d_cols = state.D[:, :min(k + 1, state.residual_count)]
             rhs = np.linalg.norm(np.linalg.pinv(d_cols) @ (b - matrix @ x_k))
             assert abs(lhs - rhs) <= 1e-8 * max(lhs, 1e-30), (name, k)
     _report(4, "projected residual equals pseudoinverse-weighted residual")

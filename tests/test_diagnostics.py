@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from lslu import (LambdaRule, PivotStrategy, SolverConfig, hess_init, hess_run,
-                  kappa_qr, kappa_svd, make_dense_operator, relation_residuals,
-                  plain_bound_report, hybrid_bound_report, solve)
+from lslu import (KrylovState, LambdaRule, PivotStrategy, SolverConfig, gk_run,
+                  hess_init, hess_run, kappa_qr, kappa_svd, make_dense_operator,
+                  relation_residuals, plain_bound_report, hybrid_bound_report,
+                  solve)
 
 
 class TestPlainBounds:
@@ -103,8 +104,46 @@ class TestRelationResiduals:
             relation_residuals(state, gravity32.op)
 
 
+class TestSharedInterface:
+    """Both factorizations through the KrylovState names alone."""
+
+    @pytest.fixture(scope="class", params=["gravity64", "tomo16"])
+    def problem(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.mark.parametrize("run", [hess_run, gk_run])
+    def test_relations_through_uniform_names(self, problem, run):
+        op = problem.op
+        state = run(op, problem.b, maxiter=15)
+        assert isinstance(state, KrylovState) and state.k == 15
+        S, R = state.solution_basis, state.residual_basis
+        M, C = state.projected_matrix, state.coupling
+        assert S.shape == (op.ncols, 15) and R.shape == (op.nrows, 16)
+        assert M.shape == (16, 15) and C.shape == (15, 15)
+        matrix = op.to_dense()
+        scale = np.linalg.norm(matrix, "fro")
+        bound1 = 1e-10 * scale * np.linalg.norm(S, "fro")
+        bound2 = 1e-10 * scale * np.linalg.norm(R[:, :15], "fro")
+        assert np.linalg.norm(matrix @ S - R @ M, "fro") <= bound1
+        assert np.linalg.norm(matrix.T @ R[:, :15] - S @ C, "fro") <= bound2
+        rho1, rho2 = relation_residuals(state, op)
+        assert rho1 <= bound1 and rho2 <= bound2
+
+    def test_paper_names_are_the_uniform_views(self, problem):
+        hs = hess_run(problem.op, problem.b, maxiter=15)
+        gs = gk_run(problem.op, problem.b, maxiter=15)
+        pairs = ((hs.L, hs.solution_basis), (hs.D, hs.residual_basis),
+                 (hs.H, hs.projected_matrix), (hs.W, hs.coupling),
+                 (gs.V, gs.solution_basis), (gs.U, gs.residual_basis),
+                 (gs.B, gs.projected_matrix), (gs.B[:15, :15].T, gs.coupling))
+        for paper, uniform in pairs:
+            assert paper.shape == uniform.shape and np.shares_memory(paper, uniform)
+            assert np.array_equal(paper, uniform)
+        assert np.array_equal(hs.W, np.triu(hs.W))
+
+
 def test_kappa_qr_and_svd_routes_agree(gravity32):
     state = hess_run(gravity32.op, gravity32.b, maxiter=12)
-    for k in range(1, state.d_count):
+    for k in range(1, state.residual_count):
         basis = state.D[:, :k + 1]
         assert kappa_qr(basis) == pytest.approx(kappa_svd(basis), rel=1e-8)

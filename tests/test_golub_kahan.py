@@ -8,13 +8,13 @@ from lslu import (BREAKDOWN_EXACT, gk_init, gk_run, gk_step, ls_projected,
 def test_identity_hand_recurrence():
     op = make_dense_operator(np.eye(2))
     state = gk_run(op, [3.0, 4.0], maxiter=5)
-    assert state.beta1 == pytest.approx(5.0, abs=1e-14)
+    assert state.beta == pytest.approx(5.0, abs=1e-14)
     np.testing.assert_allclose(state.U[:, 0], [0.6, 0.8], atol=1e-15)
     assert state.B[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert state.k == 1
     assert state.breakdown == BREAKDOWN_EXACT
     # one step solves the system exactly
-    y = ls_projected(svd_small(state.B), state.beta1)
+    y = ls_projected(svd_small(state.B), state.beta)
     x = state.V @ y
     np.testing.assert_allclose(x, [3.0, 4.0], atol=1e-12)
 
@@ -52,7 +52,7 @@ def test_projected_solution_matches_dense_least_squares():
     op = make_dense_operator(matrix)
     b = rng.standard_normal(12)
     state = gk_run(op, b, maxiter=30)
-    y = ls_projected(svd_small(state.B), state.beta1)
+    y = ls_projected(svd_small(state.B), state.beta)
     x = state.V @ y
     x_dense = np.linalg.lstsq(matrix, b, rcond=None)[0]
     assert np.linalg.norm(x - x_dense) <= 1e-8 * np.linalg.norm(x_dense)

@@ -60,7 +60,7 @@ class TestStep:
         np.testing.assert_array_equal(state.L[:, 0], [0.5, 1.0])
         assert state.H[0, 0] == 1.0
         assert state.breakdown == BREAKDOWN_EXACT
-        assert state.k == 1 and state.d_count == 1
+        assert state.k == 1 and state.residual_count == 1
 
     def test_post_step_exact_unit_and_zero(self):
         op = make_dense_operator(A22)
@@ -105,7 +105,7 @@ class TestRun:
         op = make_dense_operator(rng.standard_normal((6, 3)))
         state = hess_run(op, rng.standard_normal(6), maxiter=10)
         assert state.k == 3
-        assert state.d_count == 4
+        assert state.residual_count == 4
         assert state.breakdown == BREAKDOWN_RANK
 
     def test_wide_matrix_exhausts_residual_space(self):
@@ -114,7 +114,7 @@ class TestRun:
         op = make_dense_operator(rng.standard_normal((3, 6)))
         state = hess_run(op, rng.standard_normal(3), maxiter=10)
         assert state.k == 3
-        assert state.d_count == 3
+        assert state.residual_count == 3
         assert state.H.shape == (4, 3)
         assert state.H[3, 2] == 0.0
         assert state.breakdown in (BREAKDOWN_RANK, BREAKDOWN_EXACT)
@@ -130,14 +130,14 @@ def _assert_unit_triangular(state):
         assert state.L[state.g[j], j] == 1.0
         for i in range(j):
             assert state.L[state.g[i], j] == 0.0
-    for j in range(state.d_count):
+    for j in range(state.residual_count):
         assert state.D[state.t[j], j] == 1.0
         for i in range(j):
             assert state.D[state.t[i], j] == 0.0
 
 
 def _assert_relations(matrix, state):
-    k, dk = state.k, state.d_count
+    k, dk = state.k, state.residual_count
     scale = np.linalg.norm(matrix, "fro")
     rho1 = np.linalg.norm(matrix @ state.L - state.D @ state.H[:dk, :], "fro")
     assert rho1 <= 1e-10 * scale * np.linalg.norm(state.L, "fro")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lslu import (LambdaRule, ProjectedSvd, gcv_value, ghat, select_lambda,
-                  stop_check, svd_small, tikhonov_projected, wgcv_value)
+from lslu import (LambdaRule, ProjectedSvd, gcv_value, ghat, gk_run, hess_run,
+                  make_tomo_problem, select_lambda, stop_check, svd_small,
+                  tikhonov_projected, wgcv_value)
 from lslu.projected import golden_section_log
 
 
@@ -222,6 +223,49 @@ class TestGcvMatchesReference:
             expected = golden_section_log(
                 lambda lam: wgcv_reference(svd, beta, lam, w, k=k), lo, hi)
             assert select_lambda(rule, svd, beta, k, m) == expected
+
+
+def ghat_reference(svd, beta, lam, k, m, n):
+    """The stopping function from its own filter factors, guarded against a
+    zero denominator; the library evaluates it through the weighted-GCV
+    builder (omega 1, factor n, trace offset m - k), bit for bit."""
+    s2 = svd.sigma**2
+    denom = s2 + lam**2
+    filt = np.where(denom > 0, lam**2 / np.where(denom > 0, denom, 1.0), 0.0)
+    terms = float(np.sum((filt * svd.ue1[:svd.k]) ** 2) + svd.ue1[svd.k] ** 2)
+    trace = (m - k) + np.sum(filt)
+    return n * beta**2 * terms / trace**2
+
+
+class TestGhatMatchesReference:
+    LAMS = (0.0, 1e-200, 1e-12, 1e-8, 1e-4, 1e-2, 1.0, 10.0)
+
+    @pytest.fixture(scope="class")
+    def tomo24(self):
+        return make_tomo_problem(24, noise_level=1e-2, seed=0)
+
+    @pytest.mark.parametrize("name", ["gravity64", "tomo16", "tomo24"])
+    @pytest.mark.parametrize("run", [hess_run, gk_run])
+    def test_solver_iterations_bitwise(self, request, name, run):
+        prob = request.getfixturevalue(name)
+        m, n = prob.op.shape
+        state = run(prob.op, prob.b, maxiter=40)
+        assert state.k == 40
+        for k in range(1, state.k + 1):
+            svd = svd_small(state.projected_matrix[:k + 1, :k])
+            for lam in self.LAMS:
+                assert ghat(svd, state.beta, lam, k, m, n) == ghat_reference(
+                    svd, state.beta, lam, k, m, n), (k, lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-200, 1e-3])
+    def test_zero_singular_value_bitwise(self, lam):
+        # lam**2 == 0 at an exact zero singular value takes the lam-free
+        # path: no 0/0 (a RuntimeWarning from lslu.projected fails the suite)
+        svd = TestGcvMatchesReference._svd_with_zero_sigma(
+            np.random.default_rng(5), 6)
+        value = ghat(svd, 0.7, lam, 6, 20, 15)
+        assert np.isfinite(value)
+        assert value == ghat_reference(svd, 0.7, lam, 6, 20, 15)
 
 
 class TestGhat:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import hadamard
@@ -87,7 +89,7 @@ class TestQmrIdentity:
             e1 = np.zeros(k + 1)
             e1[0] = 1.0
             lhs = np.linalg.norm(state.beta * e1 - state.H[:k + 1, :k] @ res.ys[k - 1])
-            d_cols = state.D[:, :min(k + 1, state.d_count)]
+            d_cols = state.D[:, :min(k + 1, state.residual_count)]
             rhs = np.linalg.norm(np.linalg.pinv(d_cols) @ (b - matrix @ x_k))
             assert abs(lhs - rhs) <= 1e-8 * max(lhs, 1e-30)
 
@@ -231,6 +233,62 @@ class TestInnerProductFreeWitness:
         with reductions.track() as counter:
             run_hybrid_lslu(gravity32.op, gravity32.b, cfg)
         assert counter.count > 0
+
+    def test_counts_stay_in_their_thread(self, gravity32):
+        # one thread holds track() open while another runs an LSQR solve,
+        # untracked; the first must count none of the solve's reductions
+        opened, solved = threading.Event(), threading.Event()
+        seen = []
+
+        def holder():
+            with reductions.track() as counter:
+                opened.set()
+                solved.wait(60)
+            seen.append(counter.count)
+
+        def solver():
+            opened.wait(60)
+            run_lsqr(gravity32.op, gravity32.b,
+                     SolverConfig(method="lsqr", maxiter=5, pure=True))
+            solved.set()
+
+        threads = [threading.Thread(target=f) for f in (holder, solver)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert solved.is_set() and seen == [0]
+
+    def test_interleaved_trackers_keep_their_counts(self, gravity32):
+        # thread A opens its tracker, B opens its own, A closes, then B
+        # solves: B's counter gets the whole solve and A's stays empty
+        config = SolverConfig(method="lsqr", maxiter=5, pure=True)
+        with reductions.track() as expected:
+            run_lsqr(gravity32.op, gravity32.b, config)
+        a_open, b_open, a_closed = (threading.Event() for _ in range(3))
+        counts = {}
+
+        def thread_a():
+            with reductions.track() as counter:
+                a_open.set()
+                b_open.wait(60)
+            counts["a"] = counter.count
+            a_closed.set()
+
+        def thread_b():
+            a_open.wait(60)
+            with reductions.track() as counter:
+                b_open.set()
+                a_closed.wait(60)
+                run_lsqr(gravity32.op, gravity32.b, config)
+            counts["b"] = counter.count
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert counts == {"a": 0, "b": expected.count} and expected.count > 0
 
     def test_pure_mode_work_pattern(self, gravity32):
         cop = CountingOperator(gravity32.op)

@@ -4,6 +4,7 @@ import pytest
 from lslu import (PivotStrategy, UqApprox, build_uq, build_uq_bidiag,
                   covariance_sum, gk_run, hess_run, make_dense_operator,
                   oracle_posterior, variance_diagonal, woodbury_delta)
+from lslu.uq import _assemble
 
 
 class TestWorkedExample:
@@ -71,7 +72,6 @@ class TestBuild:
             build_uq(state, 1.0, 0.0)
 
     def test_ill_conditioned_gram_truncates_with_warning(self):
-        from lslu.uq import _assemble
         rng = np.random.default_rng(9)
         n, m, k = 12, 10, 4
         D = rng.standard_normal((m, k))
@@ -103,6 +103,53 @@ class TestBuild:
         dense_eigs = np.linalg.eigvalsh((direct + direct.T) / 2.0)[::-1][:k]
         zszt_eigs = np.linalg.eigvalsh((viaZ + viaZ.T) / 2.0)[::-1][:k]
         np.testing.assert_allclose(zszt_eigs, dense_eigs, rtol=1e-8, atol=1e-12)
+
+
+class TestInputChecks:
+    @pytest.fixture(scope="class", params=["hessenberg", "golub_kahan"])
+    def state(self, request, gravity32):
+        run = hess_run if request.param == "hessenberg" else gk_run
+        return run(gravity32.op, gravity32.b, maxiter=8)
+
+    @pytest.mark.parametrize("k", [-1, -3, 0, 2.7, 3.0, True, "2"])
+    def test_bad_k_named(self, state, k):
+        with pytest.raises(ValueError, match=r"^k must be an integer"):
+            build_uq(state, 1.0, 0.1, k=k)
+
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -1.0])
+    def test_bad_sigma2_named(self, state, sigma2):
+        with pytest.raises(ValueError, match=r"^sigma2 must be"):
+            build_uq(state, sigma2, 0.1)
+
+    @pytest.mark.parametrize("reg", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    def test_bad_reg_named(self, state, reg):
+        with pytest.raises(ValueError, match=r"^reg must be"):
+            build_uq(state, 1.0, reg)
+
+    def test_k_above_the_state_is_capped(self, state):
+        full = build_uq(state, 1.0, 0.1)
+        capped = build_uq(state, 1.0, 0.1, k=np.int64(50))
+        assert full.k == capped.k == 8
+        assert np.array_equal(full.Z, capped.Z)
+
+    def test_zero_noise_variance_accepted(self, state):
+        assert np.all(variance_diagonal(build_uq(state, 0.0, 0.1)) == 0.0)
+
+
+class TestOneBuilderForBothStates:
+    def test_bidiagonal_route_is_the_same_function(self):
+        assert build_uq_bidiag is build_uq
+
+    def test_bidiag_state_matches_explicit_coupling_bitwise(self, gravity64):
+        # the separate bidiagonal builder assembled V_k, U_k and B_k^T by hand
+        state = gk_run(gravity64.op, gravity64.b, maxiter=15)
+        for k in range(1, 16):
+            got = build_uq(state, 0.3, 1e-3, k=k)
+            want = _assemble(state.V[:, :k], state.U[:, :k],
+                             state.B[:k, :k].T.copy(), 0.3, 1e-3)
+            for field in ("Z", "spectrum", "Delta"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert (got.sigma2, got.reg, got.k) == (want.sigma2, want.reg, want.k)
 
 
 class TestVarianceProperties:
