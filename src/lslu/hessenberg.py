@@ -75,12 +75,12 @@ class PivotStrategy:
         return cls(kind="sampled", sample_size=sample_size, seed=seed)
 
 
-def check_maxiter(maxiter):
-    """Reject an iteration limit that is not an integer >= 1 (bools included)."""
+def check_maxiter(maxiter, name="maxiter"):
+    """Reject a count that is not an integer >= 1 (bools included), naming it."""
     if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral):
-        raise ValueError(f"maxiter must be an integer, got {maxiter!r}")
+        raise ValueError(f"{name} must be an integer, got {maxiter!r}")
     if maxiter < 1:
-        raise ValueError(f"maxiter must be at least 1, got {maxiter}")
+        raise ValueError(f"{name} must be at least 1, got {maxiter}")
 
 
 def initial_capacity(shape, maxiter):

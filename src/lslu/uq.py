@@ -15,12 +15,13 @@ k-by-k) symmetric matrix.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+
+from .hessenberg import check_maxiter
 
 GRAM_COND_LIMIT = 1e12
 
@@ -98,9 +99,8 @@ def build_uq(state, sigma2, reg, k=None):
     B_k^T).  k is an integer >= 1, capped at (and defaulting to) the
     largest rank the state supports."""
     check_noise_model(sigma2, reg)
-    if k is not None and (isinstance(k, bool) or not isinstance(k, numbers.Integral)
-                          or k < 1):
-        raise ValueError(f"k must be an integer >= 1 when given, got {k!r}")
+    if k is not None:
+        check_maxiter(k, "k")
     if state.k < 1:
         raise ValueError("state has no completed iterations")
     kmax = min(state.k, state.residual_count)
