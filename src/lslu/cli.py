@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import typing
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -380,6 +381,12 @@ def resolve_config(args):
     return RunConfig(**values)
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # a library warning reads like the CLI's errors, without the source
+    # path and line of wherever the library is installed
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -388,7 +395,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         config = resolve_config(args)
-        return _COMMANDS[args.command](config)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return _COMMANDS[args.command](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

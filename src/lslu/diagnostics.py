@@ -54,8 +54,13 @@ def _cond_from_singular_values(s):
 
 def kappa_qr(basis):
     """Condition number via the triangular factor of a dense QR."""
-    R = scipy.linalg.qr(basis, mode="r")[0]
-    return _cond_from_singular_values(scipy.linalg.svdvals(R))
+    return _cond_from_singular_values(scipy.linalg.svdvals(_r_factor(basis)))
+
+
+def _r_factor(basis):
+    # the leading j-by-j block of R is the R factor of basis[:, :j], so
+    # one QR serves every leading column count
+    return scipy.linalg.qr(basis, mode="r")[0]
 
 
 def kappa_svd(basis):
@@ -68,7 +73,8 @@ def plain_bound_report(op, b, maxiter, pivot=None):
 
     At each k: ||r_k(orthonormal)|| <= ||r_k(Hessenberg)|| <=
     kappa(R of D_{k+1}) * ||r_k(orthonormal)||, with small slack factors
-    absorbing floating-point noise.
+    absorbing floating-point noise.  One QR of the final D gives every
+    R of D_{k+1} as its leading block.
     """
     config_lu = SolverConfig(method="lslu", maxiter=maxiter,
                              pivot=pivot or PivotStrategy.full())
@@ -77,12 +83,12 @@ def plain_bound_report(op, b, maxiter, pivot=None):
     res_qr = run_lsqr(op, b, config_qr)
 
     report = BoundReport()
-    state = res_lu.state
+    R = _r_factor(res_lu.state.D)
     limit = min(res_lu.k_reached, res_qr.k_reached)
     for k in range(1, limit + 1):
         # at a terminal exact-solve iteration d_{k+1} never materializes;
         # the k available residual-basis columns stand in (residuals are 0)
-        kap = kappa_qr(state.D[:, :k + 1])
+        kap = _cond_from_singular_values(scipy.linalg.svdvals(R[:k + 1, :k + 1]))
         report.append(k, res_lu.residual_norms[k - 1],
                       res_qr.residual_norms[k - 1], kap)
     return report
@@ -94,7 +100,8 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     The stacked residual of an iterate x is sqrt(||b - A x||^2 +
     lam^2 ||x||^2); the condition number is that of the block-diagonal
     assembly of D_{k+1} and L_k, whose singular values are those of the
-    two blocks together.
+    two blocks together, read off the leading blocks of one QR of each
+    basis.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -114,10 +121,10 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
         return float(np.hypot(res.residual_norms[k - 1], lam * np.linalg.norm(x)))
 
     report = BoundReport()
-    state = res_lu.state
+    R_D, R_L = _r_factor(res_lu.state.D), _r_factor(res_lu.state.L)
     limit = min(res_lu.k_reached, res_qr.k_reached)
     for k in range(1, limit + 1):
-        blocks = (state.D[:, :k + 1], state.L[:, :k])
+        blocks = (R_D[:k + 1, :k + 1], R_L[:k, :k])
         sigma = np.concatenate([scipy.linalg.svdvals(block) for block in blocks])
         report.append(k, stacked(res_lu, k), stacked(res_qr, k),
                       _cond_from_singular_values(np.sort(sigma)[::-1]))

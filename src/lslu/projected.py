@@ -3,7 +3,10 @@
 Everything here operates on the (k+1)-by-k projected matrix (Hessenberg
 H or bidiagonal B) through its SVD: Tikhonov and least-squares solves,
 the GCV and weighted-GCV parameter-selection functions, the iteration
-stopping function, and the parameter search itself.
+stopping function, and the parameter search itself.  The matrix grows
+by one column and one row per iteration, so past a measured crossover
+its SVD is extended from the previous one (extend_svd, O(k^2) work and
+two k-by-k products) rather than recomputed in O(k^3).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dlasd4
 
 from . import reductions
 
@@ -30,15 +34,229 @@ class ProjectedSvd:
         return self.sigma.shape[0]
 
 
-def svd_small(H):
-    """Full SVD of the projected matrix; O(k^3), recomputed per iteration."""
+#: Below this many columns a fresh LAPACK SVD costs less than extending
+#: the previous one (measured crossover, see ROADMAP "Recent").
+_EXTEND_MIN_K = 40
+#: The extension forms its singular vectors a block of rows of the
+#: secular problem at a time, each temporary about this many entries,
+#: so it holds no k-by-k array besides the new U and V.
+_BLOCK_ENTRIES = 4096
+_EPS = np.finfo(float).eps
+
+
+def svd_small(H, prev=None):
+    """Full SVD of the (k+1)-by-k projected matrix.
+
+    prev, when given, must be the SVD of H[:-1, :-1], the previous
+    iteration's projected matrix.  If H only appends a column and a row
+    to it (H[-1, :-1] == 0, true of the Hessenberg H and the bidiagonal
+    B alike) and k is past the crossover, the SVD is extended from prev
+    in O(k^2) work plus two k-by-k products (extend_svd); otherwise, or
+    if the extension's secular solver fails, LAPACK computes it afresh
+    in O(k^3).  The two routes agree to rounding, not bitwise.
+    """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[1] < 1 or H.shape[0] != H.shape[1] + 1:
         raise ValueError("expected a (k+1)-by-k matrix with k >= 1")
     if not np.all(np.isfinite(H)):
         raise ValueError("projected matrix has non-finite entries")
+    k = H.shape[1]
+    if (prev is not None and k > _EXTEND_MIN_K and prev.k == k - 1
+            and not np.any(H[-1, :-1])):
+        try:
+            return extend_svd(prev, H)
+        except np.linalg.LinAlgError:
+            pass
     U, s, Vh = np.linalg.svd(H, full_matrices=True)
     return ProjectedSvd(U=U, sigma=s, V=Vh.T, ue1=U[0, :].copy())
+
+
+def extend_svd(prev, H):
+    """SVD of H = [[G, h], [0, eta]] from prev, the SVD of G (k+1 by k).
+
+    With c = U^T h and a Givens rotation folding (c_k, eta) into rho,
+    H = blockdiag(U, 1) R^T [C; 0] blockdiag(V, 1)^T, where the square
+    core C = diag(sigma, 0) + z e_last^T, z = (c_0..c_{k-1}, rho), has
+    C C^T = diag(sigma, 0)^2 + z z^T.  LAPACK dlasd4 finds each singular
+    value of C from that secular equation; the vectors come from the
+    Loewner-recomputed z (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
+    16, 1995), so they are orthogonal to working precision.  Tiny z_j
+    and close singular values deflate as in LAPACK dlasd2, with
+    tolerances relative to max(sigma_1, |z|).  The new U and V are
+    written a block of columns at a time, with no k-by-k temporary.
+    Raises LinAlgError when the secular solver fails; svd_small then
+    falls back to LAPACK.
+    """
+    k = prev.k
+    n = k + 1
+    c = prev.U.T @ H[:n, k]
+    eta = float(H[n, k])
+    rho = math.hypot(c[k], eta)
+    gc, gs = (c[k] / rho, eta / rho) if rho > 0 else (1.0, 0.0)
+
+    # the secular problem lists its poles ascending: pole 0 is z's own
+    # column of C (d = 0), pole a >= 1 is sigma_{k-a}, column k - a of C
+    d = np.empty(n)
+    d[0] = 0.0
+    d[1:] = prev.sigma[::-1]
+    z = c[::-1].copy()
+    z[0] = rho
+    top = max(d[-1], float(np.max(np.abs(z))))
+    if not 0 < top < np.inf:
+        raise np.linalg.LinAlgError("cannot extend the SVD of a zero matrix")
+    scale = math.ldexp(1.0, math.frexp(top)[1])  # a power of two: exact
+    d /= scale
+    z /= scale
+    core = _SecularCore(d, z, 8.0 * _EPS * top / scale)
+
+    U = np.empty((n + 1, n + 1))
+    V = np.empty((n, n))
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for p0 in range(0, n, rows):
+        out = slice(p0, min(n, p0 + rows))
+        idx = core.order[out]
+        vec, norms = core.left_vectors(idx)
+        wide = core.widen(idx, vec)
+        U[n, out] = gs * wide[:, k]
+        wide[:, k] *= gc
+        np.matmul(prev.U, wide.T, out=U[:n, out])
+        wide = core.widen(idx, core.right_from_left(vec, norms))
+        np.matmul(prev.V, wide[:, :k].T, out=V[:k, out])
+        V[k, out] = wide[:, k]
+        del vec, wide  # before the next block's are made
+    U[:n, n] = -gs * prev.U[:, k]
+    U[n, n] = gc
+    return ProjectedSvd(U=U, sigma=core.values[core.order] * scale, V=V,
+                        ue1=U[0, :].copy())
+
+
+class _SecularCore:
+    """SVD of the core diag(d) + z e_0^T, poles d ascending with d[0] = 0.
+
+    Deflates as LAPACK dlasd2 does: a pole whose z_j is at most tol
+    leaves with its d_j and a unit vector, and of two consecutive
+    remaining poles within tol a rotation moves the first one's z into
+    the second's and the first leaves; pole 0 always stays.  The last
+    safeguards of dlasd2 follow (the smallest kept nonzero pole and z_0
+    are at least tol/2 and tol), then dlasd4 solves the secular equation
+    of the kept poles.  Each root is kept as omega = base + tau with
+    base its nearer pole, so the gaps d_j -/+ omega are rebuilt to full
+    relative accuracy from O(k) numbers instead of dlasd4's k-by-k
+    output.
+    """
+
+    def __init__(self, d, z, tol):
+        n = d.shape[0]
+        self.n = n
+        keep = np.abs(z) > tol
+        keep[0] = True
+        live = np.flatnonzero(keep[1:]) + 1
+        self.rotations = []
+        for t in np.flatnonzero(d[live[1:]] - d[live[:-1]] <= tol):
+            a, b = live[t], live[t + 1]
+            r = math.hypot(z[a], z[b])
+            self.rotations.append((a, b, z[b] / r, -z[a] / r))
+            z[a], z[b] = 0.0, r
+            keep[a] = False
+        self.kept = np.flatnonzero(keep)
+        self.deflated = np.flatnonzero(~keep)
+        dk, zk = d[self.kept], z[self.kept]
+        if dk.shape[0] > 1 and dk[1] <= tol / 2:
+            dk[1] = tol / 2
+        zk[0] = max(zk[0], tol)
+        self.d = dk
+        self._roots(zk)
+        zhat = self._loewner_z(zk)
+        # the kept poles and z in the column order of C, pole 0 last
+        self.d_cols, self.z_cols = dk[::-1].copy(), zhat[::-1].copy()
+        self.values = np.concatenate([self.omega, d[self.deflated]])
+        self.order = np.argsort(-self.values, kind="stable")
+
+    def _roots(self, z):
+        d = self.d
+        K = d.shape[0]
+        if K == 1:
+            self.omega, self.base, self.tau = z.copy(), np.zeros(1), z.copy()
+            return
+        r = math.sqrt(float(z @ z))
+        zn = z / r
+        omega, base, tau = np.empty(K), np.empty(K), np.empty(K)
+        for i in range(K):
+            delta, omega[i], _, info = dlasd4(i, d, zn, r * r)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"dlasd4 failed on root {i} (info={info})")
+            near = i + 1 if i + 1 < K and abs(delta[i + 1]) < abs(delta[i]) else i
+            base[i] = d[near]
+            tau[i] = -delta[near]
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(tau))):
+            raise np.linalg.LinAlgError("dlasd4 returned non-finite roots")
+        self.omega, self.base, self.tau = omega, base, tau
+
+    def gaps(self, roots, d):
+        """d_j^2 - omega_i^2 over the given roots (rows) and poles d."""
+        base, tau = self.base[roots, None], self.tau[roots, None]
+        gaps = d - base
+        gaps -= tau
+        plus = d + base
+        plus += tau
+        gaps *= plus
+        return gaps
+
+    def _loewner_z(self, z):
+        # z_m^2 = prod_i (omega_i^2 - d_m^2) / prod_{j != m} (d_j^2 - d_m^2),
+        # root i paired with pole i below m and pole i+1 from m on, so that
+        # every ratio lies in (0, 1] (LAPACK dlasd3)
+        d = self.d
+        K = d.shape[0]
+        zhat = self.gaps(slice(K - 1, K), d)[0]
+        poles = np.arange(K)
+        rows = max(1, 2 * _BLOCK_ENTRIES // K)  # U and V do not exist yet
+        for i0 in range(0, K - 1, rows):
+            i = np.arange(i0, min(K - 1, i0 + rows))[:, None]
+            paired = np.where(poles > i, d[i], d[i + 1])
+            ratio = self.gaps(i[:, 0], d)
+            ratio /= d - paired
+            paired += d
+            ratio /= paired
+            zhat *= np.prod(ratio, axis=0)
+        return np.copysign(np.sqrt(np.abs(zhat)), z)
+
+    def left_vectors(self, idx):
+        """Unit left singular vectors of the roots among the values idx,
+        as rows over the kept poles in descending order (column order of
+        C), and the norms they were divided by."""
+        vec = self.gaps(idx[idx < self.d.shape[0]], self.d_cols)
+        np.divide(self.z_cols, vec, out=vec)
+        norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
+        vec /= norms[:, None]
+        return vec, norms
+
+    def right_from_left(self, vec, norms):
+        """The matching unit right singular vectors, in place: C^T u is
+        (d_j u_j, -1) for the unnormalized u, pole 0 last."""
+        vec *= self.d_cols
+        vec[:, -1] = -1.0 / norms
+        vec /= np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
+        return vec
+
+    def widen(self, idx, vec):
+        """Rows of the values idx over all n columns of C (column n-1-a
+        is pole a): root rows from vec, unit rows for deflated poles,
+        then the deflation rotations undone.  vec itself when nothing
+        deflated."""
+        n, K = self.n, self.d.shape[0]
+        if K == n:
+            return vec
+        wide = np.zeros((idx.shape[0], n))
+        wide[np.ix_(np.flatnonzero(idx < K), n - 1 - self.kept[::-1])] = vec
+        wide[np.flatnonzero(idx >= K), n - 1 - self.deflated[idx[idx >= K] - K]] = 1.0
+        for a, b, cs, sn in reversed(self.rotations):
+            a, b = n - 1 - a, n - 1 - b
+            x, y = wide[:, a].copy(), wide[:, b].copy()
+            wide[:, a] = cs * x - sn * y
+            wide[:, b] = sn * x + cs * y
+        return wide
 
 
 def tikhonov_projected(svd, beta, lam):
@@ -157,7 +375,7 @@ class LambdaRule:
     corresponding function; 'optimal' minimizes the true solution error
     (diagnostic only; needs x_true).  Other kinds ignore value and
     x_true.  lo/hi override the default search window
-    [max(1e-12, 1e-6*sigma_1), sigma_1].
+    [1e-6*sigma_1, sigma_1], which scales with the projected matrix.
     """
 
     KINDS = ("fixed", "gcv", "wgcv", "optimal")
@@ -235,8 +453,13 @@ def select_lambda(rule, svd, beta, k, m, basis=None, x0=None):
     if rule.kind == "fixed":
         return float(rule.value)
     sigma1 = svd.sigma[0]
-    lo = rule.lo if rule.lo is not None else max(1e-12, 1e-6 * sigma1)
+    if (rule.lo is None or rule.hi is None) and not sigma1 > 0:
+        raise ValueError("the projected matrix is zero: no search window for "
+                         "the regularization parameter")
+    lo = rule.lo if rule.lo is not None else 1e-6 * sigma1
     hi = rule.hi if rule.hi is not None else sigma1
+    if rule.lo is None:
+        _check_search_lam(lo, "1e-6*sigma_1", "default search window lower bound")
     if hi < lo:
         raise ValueError("empty search window for the regularization parameter")
     if hi == lo:

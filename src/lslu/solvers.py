@@ -101,13 +101,15 @@ def _drive(op, b, config, family, hybrid):
 
     ys, lambdas, ghats = [], [], []
     stop_reason = None
+    svd = None
     while state.k < config.maxiter and state.breakdown == BREAKDOWN_NONE:
         prev_k = state.k
         step(state, op)
         if state.k == prev_k:
             break  # terminal: no new column was produced
         k = state.k
-        svd = svd_small(state.projected_matrix)
+        # the projected matrix grew by one column and row: extend its SVD
+        svd = svd_small(state.projected_matrix, svd)
         if hybrid:
             lam = select_lambda(rule, svd, state.beta, k, m,
                                 basis=state.solution_basis, x0=x0)

@@ -115,7 +115,7 @@ build_uq_bidiag = build_uq
 
 def variance_diagonal(uq):
     """Diagonal of the rank-k posterior covariance (solution variances)."""
-    quad = np.einsum("ij,jk,ik->i", uq.Z, uq.Delta, uq.Z)
+    quad = np.einsum("ij,ij->i", uq.Z @ uq.Delta, uq.Z)
     return uq.sigma2 * (1.0 / uq.reg - quad)
 
 

@@ -94,6 +94,15 @@ def test_uq_outputs(tmp_path):
         assert abs(float(row[3])) <= 0.05 * abs(float(row[2]))
 
 
+def test_library_warnings_without_source_paths(tmp_path, capsys):
+    code = run_cli("uq", "--problem", "gravity", "--n", "64", "--k-max", "15",
+                   "--pivot", "none", "--output-dir", str(tmp_path / "uq"))
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ill-conditioned Gram matrix; truncating rank to")
+    assert ".py:" not in err and "warnings.warn" not in err
+
+
 def test_uq_variance_images_for_2d_problem(tmp_path):
     out = tmp_path / "uq2d"
     code = run_cli("uq", "--problem", "tomo", "--n", "16", "--k-max", "8",

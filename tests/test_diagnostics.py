@@ -33,6 +33,26 @@ class TestPlainBounds:
         assert np.all(np.diff(kappas) >= -1e-8 * kappas[:-1])
 
 
+class TestKappaFromOneQr:
+    @pytest.mark.parametrize("pivot", [PivotStrategy.full(), PivotStrategy.none()])
+    def test_plain_matches_a_qr_per_iteration(self, gravity64, pivot):
+        report = plain_bound_report(gravity64.op, gravity64.b, 15, pivot=pivot)
+        state = hess_run(gravity64.op, gravity64.b, strategy=pivot, maxiter=15)
+        for k, kap in zip(report.iterations, report.kappa):
+            # rounding in R perturbs its singular values by about eps ||R||
+            rel = 100 * np.finfo(float).eps * kap
+            assert kap == pytest.approx(kappa_qr(state.D[:, :k + 1]), rel=rel)
+
+    def test_hybrid_matches_the_block_singular_values(self, gravity64):
+        report = hybrid_bound_report(gravity64.op, gravity64.b, 0.1, 15)
+        state = hess_run(gravity64.op, gravity64.b, maxiter=15)
+        for k, kap in zip(report.iterations, report.kappa):
+            sigma = np.concatenate([np.linalg.svd(block, compute_uv=False) for block
+                                    in (state.D[:, :k + 1], state.L[:, :k])])
+            rel = 100 * np.finfo(float).eps * kap
+            assert kap == pytest.approx(sigma.max() / sigma.min(), rel=rel)
+
+
 class TestHybridBounds:
     @pytest.mark.parametrize("lam", [0.01, 0.1])
     def test_gravity64(self, gravity64, lam):

@@ -217,7 +217,7 @@ class TestGcvMatchesReference:
         m = int(rng.integers(k + 1, 4 * k))
         svd = svd_small(np.triu(rng.standard_normal((k + 1, k)), -1))
         beta = float(rng.standard_normal())
-        lo, hi = max(1e-12, 1e-6 * svd.sigma[0]), svd.sigma[0]
+        lo, hi = 1e-6 * svd.sigma[0], svd.sigma[0]
         omega = min(1.0, max(0.0, (k + 1) / m))
         for rule, w in ((LambdaRule.gcv(), 1.0), (LambdaRule.wgcv(), omega)):
             expected = golden_section_log(
@@ -339,7 +339,7 @@ class TestSelectLambda:
     def test_gcv_monotone_hits_lower_bound(self):
         svd = svd_small([[2.0], [0.0]])
         lam = select_lambda(LambdaRule.gcv(), svd, 1.0, 1, 2)
-        lo = max(1e-12, 1e-6 * 2.0)
+        lo = 1e-6 * 2.0
         assert abs(np.log10(lam) - np.log10(lo)) <= 2e-3
 
     def test_optimal_matches_grid_oracle_scalar(self):
@@ -365,7 +365,7 @@ class TestSelectLambda:
         beta = 1.3
         rule = LambdaRule.optimal(x_true)
         lam = select_lambda(rule, svd, beta, k, 20, basis=basis, x0=np.zeros(n))
-        lo, hi = max(1e-12, 1e-6 * svd.sigma[0]), svd.sigma[0]
+        lo, hi = 1e-6 * svd.sigma[0], svd.sigma[0]
         grid = np.logspace(np.log10(lo), np.log10(hi), 10000)
         s = svd.sigma
 
@@ -391,6 +391,29 @@ class TestSelectLambda:
         svd = svd_small([[2.0], [0.0]])
         with pytest.raises(ValueError):
             select_lambda(LambdaRule(kind="gcv", lo=3.0, hi=None), svd, 1.0, 1, 2)
+
+    @pytest.mark.parametrize("rule", [LambdaRule.gcv(), LambdaRule.wgcv(),
+                                      LambdaRule(kind="gcv", lo=1e-3)])
+    def test_zero_projected_matrix_rejected(self, rule):
+        svd = svd_small([[0.0], [0.0]])
+        with pytest.raises(ValueError, match="projected matrix is zero"):
+            select_lambda(rule, svd, 1.0, 1, 2)
+
+    def test_default_window_lower_bound_must_have_a_square(self):
+        svd = svd_small([[1e-160], [0.0]])
+        with pytest.raises(ValueError, match="sigma_1"):
+            select_lambda(LambdaRule.gcv(), svd, 1.0, 1, 2)
+
+    @pytest.mark.parametrize("kind", ["gcv", "wgcv"])
+    @pytest.mark.parametrize("c", [1e-14, 1e-10, 1e-5, 1e5, 1e10])
+    def test_window_scales_with_the_matrix(self, kind, c):
+        # no absolute floor: scaling H and beta by c scales lambda by c
+        rng = np.random.default_rng(31)
+        H = np.triu(rng.standard_normal((9, 8)), -1)
+        rule = LambdaRule(kind=kind)
+        lam = select_lambda(rule, svd_small(H), 0.8, 8, 40)
+        lam_c = select_lambda(rule, svd_small(c * H), c * 0.8, 8, 40)
+        assert lam_c == pytest.approx(c * lam, rel=1e-12)
 
 
 class TestLambdaRuleConstructor:

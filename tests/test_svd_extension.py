@@ -1,0 +1,211 @@
+"""The projected SVD extended by one column per iteration (extend_svd).
+
+Each extension is checked against LAPACK's SVD of the same matrix:
+singular values within c k eps sigma_1, the factorization within
+c k eps ||H||, orthonormal factors, and the Tikhonov solution and GCV
+values that the solvers read off the SVD.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lslu.projected as projected
+from lslu import (LambdaRule, PivotStrategy, SolverConfig, gcv_value, gk_run,
+                  hess_run, make_dense_operator, make_gravity_problem,
+                  make_tomo_problem, solve, svd_small, tikhonov_projected)
+from lslu.projected import extend_svd
+
+EPS = np.finfo(float).eps
+C = 10.0  # the constant of the c k eps bounds
+
+
+def projected_matrix(kind, k, seed, spectrum, terminal):
+    """A (k+1)-by-k upper Hessenberg or lower bidiagonal matrix."""
+    rng = np.random.default_rng(seed)
+    if kind == "hessenberg":
+        H = np.triu(rng.standard_normal((k + 1, k)), -1)
+    else:
+        H = np.zeros((k + 1, k))
+        H[np.arange(k), np.arange(k)] = rng.uniform(0.1, 2.0, k)
+        H[np.arange(1, k + 1), np.arange(k)] = rng.uniform(0.1, 2.0, k)
+    if spectrum == "graded":
+        H *= 10.0 ** -np.arange(k)
+    elif spectrum == "repeated":
+        # a run of unit columns: the prefix's singular values are all 1
+        r = (k + 1) // 2
+        H[:, :r] = 0.0
+        H[np.arange(r), np.arange(r)] = 1.0
+    elif spectrum == "zero":
+        H[:, 1::3] = 0.0  # exact zero singular values
+    if terminal:
+        H[k, k - 1] = 0.0
+    return H
+
+
+def extended(H):
+    """H's SVD grown from LAPACK's SVD of its first column."""
+    svd = svd_small(H[:2, :1])
+    for j in range(2, H.shape[1] + 1):
+        svd = extend_svd(svd, H[:j + 1, :j])
+    return svd
+
+
+def assert_matches_lapack(svd, H, beta=1.3):
+    k = H.shape[1]
+    ref = svd_small(H)  # below the crossover: LAPACK
+    sigma1 = ref.sigma[0]
+    tol = C * (k + 1) * EPS
+    assert svd.U.shape == (k + 1, k + 1) and svd.V.shape == (k, k)
+    assert np.all(np.diff(svd.sigma) <= 0)
+    assert np.max(np.abs(svd.sigma - ref.sigma)) <= tol * sigma1
+    S = np.zeros((k + 1, k))
+    S[:k, :k] = np.diag(svd.sigma)
+    assert np.linalg.norm(svd.U @ S @ svd.V.T - H) <= tol * np.linalg.norm(H)
+    assert np.linalg.norm(svd.U.T @ svd.U - np.eye(k + 1)) <= tol
+    assert np.linalg.norm(svd.V.T @ svd.V - np.eye(k)) <= tol
+    np.testing.assert_array_equal(svd.ue1, svd.U[0, :])
+    for lam in (1e-2 * sigma1, 1e-1 * sigma1, sigma1):
+        # first-order effect of a backward error of tol * sigma_1 in H
+        y, y_ref = tikhonov_projected(svd, beta, lam), tikhonov_projected(ref, beta, lam)
+        assert (np.linalg.norm(y - y_ref)
+                <= tol * sigma1 * (np.linalg.norm(y_ref) + beta / lam) / lam)
+        g, g_ref = gcv_value(svd, beta, lam), gcv_value(ref, beta, lam)
+        assert abs(g - g_ref) <= tol * sigma1 / lam * g_ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["hessenberg", "bidiagonal"]),
+       k=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       spectrum=st.sampled_from(["random", "graded", "repeated", "zero"]),
+       terminal=st.booleans())
+def test_extension_matches_lapack(kind, k, seed, spectrum, terminal):
+    H = projected_matrix(kind, k, seed, spectrum, terminal)
+    assert_matches_lapack(extended(H), H)
+
+
+@pytest.mark.parametrize("spectrum", ["random", "graded", "repeated", "zero"])
+def test_long_chain_matches_lapack(spectrum):
+    H = projected_matrix("hessenberg", 120, 3, spectrum, False)
+    assert_matches_lapack(extended(H), H)
+
+
+def test_identity_deflates_exactly():
+    H = np.zeros((9, 8))
+    H[np.arange(8), np.arange(8)] = 1.0
+    svd = extended(H)
+    np.testing.assert_array_equal(svd.sigma, np.ones(8))
+    assert_matches_lapack(svd, H)
+
+
+@pytest.fixture(scope="module")
+def sweep_states():
+    """The factorizations behind the 288-configuration solver sweep
+    (4 problems; LSLU unpivoted, fully and sampled pivoted; LSQR), at
+    the sweep's 40 iterations."""
+    problems = (make_gravity_problem(64, noise_level=1e-2, seed=0),
+                make_tomo_problem(16, noise_level=1e-2, seed=1),
+                make_gravity_problem(256, noise_level=1e-2, seed=0),
+                make_tomo_problem(24, noise_level=1e-2, seed=0))
+    states = []
+    for prob in problems:
+        for strategy in (PivotStrategy.none(), PivotStrategy.full(),
+                         PivotStrategy.sampled(10)):
+            states.append(hess_run(prob.op, prob.b, strategy=strategy, maxiter=40))
+        states.append(gk_run(prob.op, prob.b, maxiter=40))
+    return states
+
+
+def test_every_sweep_matrix_extends(sweep_states):
+    # unpivoted gravity included: its projected matrices are graded to a
+    # condition number of 1e15 and beyond before the run breaks down
+    extensions = 0
+    for state in sweep_states:
+        M = state.projected_matrix
+        if M.shape[1] < 2:
+            continue  # unpivoted tomography breaks down at once
+        svd = svd_small(M[:2, :1])
+        for j in range(2, M.shape[1] + 1):
+            svd = extend_svd(svd, M[:j + 1, :j])  # must not raise
+            extensions += 1
+            ref = np.linalg.svd(M[:j + 1, :j], compute_uv=False)
+            assert np.max(np.abs(svd.sigma - ref)) <= C * j * EPS * ref[0]
+    assert extensions > 400
+
+
+class TestSvdSmallRoute:
+    K = projected._EXTEND_MIN_K + 5
+
+    def _matrix(self):
+        return projected_matrix("hessenberg", self.K, 11, "random", False)
+
+    def test_extends_past_the_crossover(self, monkeypatch):
+        H = self._matrix()
+        calls = []
+        original = projected.extend_svd
+        monkeypatch.setattr(projected, "extend_svd",
+                            lambda prev, H: calls.append(H.shape) or original(prev, H))
+        svd = svd_small(H, svd_small(H[:-1, :-1]))
+        assert calls == [H.shape]
+        assert_matches_lapack(svd, H)
+
+    def test_below_the_crossover_is_lapack(self):
+        H = projected_matrix("hessenberg", projected._EXTEND_MIN_K, 11, "random", False)
+        svd = svd_small(H, svd_small(H[:-1, :-1]))
+        np.testing.assert_array_equal(svd.U, np.linalg.svd(H)[0])
+
+    def test_general_input_is_lapack(self):
+        H = self._matrix()
+        H[-1, 0] = 1.0  # the last row is no longer (0, ..., 0, eta)
+        svd = svd_small(H, svd_small(H[:-1, :-1]))
+        np.testing.assert_array_equal(svd.U, np.linalg.svd(H)[0])
+
+    def test_secular_failure_falls_back_to_lapack(self, monkeypatch):
+        H = self._matrix()
+
+        def fail(prev, H):
+            raise np.linalg.LinAlgError("dlasd4 failed")
+
+        monkeypatch.setattr(projected, "extend_svd", fail)
+        svd = svd_small(H, svd_small(H[:-1, :-1]))
+        np.testing.assert_array_equal(svd.U, np.linalg.svd(H)[0])
+
+    def test_solver_extends_each_iteration(self, monkeypatch, gravity64):
+        calls = []
+        original = projected.extend_svd
+        monkeypatch.setattr(projected, "extend_svd",
+                            lambda prev, H: calls.append(H.shape[1]) or original(prev, H))
+        maxiter = projected._EXTEND_MIN_K + 6
+        res = solve(gravity64.op, gravity64.b,
+                    SolverConfig(method="hybrid_lsqr", maxiter=maxiter))
+        assert res.k_reached == maxiter
+        assert calls == list(range(projected._EXTEND_MIN_K + 1, maxiter + 1))
+
+    def test_no_k_by_k_temporary(self):
+        H = projected_matrix("hessenberg", 200, 5, "random", False)
+        prev = svd_small(H[:-1, :-1])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            svd = extend_svd(prev, H)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        result = svd.U.nbytes + svd.V.nbytes
+        assert peak - result <= 0.45 * result  # one k-by-k array is half of it
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(-10, 10), method=st.sampled_from(["hybrid_lslu", "hybrid_lsqr"]),
+       rule=st.sampled_from(["gcv", "wgcv"]))
+def test_solution_is_scale_equivariant(gravity32, p, method, rule):
+    # (cA, cb) has the same solution: the lambda window scales with sigma_1
+    A, b, c = gravity32.op.to_dense(), gravity32.b, 10.0**p
+    config = SolverConfig(method=method, maxiter=12, lambda_rule=LambdaRule(kind=rule))
+    x = solve(make_dense_operator(A), b, config).x_final
+    xc = solve(make_dense_operator(c * A), c * b, config).x_final
+    assert np.linalg.norm(xc - x) <= 1e-10 * np.linalg.norm(x)
+

@@ -159,6 +159,13 @@ class TestVarianceProperties:
         np.testing.assert_allclose(variance_diagonal(uq), np.full(6, 0.5))
         assert covariance_sum(uq) == pytest.approx(6 * 0.5)
 
+    def test_matches_three_operand_contraction(self, gravity64):
+        state = hess_run(gravity64.op, gravity64.b, maxiter=15)
+        uq = build_uq(state, 1.3, 0.07)
+        quad = np.einsum("ij,jk,ik->i", uq.Z, uq.Delta, uq.Z)
+        np.testing.assert_allclose(variance_diagonal(uq),
+                                   uq.sigma2 * (1.0 / uq.reg - quad), rtol=1e-14)
+
     def test_entries_never_exceed_prior_variance(self, gravity32):
         state = hess_run(gravity32.op, gravity32.b, maxiter=8)
         uq = build_uq(state, 1.3, 0.07)
