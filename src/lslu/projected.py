@@ -37,10 +37,14 @@ class ProjectedSvd:
 #: Below this many columns a fresh LAPACK SVD costs less than extending
 #: the previous one (measured crossover, see ROADMAP "Recent").
 _EXTEND_MIN_K = 40
-#: The extension forms its singular vectors a block of rows of the
-#: secular problem at a time, each temporary about this many entries,
-#: so it holds no k-by-k array besides the new U and V.
-_BLOCK_ENTRIES = 4096
+#: The extension writes the new U and V a block of columns at a time,
+#: each block's vectors about this many entries; its other temporaries,
+#: NumPy's broadcasting buffers included, are no larger, so it holds no
+#: k-by-k array besides U and V.
+_BLOCK_ENTRIES = 12288
+#: The benign factor d_j + omega_i of the gaps is formed in row chunks
+#: of about this many entries.
+_CHUNK_ENTRIES = 2048
 _EPS = np.finfo(float).eps
 
 
@@ -116,14 +120,13 @@ def extend_svd(prev, H):
         out = slice(p0, min(n, p0 + rows))
         idx = core.order[out]
         vec, norms = core.left_vectors(idx)
-        wide = core.widen(idx, vec)
-        U[n, out] = gs * wide[:, k]
-        wide[:, k] *= gc
-        np.matmul(prev.U, wide.T, out=U[:n, out])
-        wide = core.widen(idx, core.right_from_left(vec, norms))
-        np.matmul(prev.V, wide[:, :k].T, out=V[:k, out])
-        V[k, out] = wide[:, k]
-        del vec, wide  # before the next block's are made
+        U[n, out] = gs * vec[:, k]
+        vec[:, k] *= gc
+        np.matmul(prev.U, vec.T, out=U[:n, out])
+        core.left_to_right(vec, idx, norms)
+        np.matmul(prev.V, vec[:, :k].T, out=V[:k, out])
+        V[k, out] = vec[:, k]
+        del vec  # before the next block's is made
     U[:n, n] = -gs * prev.U[:, k]
     U[n, n] = gc
     return ProjectedSvd(U=U, sigma=core.values[core.order] * scale, V=V,
@@ -140,14 +143,14 @@ class _SecularCore:
     safeguards of dlasd2 follow (the smallest kept nonzero pole and z_0
     are at least tol/2 and tol), then dlasd4 solves the secular equation
     of the kept poles.  Each root is kept as omega = base + tau with
-    base its nearer pole, so the gaps d_j -/+ omega are rebuilt to full
-    relative accuracy from O(k) numbers instead of dlasd4's k-by-k
-    output.
+    base its nearer pole, so the gaps d_j^2 - omega^2 are rebuilt to
+    full relative accuracy from O(k) numbers instead of dlasd4's k-by-k
+    output.  Vectors are rows over the columns of C: column n-1-a is
+    pole a.
     """
 
     def __init__(self, d, z, tol):
         n = d.shape[0]
-        self.n = n
         keep = np.abs(z) > tol
         keep[0] = True
         live = np.flatnonzero(keep[1:]) + 1
@@ -155,25 +158,26 @@ class _SecularCore:
         for t in np.flatnonzero(d[live[1:]] - d[live[:-1]] <= tol):
             a, b = live[t], live[t + 1]
             r = math.hypot(z[a], z[b])
-            self.rotations.append((a, b, z[b] / r, -z[a] / r))
+            self.rotations.append((n - 1 - a, n - 1 - b, z[b] / r, -z[a] / r))
             z[a], z[b] = 0.0, r
             keep[a] = False
-        self.kept = np.flatnonzero(keep)
+        kept = np.flatnonzero(keep)
         self.deflated = np.flatnonzero(~keep)
-        dk, zk = d[self.kept], z[self.kept]
+        dk, zk = d[kept], z[kept]
         if dk.shape[0] > 1 and dk[1] <= tol / 2:
             dk[1] = tol / 2
         zk[0] = max(zk[0], tol)
-        self.d = dk
-        self._roots(zk)
-        zhat = self._loewner_z(zk)
-        # the kept poles and z in the column order of C, pole 0 last
-        self.d_cols, self.z_cols = dk[::-1].copy(), zhat[::-1].copy()
+        self.K = dk.shape[0]
+        self._roots(dk, zk)
         self.values = np.concatenate([self.omega, d[self.deflated]])
         self.order = np.argsort(-self.values, kind="stable")
+        # poles and z over the columns of C; z is 0 at deflated poles
+        self.d_cols = d[::-1].copy()
+        self.d_cols[n - 1 - kept] = dk
+        self.z_cols = np.zeros(n)
+        self.z_cols[n - 1 - kept] = self._loewner_z(dk, zk)
 
-    def _roots(self, z):
-        d = self.d
+    def _roots(self, d, z):
         K = d.shape[0]
         if K == 1:
             self.omega, self.base, self.tau = z.copy(), np.zeros(1), z.copy()
@@ -193,29 +197,34 @@ class _SecularCore:
             raise np.linalg.LinAlgError("dlasd4 returned non-finite roots")
         self.omega, self.base, self.tau = omega, base, tau
 
-    def gaps(self, roots, d):
-        """d_j^2 - omega_i^2 over the given roots (rows) and poles d."""
-        base, tau = self.base[roots, None], self.tau[roots, None]
-        gaps = d - base
-        gaps -= tau
-        plus = d + base
-        plus += tau
-        gaps *= plus
+    @staticmethod
+    def gaps(d, base, tau, omega):
+        """d_j^2 - omega_i^2 for the roots omega_i = base_i + tau_i (rows),
+        as (d_j - base_i - tau_i) (d_j + omega_i): the first factor from
+        the nearer pole, so no digits cancel, the second a sum."""
+        gaps = np.empty((base.shape[0], d.shape[0]))
+        gaps[...] = d
+        gaps -= base[:, None]
+        gaps -= tau[:, None]
+        step = max(1, _CHUNK_ENTRIES // d.shape[0])
+        for r in range(0, base.shape[0], step):
+            gaps[r:r + step] *= d + omega[r:r + step, None]
         return gaps
 
-    def _loewner_z(self, z):
+    def _loewner_z(self, d, z):
         # z_m^2 = prod_i (omega_i^2 - d_m^2) / prod_{j != m} (d_j^2 - d_m^2),
         # root i paired with pole i below m and pole i+1 from m on, so that
         # every ratio lies in (0, 1] (LAPACK dlasd3)
-        d = self.d
         K = d.shape[0]
-        zhat = self.gaps(slice(K - 1, K), d)[0]
+        last = slice(K - 1, K)
+        zhat = self.gaps(d, self.base[last], self.tau[last], self.omega[last])[0]
         poles = np.arange(K)
-        rows = max(1, 2 * _BLOCK_ENTRIES // K)  # U and V do not exist yet
+        rows = max(1, _BLOCK_ENTRIES // K)
         for i0 in range(0, K - 1, rows):
-            i = np.arange(i0, min(K - 1, i0 + rows))[:, None]
-            paired = np.where(poles > i, d[i], d[i + 1])
-            ratio = self.gaps(i[:, 0], d)
+            i = slice(i0, min(K - 1, i0 + rows))
+            ratio = self.gaps(d, self.base[i], self.tau[i], self.omega[i])
+            rank = np.arange(i.start, i.stop)[:, None]
+            paired = np.where(poles > rank, d[i, None], d[i.start + 1:i.stop + 1, None])
             ratio /= d - paired
             paired += d
             ratio /= paired
@@ -223,40 +232,48 @@ class _SecularCore:
         return np.copysign(np.sqrt(np.abs(zhat)), z)
 
     def left_vectors(self, idx):
-        """Unit left singular vectors of the roots among the values idx,
-        as rows over the kept poles in descending order (column order of
-        C), and the norms they were divided by."""
-        vec = self.gaps(idx[idx < self.d.shape[0]], self.d_cols)
+        """Unit left singular vectors of the values idx (rows), and the
+        norms of the u_j = z_j / (d_j^2 - omega^2) they were scaled from.
+        A deflated value's row is its unit vector; the deflation
+        rotations are undone."""
+        n, K = self.d_cols.shape[0], self.K
+        root = idx < K
+        # a stand-in root at 2, past every pole, for deflated values' rows
+        pick = np.where(root, idx, 0)
+        base = np.where(root, self.base[pick], 0.0)
+        tau = np.where(root, self.tau[pick], 2.0)
+        vec = self.gaps(self.d_cols, base, tau, base + tau)
+        if K < n:
+            vec[:, n - 1 - self.deflated] = 1.0  # where z is 0
         np.divide(self.z_cols, vec, out=vec)
         norms = np.sqrt(np.einsum("ij,ij->i", vec, vec))
         vec /= norms[:, None]
+        self._finish(vec, idx)
         return vec, norms
 
-    def right_from_left(self, vec, norms):
-        """The matching unit right singular vectors, in place: C^T u is
-        (d_j u_j, -1) for the unnormalized u, pole 0 last."""
+    def left_to_right(self, vec, idx, norms):
+        """Turn left_vectors(idx) into the matching unit right singular
+        vectors, in place: C^T u = (d_j u_j, -1), pole 0 last."""
+        for a, b, cs, sn in self.rotations:  # back to the deflated core's
+            x, y = vec[:, a].copy(), vec[:, b].copy()
+            vec[:, a] = cs * x + sn * y
+            vec[:, b] = cs * y - sn * x
         vec *= self.d_cols
         vec[:, -1] = -1.0 / norms
         vec /= np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
-        return vec
+        self._finish(vec, idx)
 
-    def widen(self, idx, vec):
-        """Rows of the values idx over all n columns of C (column n-1-a
-        is pole a): root rows from vec, unit rows for deflated poles,
-        then the deflation rotations undone.  vec itself when nothing
-        deflated."""
-        n, K = self.n, self.d.shape[0]
-        if K == n:
-            return vec
-        wide = np.zeros((idx.shape[0], n))
-        wide[np.ix_(np.flatnonzero(idx < K), n - 1 - self.kept[::-1])] = vec
-        wide[np.flatnonzero(idx >= K), n - 1 - self.deflated[idx[idx >= K] - K]] = 1.0
+    def _finish(self, vec, idx):
+        # unit rows for deflated values, then the deflation rotations undone
+        n, K = vec.shape[1], self.K
+        unit = np.flatnonzero(idx >= K)
+        if unit.size:
+            vec[unit] = 0.0
+            vec[unit, n - 1 - self.deflated[idx[unit] - K]] = 1.0
         for a, b, cs, sn in reversed(self.rotations):
-            a, b = n - 1 - a, n - 1 - b
-            x, y = wide[:, a].copy(), wide[:, b].copy()
-            wide[:, a] = cs * x - sn * y
-            wide[:, b] = sn * x + cs * y
-        return wide
+            x, y = vec[:, a].copy(), vec[:, b].copy()
+            vec[:, a] = cs * x - sn * y
+            vec[:, b] = sn * x + cs * y
 
 
 def tikhonov_projected(svd, beta, lam):
