@@ -253,7 +253,8 @@ class _SecularCore:
 
     def left_to_right(self, vec, idx, norms):
         """Turn left_vectors(idx) into the matching unit right singular
-        vectors, in place: C^T u = (d_j u_j, -1), pole 0 last."""
+        vectors, in place: C^T u = (d_j u_j, -1), pole 0 last (so the
+        left vectors' pole-0 column may have been rescaled since)."""
         for a, b, cs, sn in self.rotations:  # back to the deflated core's
             x, y = vec[:, a].copy(), vec[:, b].copy()
             vec[:, a] = cs * x + sn * y
