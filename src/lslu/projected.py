@@ -240,9 +240,9 @@ class _SecularCore:
         root = idx < K
         # a stand-in root at 2, past every pole, for deflated values' rows
         pick = np.where(root, idx, 0)
-        base = np.where(root, self.base[pick], 0.0)
-        tau = np.where(root, self.tau[pick], 2.0)
-        vec = self.gaps(self.d_cols, base, tau, base + tau)
+        vec = self.gaps(self.d_cols, np.where(root, self.base[pick], 0.0),
+                        np.where(root, self.tau[pick], 2.0),
+                        np.where(root, self.omega[pick], 2.0))
         if K < n:
             vec[:, n - 1 - self.deflated] = 1.0  # where z is 0
         np.divide(self.z_cols, vec, out=vec)
