@@ -15,18 +15,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import reductions
-from .hessenberg import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
-                         BREAKDOWN_TOL, KrylovState, check_image, check_maxiter,
-                         check_start, initial_capacity, initial_residual,
-                         reserve)
+from .hessenberg import (BREAKDOWN_EXACT, BREAKDOWN_RANK, BREAKDOWN_TOL,
+                         KrylovState, begin_step, check_image, check_maxiter,
+                         check_start, initial_residual, iterate)
 
 
 class BidiagState(KrylovState):
     """The coupling is B_k^T, the transposed leading square block of B."""
 
-    def __init__(self, op, x0, reorth, cap):
+    def __init__(self, op, x0, reorth, maxiter):
         self.reorth = reorth
-        super().__init__(op, x0, cap)
+        super().__init__(op, x0, maxiter)
 
     @property
     def coupling(self):
@@ -44,17 +43,18 @@ def _reorthogonalize(vec, rows):
     return vec
 
 
-def gk_init(op, b, x0=None, reorth=True, maxiter=None):
-    """Normalize the initial residual into u_1; maxiter sizes the storage.
+def gk_init(op, b, x0=None, reorth=True, maxiter=50):
+    """Normalize the initial residual into u_1.
 
-    A b or x0 of the wrong length or with non-finite entries raises a
-    ValueError naming it.
+    The storage is sized once, for min(maxiter, m, n) iterations (see
+    begin_step for a step past it).  A b or x0 of the wrong length or
+    with non-finite entries raises a ValueError naming it.
     """
-    cap = initial_capacity(op.shape, maxiter)
+    check_maxiter(maxiter)
     b, x0, r0 = initial_residual(op, b, x0)
     beta = reductions.norm2(r0)
     check_start(beta, b, x0, r0)
-    state = BidiagState(op, x0, reorth, cap)
+    state = BidiagState(op, x0, reorth, maxiter)
     if beta == 0.0:
         state.breakdown = BREAKDOWN_EXACT
         return state
@@ -67,12 +67,12 @@ def gk_init(op, b, x0=None, reorth=True, maxiter=None):
 def gk_step(state, op):
     """One iteration: new v_k (with alpha_k), then new u_{k+1} (with beta_{k+1}).
 
-    An operator image with non-finite entries raises a ValueError.
+    At k = min(m, n) it only flags rank_deficient (see begin_step).  An
+    operator image with non-finite entries raises a ValueError.
     """
-    if state.breakdown != BREAKDOWN_NONE:
-        raise ValueError("cannot step a broken-down state")
+    if not begin_step(state):
+        return state
     kp = state.k + 1
-    reserve(state, kp)
     U, V, B = state._res, state._sol, state._proj
 
     q = op.adjoint(U[kp - 1])
@@ -107,9 +107,8 @@ def gk_step(state, op):
 
 
 def gk_run(op, b, x0=None, maxiter=50, reorth=True):
-    """Iterate until maxiter or breakdown (zero coupling norm)."""
-    check_maxiter(maxiter)
+    """Iterate until maxiter, breakdown, or dimension exhaustion."""
     state = gk_init(op, b, x0, reorth, maxiter)
-    while state.k < maxiter and state.breakdown == BREAKDOWN_NONE:
-        gk_step(state, op)
+    for _ in iterate(state, gk_step, op, maxiter):
+        pass
     return state

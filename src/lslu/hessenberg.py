@@ -12,6 +12,8 @@ Both bases are unit lower triangular up to the row permutations t (for
 D) and g (for L), and every pivot decision is a coordinate maximum, so
 the whole recurrence is free of inner products.  KrylovState holds what
 this and the Golub-Kahan state share; L, D, H and W name its views.
+begin_step and iterate are the step prologue and the step loop of both
+families.
 """
 
 from __future__ import annotations
@@ -83,66 +85,34 @@ def check_maxiter(maxiter, name="maxiter"):
         raise ValueError(f"{name} must be at least 1, got {maxiter}")
 
 
-def initial_capacity(shape, maxiter):
-    """Iterations to preallocate: maxiter capped at min(m, n), else 8."""
-    if maxiter is None:
-        return 8
-    check_maxiter(maxiter)
-    return min(maxiter, *shape)
-
-
-def allocate(state, cap):
-    """(Re)size the arrays of state._layout(cap), keeping what is stored.
-
-    Basis vectors are rows, so a grown array keeps its old block in its
-    leading rows and columns.  Every basis row is written whole before a
-    view exposes it, so the bases are left uninitialized: capacity an
-    early stop never reaches costs neither a memset nor a page.  The
-    small factors rely on their structural zeros and are zeroed.
-    """
-    bases, factors = state._layout(cap)
-    for fill, layout in ((np.empty, bases), (np.zeros, factors)):
-        for name, shape in layout.items():
-            grown = fill(shape)
-            old = getattr(state, name, None)
-            if old is not None:
-                grown[tuple(map(slice, old.shape))] = old
-            setattr(state, name, grown)
-    state.cap = cap
-
-
-def reserve(state, k):
-    """Make room for k iterations, doubling when a stepped state outgrows its size."""
-    if k > state.cap:
-        allocate(state, max(2 * state.cap, k))
-
-
 class KrylovState:
-    """Growing factorization state of either family, owned by one solve.
+    """Factorization state of either family, owned by one solve.
 
     After k steps: A S = R M and A^T R_k = S C_k for the solution basis
     S (k columns), the residual basis R (residual_count columns: k + 1,
     or k after a terminal step), the (k+1)-by-k projected matrix M and
     the k-by-k `coupling` C_k, which each family defines; r0 = b - A x0
-    is beta times the first column of R.  The bases are stored
+    is beta times the first column of R.  Storage is sized once, at
+    init, for cap = min(maxiter, m, n) iterations: the bases are stored
     row-major, one row per basis vector (_sol is (cap, n), _res is
-    (cap + 1, m)), and M in a (cap + 1, cap) array.  cap comes from the
-    run's maxiter, capped at min(m, n); a state stepped past it by hand
-    grows by doubling.
+    (cap + 1, m)), and M in a (cap + 1, cap) array.  Every basis row is
+    written whole before a view exposes it, so the bases are left
+    uninitialized (capacity an early stop never reaches costs neither a
+    memset nor a page); the small factors rely on their structural
+    zeros and are zeroed.  See begin_step for what a full state does.
     """
 
-    def __init__(self, op, x0, cap):
+    def __init__(self, op, x0, maxiter):
         self.m, self.n = op.shape
+        self.cap = min(maxiter, self.m, self.n)
         self.x0 = x0
         self.k = 0
         self.residual_count = 0
         self.beta = 0.0
         self.breakdown = BREAKDOWN_NONE
-        allocate(self, cap)
-
-    def _layout(self, cap):
-        return ({"_sol": (cap, self.n), "_res": (cap + 1, self.m)},
-                {"_proj": (cap + 1, cap)})
+        self._sol = np.empty((self.cap, self.n))
+        self._res = np.empty((self.cap + 1, self.m))
+        self._proj = np.zeros((self.cap + 1, self.cap))
 
     @property
     def solution_basis(self):
@@ -162,16 +132,13 @@ class HessenbergState(KrylovState):
     exact 1.0 at row t[j] and exact 0.0 at rows t[i] for i < j (same for
     L with g).  The coupling is the upper triangular W_k."""
 
-    def __init__(self, op, x0, strategy, cap):
-        super().__init__(op, x0, cap)
+    def __init__(self, op, x0, strategy, maxiter):
+        super().__init__(op, x0, maxiter)
+        self._W = np.zeros((self.cap, self.cap))
         self.strategy = strategy
         self.t, self.g = np.arange(self.m), np.arange(self.n)
         self._rng = (np.random.default_rng(strategy.seed)
                      if strategy.kind == "sampled" else None)
-
-    def _layout(self, cap):
-        bases, factors = super()._layout(cap)
-        return bases, {**factors, "_W": (cap, cap)}
 
     @property
     def coupling(self):
@@ -255,26 +222,59 @@ def check_image(scale, name, k):
                          f"at iteration {k}")
 
 
-def hess_init(op, b, x0=None, strategy=None, maxiter=None):
+def begin_step(state):
+    """The step prologue of both families: True when state may take a column.
+
+    Stepping a broken-down state raises a ValueError.  So does stepping
+    a state that holds the maxiter columns its init sized it for.  At
+    k = min(m, n) the bases span a whole space, so instead the state is
+    flagged rank_deficient, before any operator product, and False is
+    returned.
+    """
+    if state.breakdown != BREAKDOWN_NONE:
+        raise ValueError("cannot step a broken-down state")
+    if state.k < state.cap:
+        return True
+    if state.cap < min(state.m, state.n):
+        raise ValueError(f"the state is full: its init sized it for "
+                         f"maxiter={state.cap} iterations")
+    state.breakdown = BREAKDOWN_RANK
+    return False
+
+
+def iterate(state, step, op, maxiter):
+    """Step state until k reaches maxiter or it breaks down; yield each new k.
+
+    The caller passes its own module-level step name, looked up when it
+    calls, so a wrapper set on that name sees every step.
+    """
+    while state.k < maxiter and state.breakdown == BREAKDOWN_NONE:
+        k = state.k
+        step(state, op)
+        if state.k > k:
+            yield state.k
+
+
+def hess_init(op, b, x0=None, strategy=None, maxiter=50):
     """Start the factorization: residual, first pivot, and d_1.
 
-    maxiter sizes the storage (capped at min(m, n)); without it the
-    state starts small and grows as it is stepped.  A zero initial
-    residual yields a k=0 state flagged exact_solution.  A zero pivot
-    entry under the 'none' strategy raises BreakdownError, since
-    pivoting would repair it.  A b or x0 of the wrong length or with
-    non-finite entries raises a ValueError naming it.
+    The storage is sized once, for min(maxiter, m, n) iterations (see
+    begin_step for a step past it).  A zero initial residual yields a
+    k=0 state flagged exact_solution.  A zero pivot entry under the
+    'none' strategy raises BreakdownError, since pivoting would repair
+    it.  A b or x0 of the wrong length or with non-finite entries
+    raises a ValueError naming it.
     """
+    check_maxiter(maxiter)
     strategy = strategy or PivotStrategy.full()
     m, n = op.shape
-    cap = initial_capacity(op.shape, maxiter)
     if strategy.kind == "sampled" and strategy.sample_size > max(m, n):
         raise ValueError("sample_size exceeds max(m, n)")
     b, x0, r0 = initial_residual(op, b, x0)
     scale = np.max(np.abs(r0))
     check_start(scale, b, x0, r0)
 
-    state = HessenbergState(op, x0, strategy, cap)
+    state = HessenbergState(op, x0, strategy, maxiter)
     if scale == 0.0:
         state.breakdown = BREAKDOWN_EXACT
         return state
@@ -297,15 +297,15 @@ def hess_step(state, op):
     """Run one iteration: new l_k (with W column), then new d_{k+1} (with H column).
 
     Terminal conditions set state.breakdown instead of raising:
-    rank_deficient when no solution-space pivot survives elimination (or
-    the residual-space window is exhausted), exact_solution when the
-    eliminated forward image vanishes.  Completed columns are kept.  An
-    operator image with non-finite entries raises a ValueError.
+    rank_deficient when k = min(m, n) already (see begin_step) or no
+    solution-space pivot survives elimination (or the residual-space
+    window is exhausted), exact_solution when the eliminated forward
+    image vanishes.  Completed columns are kept.  An operator image
+    with non-finite entries raises a ValueError.
     """
-    if state.breakdown != BREAKDOWN_NONE:
-        raise ValueError("cannot step a broken-down state")
+    if not begin_step(state):
+        return state
     kp = state.k + 1
-    reserve(state, kp)
     t, g = state.t, state.g
     L, D = state._sol, state._res
 
@@ -361,8 +361,7 @@ def hess_step(state, op):
 
 def hess_run(op, b, x0=None, strategy=None, maxiter=50):
     """Iterate until maxiter, breakdown, or dimension exhaustion."""
-    check_maxiter(maxiter)
     state = hess_init(op, b, x0, strategy, maxiter)
-    while state.k < maxiter and state.breakdown == BREAKDOWN_NONE:
-        hess_step(state, op)
+    for _ in iterate(state, hess_step, op, maxiter):
+        pass
     return state

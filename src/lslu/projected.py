@@ -46,6 +46,8 @@ _BLOCK_ENTRIES = 12288
 #: of about this many entries.
 _CHUNK_ENTRIES = 2048
 _EPS = np.finfo(float).eps
+#: ls_projected drops singular values at or below this fraction of sigma_1.
+_LS_RCOND = 1e-14
 
 
 def svd_small(H, prev=None):
@@ -289,10 +291,10 @@ def tikhonov_projected(svd, beta, lam):
     return svd.V @ (filt * (beta * svd.ue1[:svd.k]))
 
 
-def ls_projected(svd, beta, rcond=1e-14):
+def ls_projected(svd, beta):
     """Plain least-squares solution min ||beta e_1 - H y|| (rank-aware)."""
     s = svd.sigma
-    inv = np.where(s > rcond * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    inv = np.where(s > _LS_RCOND * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return svd.V @ (inv * (beta * svd.ue1[:svd.k]))
 
 
@@ -392,16 +394,14 @@ class LambdaRule:
     kind 'fixed' uses value verbatim; 'gcv' and 'wgcv' minimize the
     corresponding function; 'optimal' minimizes the true solution error
     (diagnostic only; needs x_true).  Other kinds ignore value and
-    x_true.  lo/hi override the default search window
-    [1e-6*sigma_1, sigma_1], which scales with the projected matrix.
+    x_true.  The searching kinds look in [1e-6*sigma_1, sigma_1], a
+    window that scales with the projected matrix.
     """
 
     KINDS = ("fixed", "gcv", "wgcv", "optimal")
 
     kind: str = "wgcv"
     value: float | None = None
-    lo: float | None = None
-    hi: float | None = None
     x_true: np.ndarray | None = None
 
     def __post_init__(self):
@@ -417,8 +417,6 @@ class LambdaRule:
             raise ValueError("optimal rule needs x_true")
         if self.x_true is not None:
             self.x_true = np.asarray(self.x_true, dtype=float)
-        if self.lo is not None:
-            _check_search_lam(self.lo, "lo", "search window lower bound")
 
     @classmethod
     def fixed(cls, value):
@@ -471,17 +469,11 @@ def select_lambda(rule, svd, beta, k, m, basis=None, x0=None):
     if rule.kind == "fixed":
         return float(rule.value)
     sigma1 = svd.sigma[0]
-    if (rule.lo is None or rule.hi is None) and not sigma1 > 0:
+    if not sigma1 > 0:
         raise ValueError("the projected matrix is zero: no search window for "
                          "the regularization parameter")
-    lo = rule.lo if rule.lo is not None else 1e-6 * sigma1
-    hi = rule.hi if rule.hi is not None else sigma1
-    if rule.lo is None:
-        _check_search_lam(lo, "1e-6*sigma_1", "default search window lower bound")
-    if hi < lo:
-        raise ValueError("empty search window for the regularization parameter")
-    if hi == lo:
-        return float(lo)
+    lo = 1e-6 * sigma1
+    _check_search_lam(lo, "1e-6*sigma_1", "search window lower bound")
 
     if rule.kind == "gcv":
         func = _wgcv_function(svd, beta, 1.0, k)
@@ -502,4 +494,4 @@ def select_lambda(rule, svd, beta, k, m, basis=None, x0=None):
             y = (s / (s**2 + lam**2)) * coeff
             return reductions.norm2(base + mapped @ y)
 
-    return golden_section_log(func, lo, hi)
+    return golden_section_log(func, lo, sigma1)

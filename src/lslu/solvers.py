@@ -20,7 +20,7 @@ import numpy as np
 from . import reductions
 from .golub_kahan import gk_init, gk_step
 from .hessenberg import (BREAKDOWN_NONE, KrylovState, PivotStrategy,
-                         check_maxiter, hess_init, hess_step)
+                         check_maxiter, hess_init, hess_step, iterate)
 from .projected import (LambdaRule, ghat, ls_projected, select_lambda,
                         stop_check, svd_small, tikhonov_projected)
 
@@ -88,9 +88,10 @@ def _reconstruct(state, x0, y):
     return x0 + state.solution_basis[:, :y.shape[0]] @ y
 
 
-def _drive(op, b, config, family, hybrid):
+def _drive(op, b, config, method):
     m, n = op.shape
-    if family == "lslu":
+    hybrid = method.startswith("hybrid_")
+    if method.endswith("lslu"):
         state = hess_init(op, b, config.x0, config.pivot, config.maxiter)
         step = hess_step
     else:
@@ -102,12 +103,7 @@ def _drive(op, b, config, family, hybrid):
     ys, lambdas, ghats = [], [], []
     stop_reason = None
     svd = None
-    while state.k < config.maxiter and state.breakdown == BREAKDOWN_NONE:
-        prev_k = state.k
-        step(state, op)
-        if state.k == prev_k:
-            break  # terminal: no new column was produced
-        k = state.k
+    for k in iterate(state, step, op, config.maxiter):
         # the projected matrix grew by one column and row: extend its SVD
         svd = svd_small(state.projected_matrix, svd)
         if hybrid:
@@ -148,34 +144,30 @@ def _drive(op, b, config, family, hybrid):
 def run_lslu(op, b, config=None):
     """Quasi-minimal residual iteration over the Hessenberg factorization."""
     config = config or SolverConfig(method="lslu")
-    return _drive(op, b, config, family="lslu", hybrid=False)
+    return _drive(op, b, config, "lslu")
 
 
 def run_hybrid_lslu(op, b, config=None):
     """LSLU with per-iteration Tikhonov regularization of the projected problem."""
     config = config or SolverConfig(method="hybrid_lslu")
-    return _drive(op, b, config, family="lslu", hybrid=True)
+    return _drive(op, b, config, "hybrid_lslu")
 
 
 def run_lsqr(op, b, config=None):
     """Least-squares iteration over the bidiagonalization (baseline)."""
     config = config or SolverConfig(method="lsqr")
-    return _drive(op, b, config, family="gk", hybrid=False)
+    return _drive(op, b, config, "lsqr")
 
 
 def run_hybrid_lsqr(op, b, config=None):
     """LSQR with per-iteration Tikhonov regularization (baseline)."""
     config = config or SolverConfig(method="hybrid_lsqr")
-    return _drive(op, b, config, family="gk", hybrid=True)
-
-
-_RUNNERS = {"lslu": run_lslu, "hybrid_lslu": run_hybrid_lslu,
-            "lsqr": run_lsqr, "hybrid_lsqr": run_hybrid_lsqr}
+    return _drive(op, b, config, "hybrid_lsqr")
 
 
 def solve(op, b, config):
-    """Dispatch on config.method."""
-    return _RUNNERS[config.method](op, b, config)
+    """Run config.method."""
+    return _drive(op, b, config, config.method)
 
 
 def compute_histories(result, x_true=None):

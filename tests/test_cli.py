@@ -32,14 +32,29 @@ def test_solve_gravity_outputs(tmp_path):
 
 
 def test_solve_deterministic_bytes(tmp_path):
-    args = ("solve", "--problem", "tomo", "--n", "16", "--seed", "7",
-            "--method", "lslu", "--maxiter", "10", "--pivot", "sampled",
-            "--sample-size", "25", "--pivot-seed", "3")
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run_cli(*args, "--output-dir", str(out1)) == 0
-    assert run_cli(*args, "--output-dir", str(out2)) == 0
-    assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    # every subcommand, plain and with a lambda value, writes the same
+    # files with the same bytes when run twice
+    common = ("--problem", "tomo", "--n", "16", "--seed", "7", "--maxiter", "10")
+    lam = ("--lambda-value", "0.05")
+    fixed = ("--method", "hybrid_lslu", "--lambda-rule", "fixed", *lam)
+    runs = [("solve", "--method", "lslu", "--pivot", "sampled",
+             "--sample-size", "25", "--pivot-seed", "3"),
+            ("solve", *fixed, "--emit", "history_csv,summary_json,recon_pgm"),
+            ("compare", "--method", "hybrid_lslu", "--sample-sizes", "25,50"),
+            ("compare", *fixed, "--sample-sizes", "25,50"),
+            ("uq", "--k-max", "6"),
+            ("uq", "--k-max", "6", *lam),
+            ("bounds",),
+            ("bounds", *lam)]
+    for i, args in enumerate(runs):
+        outs = [tmp_path / f"{i}{side}" for side in "ab"]
+        for out in outs:
+            assert run_cli(*args, *common, "--output-dir", str(out)) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names and names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+                (args, name)
 
 
 def test_solve_tomo_basis_images(tmp_path):

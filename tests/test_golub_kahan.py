@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from lslu import (BREAKDOWN_EXACT, gk_init, gk_run, gk_step, ls_projected,
-                  make_dense_operator, svd_small)
+from lslu import (BREAKDOWN_EXACT, BREAKDOWN_NONE, gk_init, gk_run, gk_step,
+                  ls_projected, make_dense_operator, svd_small)
 
 
 def test_identity_hand_recurrence():
@@ -59,15 +59,20 @@ def test_projected_solution_matches_dense_least_squares():
 
 
 @pytest.mark.parametrize("reorth", [True, False])
-def test_hand_stepped_state_grows_to_match_run(gravity64, reorth):
+def test_hand_stepped_state_matches_run(gravity64, reorth):
     op, b = gravity64.op, gravity64.b
-    stepped = gk_init(op, b, reorth=reorth)
-    start_cap = stepped.cap
+    stepped = gk_init(op, b, reorth=reorth, maxiter=20)
     for _ in range(20):
         gk_step(stepped, op)
     run = gk_run(op, b, maxiter=20, reorth=reorth)
-    assert start_cap < 20 < stepped.cap and run.cap == 20
     assert stepped.k == run.k == 20
     for key in ("U", "V", "B"):
         np.testing.assert_array_equal(getattr(stepped, key), getattr(run, key),
                                       err_msg=key)
+
+
+def test_step_past_maxiter_raises(gravity32):
+    state = gk_run(gravity32.op, gravity32.b, maxiter=5)
+    with pytest.raises(ValueError, match="maxiter=5"):
+        gk_step(state, gravity32.op)
+    assert state.k == 5 and state.breakdown == BREAKDOWN_NONE

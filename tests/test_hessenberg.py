@@ -333,21 +333,24 @@ def test_blocked_elimination_matches_column_reference(name, kind, request):
 
 
 @pytest.mark.parametrize("kind", ["full", "sampled"])
-def test_hand_stepped_state_grows_to_match_run(gravity64, kind):
-    # hess_init without maxiter starts small; stepping past that capacity
-    # must grow the storage without changing a single stored value
+def test_hand_stepped_state_matches_run(gravity64, kind):
     strategy = dict(zip(("none", "full", "sampled"), _strategies(64, 64)))[kind]
     op, b = gravity64.op, gravity64.b
-    stepped = hess_init(op, b, strategy=strategy)
-    start_cap = stepped.cap
+    stepped = hess_init(op, b, strategy=strategy, maxiter=20)
     for _ in range(20):
         hess_step(stepped, op)
     run = hess_run(op, b, strategy=strategy, maxiter=20)
-    assert start_cap < 20 < stepped.cap and run.cap == 20
     assert stepped.k == run.k == 20
     for key in ("t", "g", "L", "D", "H", "W"):
         np.testing.assert_array_equal(getattr(stepped, key), getattr(run, key),
                                       err_msg=key)
+
+
+def test_step_past_maxiter_raises(gravity32):
+    state = hess_run(gravity32.op, gravity32.b, maxiter=5)
+    with pytest.raises(ValueError, match="maxiter=5"):
+        hess_step(state, gravity32.op)
+    assert state.k == 5 and state.breakdown == BREAKDOWN_NONE
 
 
 def test_storage_sized_from_maxiter_capped_by_dimensions(gravity32):

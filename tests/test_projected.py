@@ -387,13 +387,7 @@ class TestSelectLambda:
         lam_g = select_lambda(LambdaRule.gcv(), svd, 1.0, 4, 3)
         assert lam_w == lam_g
 
-    def test_empty_window_rejected(self):
-        svd = svd_small([[2.0], [0.0]])
-        with pytest.raises(ValueError):
-            select_lambda(LambdaRule(kind="gcv", lo=3.0, hi=None), svd, 1.0, 1, 2)
-
-    @pytest.mark.parametrize("rule", [LambdaRule.gcv(), LambdaRule.wgcv(),
-                                      LambdaRule(kind="gcv", lo=1e-3)])
+    @pytest.mark.parametrize("rule", [LambdaRule.gcv(), LambdaRule.wgcv()])
     def test_zero_projected_matrix_rejected(self, rule):
         svd = svd_small([[0.0], [0.0]])
         with pytest.raises(ValueError, match="projected matrix is zero"):
@@ -425,9 +419,6 @@ class TestLambdaRuleConstructor:
         ({"kind": "fixed", "value": float("inf")}, "finite and nonnegative"),
         ({"kind": "wgcv", "value": float("nan")}, "finite and nonnegative"),
         ({"kind": "optimal"}, "optimal rule needs x_true"),
-        ({"kind": "gcv", "lo": 0.0}, "lower bound must be positive"),
-        ({"kind": "gcv", "lo": 1e-200}, "got lo=1e-200"),
-        ({"kind": "wgcv", "lo": float("nan")}, "lower bound must be positive"),
     ])
     def test_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

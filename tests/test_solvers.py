@@ -427,6 +427,54 @@ def test_solve_dispatch(gravity32):
     assert res.k_reached == 5
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_tall_problem_stops_when_the_solution_space_is_spanned(method):
+    # at k = n the step flags rank_deficient before any operator product,
+    # so the run takes exactly one adjoint product per column
+    rng = np.random.default_rng(2)
+    cop = CountingOperator(make_dense_operator(rng.standard_normal((14, 9))))
+    res = solve(cop, rng.standard_normal(14), SolverConfig(method, maxiter=200))
+    assert res.stop_reason == "breakdown" and res.k_stop == 9
+    assert res.state.breakdown == "rank_deficient"
+    assert cop.n_adjoint == 9
+
+
+def test_steps_go_through_the_module_names(gravity32, monkeypatch):
+    # a tracer outside the package wraps these names; solve, hess_run and
+    # gk_run must look them up when they call, once per init and step
+    import lslu.golub_kahan
+    import lslu.hessenberg
+    import lslu.solvers
+    calls = []
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("hess_init", "hess_step", "gk_init", "gk_step"):
+        counting(lslu.solvers, name)
+    for name in ("hess_init", "hess_step"):
+        counting(lslu.hessenberg, name)
+    for name in ("gk_init", "gk_step"):
+        counting(lslu.golub_kahan, name)
+
+    op, b = gravity32.op, gravity32.b
+    runs = [(lambda: solve(op, b, SolverConfig("hybrid_lslu", maxiter=5)),
+             "lslu.solvers.hess"),
+            (lambda: solve(op, b, SolverConfig("lsqr", maxiter=5)),
+             "lslu.solvers.gk"),
+            (lambda: hess_run(op, b, maxiter=5), "lslu.hessenberg.hess"),
+            (lambda: gk_run(op, b, maxiter=5), "lslu.golub_kahan.gk")]
+    for run, prefix in runs:
+        calls.clear()
+        run()
+        assert calls == [f"{prefix}_init"] + [f"{prefix}_step"] * 5
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="cg")
@@ -447,6 +495,9 @@ def test_maxiter_must_be_positive_integer(maxiter):
         hess_run(op, [1.0, 1.0], maxiter=maxiter)
     with pytest.raises(ValueError, match="maxiter"):
         gk_run(op, [1.0, 1.0], maxiter=maxiter)
+    for init in (hess_init, gk_init):
+        with pytest.raises(ValueError, match="maxiter"):
+            init(op, [1.0, 1.0], maxiter=maxiter)
 
 
 def test_numpy_integer_maxiter_accepted(gravity32):
