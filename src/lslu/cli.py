@@ -164,6 +164,22 @@ def make_solver_config(config, x_true):
                             track_truth=x_true)
 
 
+def warn_unread_lambda_value(config, command):
+    """Say on stderr when command will not read the --lambda-value it was given."""
+    if config.lambda_value is None:
+        return
+    if command == "uq":
+        reason = "uq: its regularization comes from --reg or the stopped hybrid LSQR run"
+    elif not config.method.startswith("hybrid"):
+        reason = f"{command} with --method {config.method}: only the hybrid methods regularize"
+    elif config.lambda_rule != "fixed":
+        reason = (f"{command} with --lambda-rule {config.lambda_rule}: "
+                  "only the fixed rule takes a value")
+    else:
+        return
+    print(f"warning: --lambda-value is not read by {reason}", file=sys.stderr)
+
+
 def _history_rows(result):
     k_reached = result.k_reached
     resid = result.residual_norms or [float("nan")] * k_reached
@@ -175,7 +191,9 @@ def _history_rows(result):
 def cmd_solve(config):
     """run one solver, emit history/summary/images"""
     op, b, x_true, _, shapes = build_problem(config)
-    result = solve(op, b, make_solver_config(config, x_true))
+    solver_config = make_solver_config(config, x_true)
+    warn_unread_lambda_value(config, "solve")
+    result = solve(op, b, solver_config)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -251,6 +269,7 @@ def cmd_compare(config):
             config, method=base_lu, pivot="sampled", sample_size=size)))
     variants.append((base_qr, replace(config, method=base_qr)))
     configs = [(name, make_solver_config(cfg, x_true)) for name, cfg in variants]
+    warn_unread_lambda_value(config, "compare")
     curves = [(name, solve(op, b, cfg)) for name, cfg in configs]
 
     outdir = Path(config.output_dir)
@@ -276,6 +295,7 @@ def cmd_uq(config):
     stop_tol = config.stop_tol if config.stop_tol is not None else 1e-4
     hybrid_config = make_solver_config(replace(
         config, method="hybrid_lsqr", lambda_rule="wgcv", stop_tol=stop_tol), x_true)
+    warn_unread_lambda_value(config, "uq")
     with config_errors("k_max: "):
         check_maxiter(config.k_max)
     m = op.nrows

@@ -10,10 +10,15 @@ H_{k+1,k} (upper Hessenberg) and W_k (upper triangular) satisfying
 
 Both bases are unit lower triangular up to the row permutations t (for
 D) and g (for L), and every pivot decision is a coordinate maximum, so
-the whole recurrence is free of inner products.  KrylovState holds what
-this and the Golub-Kahan state share; L, D, H and W name its views.
-begin_step and iterate are the step prologue and the step loop of both
-families.
+the whole recurrence is free of inner products.  Each half-step
+eliminates a new vector against a whole basis at once: a unit
+triangular solve with the basis's pivot block (its entries at the
+pivot coordinates) gives the coefficients, and one gemv applies them.
+The state keeps both pivot blocks and adds a row or column as each
+pivot becomes final, so no step gathers them again.  KrylovState holds
+what this and the Golub-Kahan state share; L, D, H and W name its
+views.  begin_step and iterate are the step prologue and the step loop
+of both families.
 """
 
 from __future__ import annotations
@@ -93,13 +98,20 @@ class KrylovState:
     or k after a terminal step), the (k+1)-by-k projected matrix M and
     the k-by-k `coupling` C_k, which each family defines; r0 = b - A x0
     is beta times the first column of R.  Storage is sized once, at
-    init, for cap = min(maxiter, m, n) iterations: the bases are stored
-    row-major, one row per basis vector (_sol is (cap, n), _res is
-    (cap + 1, m)), and M in a (cap + 1, cap) array.  Every basis row is
-    written whole before a view exposes it, so the bases are left
-    uninitialized (capacity an early stop never reaches costs neither a
-    memset nor a page); the small factors rely on their structural
-    zeros and are zeroed.  See begin_step for what a full state does.
+    init, for cap = min(maxiter, m, n) iterations:
+
+    - _sol, (cap, n), and _res, (cap + 1, m): the bases, row-major, one
+      row per basis vector;
+    - _proj, (cap + 1, cap): M;
+    - a family's own small factors: HessenbergState adds W and the
+      pivot blocks (_W, _piv); BidiagState adds none, its C being a
+      view of M.
+
+    Every basis row is written whole before a view exposes it, so the
+    bases are left uninitialized (capacity an early stop never reaches
+    costs neither a memset nor a page); the small factors rely on their
+    structural zeros and are zeroed.  See begin_step for what a full
+    state does.
     """
 
     def __init__(self, op, x0, maxiter):
@@ -130,11 +142,25 @@ class KrylovState:
 class HessenbergState(KrylovState):
     """Permutations t and g are 0-based index arrays; column j of D has an
     exact 1.0 at row t[j] and exact 0.0 at rows t[i] for i < j (same for
-    L with g).  The coupling is the upper triangular W_k."""
+    L with g).  The coupling is the upper triangular W_k, in a (cap, cap)
+    array.
+
+    _piv, a (cap + 1, cap + 1) Fortran-order array, holds the strict
+    triangles of both pivot blocks, the unit lower triangular matrices
+    whose forward substitution gives the elimination coefficients:
+    D's block _piv[i, j] = D[t[i], j] below the diagonal, and L's block
+    transposed, _piv[j, i] = L[g[i], j], above it.  A step copies the
+    stored entries of a new basis vector there once its pivot is final
+    (after the swap), so the strict lower triangles of _piv[:k, :k].T
+    and _piv[:k + 1, :k + 1] are those of the current L's and D's
+    blocks; their unit diagonals are implied.  It costs (cap + 1)^2
+    doubles.
+    """
 
     def __init__(self, op, x0, strategy, maxiter):
         super().__init__(op, x0, maxiter)
         self._W = np.zeros((self.cap, self.cap))
+        self._piv = np.zeros((self.cap + 1, self.cap + 1), order="F")
         self.strategy = strategy
         self.t, self.g = np.arange(self.m), np.arange(self.n)
         self._rng = (np.random.default_rng(strategy.seed)
@@ -165,16 +191,19 @@ def _pick_pivot(vec, perm, start, strategy, rng):
     return start + int(sample[np.argmax(np.abs(vec[window[sample]]))])
 
 
-def _eliminate(vec, rows, piv):
+def _eliminate(vec, rows, piv, block):
     """Eliminate vec against basis rows in place; return the coefficients.
 
     rows[j] holds an exact 1.0 at piv[j] and exact zeros at piv[:j], so
-    rows[:, piv].T is unit lower triangular and the coefficients are its
-    forward substitution against vec[piv] (what eliminating one basis
-    vector at a time computes).  One gemv then removes every basis
-    vector, and the pivot entries are set to their exact zeros.
+    the pivot block, with entry (i, j) = rows[j, piv[i]], is unit lower
+    triangular.  block is a view whose strict lower triangle holds those
+    entries (the state keeps them, see HessenbergState).  The
+    coefficients are its forward substitution against vec[piv] (what
+    eliminating one basis vector at a time computes).  One gemv then
+    removes every basis vector, and the pivot entries are set to their
+    exact zeros.
     """
-    coef = dtrsv(rows[:, piv].T, vec[piv], lower=1, diag=1)
+    coef = dtrsv(block, vec[piv], lower=1, diag=1)
     vec -= rows.T @ coef
     vec[piv] = 0.0
     return coef
@@ -307,14 +336,15 @@ def hess_step(state, op):
         return state
     kp = state.k + 1
     t, g = state.t, state.g
-    L, D = state._sol, state._res
+    L, D, P = state._sol, state._res, state._piv
 
     # solution-space half: eliminate A^T d_k against l_1..l_{k-1}
     q = op.adjoint(D[kp - 1])
     q_scale = np.max(np.abs(q))
     check_image(q_scale, "adjoint", kp)
     if kp > 1:
-        state._W[:kp - 1, kp - 1] = _eliminate(q, L[:kp - 1], g[:kp - 1])
+        state._W[:kp - 1, kp - 1] = _eliminate(q, L[:kp - 1], g[:kp - 1],
+                                               P[:kp - 1, :kp - 1].T)
 
     pos = _pick_pivot(q, g, kp - 1, state.strategy, state._rng)
     # no live entry left, or (under none/sampled) the candidate misses
@@ -326,12 +356,13 @@ def hess_step(state, op):
     w = q[g[kp - 1]]
     state._W[kp - 1, kp - 1] = w
     L[kp - 1] = q / w
+    P[:kp - 1, kp - 1] = L[:kp - 1, g[kp - 1]]
 
     # residual-space half: eliminate A l_k against d_1..d_k
     u = op.forward(L[kp - 1])
     u_scale = np.max(np.abs(u))
     check_image(u_scale, "forward", kp)
-    state._proj[:kp, kp - 1] = _eliminate(u, D[:kp], t[:kp])
+    state._proj[:kp, kp - 1] = _eliminate(u, D[:kp], t[:kp], P[:kp, :kp])
 
     pos = _pick_pivot(u, t, kp, state.strategy, state._rng)
     if pos is None:
@@ -355,6 +386,7 @@ def hess_step(state, op):
     h = u[t[kp]]
     state._proj[kp, kp - 1] = h
     D[kp] = u / h
+    P[kp, :kp] = D[:kp, t[kp]]
     state.residual_count = kp + 1
     return state
 

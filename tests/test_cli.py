@@ -118,6 +118,34 @@ def test_library_warnings_without_source_paths(tmp_path, capsys):
     assert ".py:" not in err and "warnings.warn" not in err
 
 
+def test_unread_lambda_value_warns(tmp_path, capsys):
+    # a lambda value a command does not read is named on stderr, with why;
+    # where it is read, or none is given, nothing is said
+    lam = ("--lambda-value", "0.05")
+    cases = [(("uq", "--k-max", "3", *lam), "uq: its regularization comes from --reg"),
+             (("solve", "--method", "lslu", *lam), "solve with --method lslu"),
+             (("solve", *lam), "solve with --lambda-rule wgcv"),
+             (("compare", "--method", "lsqr", "--sample-sizes", "10", *lam),
+              "compare with --method lsqr"),
+             (("compare", "--lambda-rule", "gcv", "--sample-sizes", "10", *lam),
+              "compare with --lambda-rule gcv"),
+             (("solve", "--lambda-rule", "fixed", *lam), None),
+             (("compare", "--lambda-rule", "fixed", "--sample-sizes", "10", *lam), None),
+             (("bounds", *lam), None),
+             (("solve", "--method", "lslu"), None),
+             (("uq", "--k-max", "3"), None)]
+    for i, (args, reason) in enumerate(cases):
+        capsys.readouterr()
+        assert run_cli(*args, "--n", "16", "--maxiter", "3",
+                       "--output-dir", str(tmp_path / str(i))) == 0, args
+        err = capsys.readouterr().err
+        if reason is None:
+            assert "lambda-value" not in err, (args, err)
+        else:
+            assert err.startswith(f"warning: --lambda-value is not read by {reason}")
+            assert err.count("\n") == 1, (args, err)
+
+
 def test_uq_variance_images_for_2d_problem(tmp_path):
     out = tmp_path / "uq2d"
     code = run_cli("uq", "--problem", "tomo", "--n", "16", "--k-max", "8",

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrsv
 
 from lslu import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
                   BreakdownError, PivotStrategy, hess_init, hess_run,
                   hess_step, make_dense_operator)
-from lslu.hessenberg import BREAKDOWN_TOL, _pick_pivot
+from lslu.hessenberg import BREAKDOWN_TOL, _pick_pivot, begin_step, check_image
 
 A22 = np.array([[1.0, 2.0], [3.0, 4.0]])
 
@@ -356,3 +357,123 @@ def test_step_past_maxiter_raises(gravity32):
 def test_storage_sized_from_maxiter_capped_by_dimensions(gravity32):
     assert hess_run(gravity32.op, gravity32.b, maxiter=500).cap == 32
     assert hess_run(gravity32.op, gravity32.b, maxiter=5).cap == 5
+
+
+def _gathering_eliminate(vec, rows, piv):
+    """_eliminate with its pivot block gathered afresh from the basis rows."""
+    coef = dtrsv(rows[:, piv].T, vec[piv], lower=1, diag=1)
+    vec -= rows.T @ coef
+    vec[piv] = 0.0
+    return coef
+
+
+def _gathering_step(state, op):
+    """hess_step on _gathering_eliminate: it never reads or writes state._piv."""
+    if not begin_step(state):
+        return state
+    kp = state.k + 1
+    t, g = state.t, state.g
+    L, D = state._sol, state._res
+    q = op.adjoint(D[kp - 1])
+    q_scale = np.max(np.abs(q))
+    check_image(q_scale, "adjoint", kp)
+    if kp > 1:
+        state._W[:kp - 1, kp - 1] = _gathering_eliminate(q, L[:kp - 1], g[:kp - 1])
+    pos = _pick_pivot(q, g, kp - 1, state.strategy, state._rng)
+    if pos is None or abs(q[g[pos]]) <= BREAKDOWN_TOL * q_scale:
+        state.breakdown = BREAKDOWN_RANK
+        return state
+    g[[kp - 1, pos]] = g[[pos, kp - 1]]
+    w = q[g[kp - 1]]
+    state._W[kp - 1, kp - 1] = w
+    L[kp - 1] = q / w
+    u = op.forward(L[kp - 1])
+    u_scale = np.max(np.abs(u))
+    check_image(u_scale, "forward", kp)
+    state._proj[:kp, kp - 1] = _gathering_eliminate(u, D[:kp], t[:kp])
+    pos = _pick_pivot(u, t, kp, state.strategy, state._rng)
+    if pos is None:
+        state.k = kp
+        state.breakdown = BREAKDOWN_RANK
+        return state
+    if np.max(np.abs(u[t[kp:]])) <= BREAKDOWN_TOL * u_scale:
+        state.k = kp
+        state.breakdown = BREAKDOWN_EXACT
+        return state
+    if abs(u[t[pos]]) <= BREAKDOWN_TOL * u_scale:
+        state.breakdown = BREAKDOWN_RANK
+        return state
+    state.k = kp
+    t[[kp, pos]] = t[[pos, kp]]
+    h = u[t[kp]]
+    state._proj[kp, kp - 1] = h
+    D[kp] = u / h
+    state.residual_count = kp + 1
+    return state
+
+
+def _bits(a):
+    # bytes, so a signed zero differs from an unsigned one
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _assert_same_state(kept, ref):
+    assert (kept.k, kept.residual_count, kept.breakdown) == (
+        ref.k, ref.residual_count, ref.breakdown)
+    for key in ("t", "g", "L", "D", "H", "W"):
+        assert _bits(getattr(kept, key)) == _bits(getattr(ref, key)), key
+
+
+def _assert_blocks_hold_gathered(state):
+    # the strict triangles dtrsv reads are the entries a gather would give
+    k, rc, P = state.k, state.residual_count, state._piv
+    gathered_l = state._sol[:k][:, state.g[:k]].T
+    gathered_d = state._res[:rc][:, state.t[:rc]].T
+    assert _bits(np.tril(P[:k, :k].T, -1)) == _bits(np.tril(gathered_l, -1))
+    assert _bits(np.tril(P[:rc, :rc], -1)) == _bits(np.tril(gathered_d, -1))
+
+
+def _step_alongside(op, b, strategy, maxiter):
+    """Step hess_step and _gathering_step side by side, checking each step."""
+    kept = hess_init(op, b, strategy=strategy, maxiter=maxiter)
+    ref = hess_init(op, b, strategy=strategy, maxiter=maxiter)
+    for _ in range(maxiter):
+        if kept.breakdown != BREAKDOWN_NONE:
+            break
+        hess_step(kept, op)
+        _gathering_step(ref, op)
+        _assert_same_state(kept, ref)
+        _assert_blocks_hold_gathered(kept)
+    return kept
+
+
+def _block_problem(name, request):
+    if name in ("tall14x9", "wide9x14"):
+        shape = (14, 9) if name == "tall14x9" else (9, 14)
+        rng = np.random.default_rng(shape[0])
+        return make_dense_operator(rng.standard_normal(shape)), rng.standard_normal(shape[0])
+    prob = request.getfixturevalue(name)
+    return prob.op, prob.b
+
+
+@pytest.mark.parametrize("kind", ["none", "full", "sampled"])
+@pytest.mark.parametrize("name", ["tomo16", "gravity64", "tall14x9", "wide9x14"])
+def test_kept_pivot_blocks_match_gathering_reference(name, kind, request):
+    op, b = _block_problem(name, request)
+    m, n = op.shape
+    strategy = dict(zip(("none", "full", "sampled"), _strategies(m, n)))[kind]
+    state = _step_alongside(op, b, strategy, maxiter=15)
+    if name == "tall14x9" and kind != "none":
+        assert state.k == 9 and state.breakdown == BREAKDOWN_RANK
+    if name == "wide9x14" and kind != "none":
+        # D's window is exhausted: the last column keeps a zero H row
+        assert state.k == 9 and state.residual_count == 9
+
+
+def test_kept_pivot_blocks_through_the_dropped_column(tomo16):
+    # a two-entry sample misses the live entries of the third forward
+    # image: the half-built column is dropped after its L half was stored
+    state = _step_alongside(tomo16.op, tomo16.b,
+                            PivotStrategy.sampled(2, seed=0), maxiter=15)
+    assert state.breakdown == BREAKDOWN_RANK and state.k == 2
+    assert state._W[2, 2] != 0.0

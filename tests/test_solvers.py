@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -169,6 +170,43 @@ def test_determinism_bitwise(tomo16):
     assert res1.lambdas == res2.lambdas
     assert res1.ghats == res2.ghats
     np.testing.assert_array_equal(res1.x_final, res2.x_final)
+
+
+def test_concurrent_solves_share_nothing(gravity32, tomo16):
+    # hybrid LSLU solves of two problems, two threads each, started together
+    # and switched often, give the bits of the same solves run alone
+    problems = {"gravity32": gravity32, "tomo16": tomo16}
+    config = SolverConfig(method="hybrid_lslu", maxiter=30)
+
+    def outputs(res):
+        st = res.state
+        return [np.asarray(a).tobytes() for a in (
+            res.x_final, res.lambdas, res.ghats, res.residual_norms,
+            st.L, st.D, st.H, st.W, st.t, st.g)] + [res.k_stop, res.stop_reason]
+
+    alone = {name: outputs(solve(p.op, p.b, config)) for name, p in problems.items()}
+    names = [name for name in problems for _ in range(2)]
+    start = threading.Barrier(len(names), timeout=60)
+    together = [None] * len(names)
+
+    def run(i):
+        start.wait()
+        p = problems[names[i]]
+        together[i] = [outputs(solve(p.op, p.b, config)) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(names))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for name, runs in zip(names, together):
+        assert runs is not None and all(run == alone[name] for run in runs), name
 
 
 def test_breakdown_at_init_returns_x0():
