@@ -144,12 +144,13 @@ def build_problem(config):
             raise UsageError("dense_file problem needs --matrix-file and --rhs-file")
         op, b = load_dense_problem(config.matrix_file, config.rhs_file)
         return op, b, None, None, {}
-    if config.problem == "tomo":
-        prob = make_tomo_problem(config.n, config.angles, config.detectors,
-                                 config.noise_level, config.seed)
-    else:
-        prob = make_gravity_problem(config.n, config.depth,
-                                    config.noise_level, config.seed)
+    with config_errors():
+        if config.problem == "tomo":
+            prob = make_tomo_problem(config.n, config.angles, config.detectors,
+                                     config.noise_level, config.seed)
+        else:
+            prob = make_gravity_problem(config.n, config.depth,
+                                        config.noise_level, config.seed)
     return prob.op, prob.b, prob.x_true, prob.e, prob.image_shapes
 
 

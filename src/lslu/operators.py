@@ -9,10 +9,13 @@ parallel-beam tomography system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from .hessenberg import check_maxiter
 
 
 class LinearOperator:
@@ -110,14 +113,25 @@ class InverseProblem:
     image_shapes: dict = field(default_factory=dict)
 
 
+# entries per row block of an elementwise pass over a dense matrix:
+# 256 KB of float64, so a block stays in cache across its passes
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _row_blocks(m, n):
+    """Slices of consecutive rows covering an m-by-n matrix in cache-sized blocks."""
+    step = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
+
+
 def make_dense_operator(matrix):
     """Wrap an explicit dense matrix as a LinearOperator."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix has non-finite entries")
     m, n = matrix.shape
+    if not all(np.isfinite(matrix[rows]).all() for rows in _row_blocks(m, n)):
+        raise ValueError("matrix has non-finite entries")
     return LinearOperator(m, n, lambda x: matrix @ x, lambda y: matrix.T @ y,
                           matrix=matrix)
 
@@ -130,6 +144,12 @@ def make_sparse_operator(matrix):
     return LinearOperator(m, n, lambda x: csr @ x, lambda y: csc_t @ y, matrix=csr)
 
 
+def _check_noise_level(noise_level):
+    if not (math.isfinite(noise_level) and noise_level >= 0):
+        raise ValueError(
+            f"noise_level must be finite and nonnegative, got {noise_level!r}")
+
+
 def add_noise(b_exact, noise_level, seed):
     """Perturb exact data with Gaussian-direction noise of exact relative size.
 
@@ -138,8 +158,7 @@ def add_noise(b_exact, noise_level, seed):
     equals noise_level by construction.
     """
     b_exact = np.asarray(b_exact, dtype=float)
-    if noise_level < 0:
-        raise ValueError("noise_level must be nonnegative")
+    _check_noise_level(noise_level)
     if noise_level == 0:
         e = np.zeros_like(b_exact)
         return b_exact.copy(), e
@@ -153,23 +172,29 @@ def add_noise(b_exact, noise_level, seed):
 
 def gravity_kernel_matrix(n, depth=0.25):
     """Midpoint-rule discretization of depth/(depth^2 + (s-t)^2)^{3/2} on [0,1]^2."""
+    check_maxiter(n, "n")
     if n < 2:
-        raise ValueError("n must be at least 2")
-    if depth <= 0:
-        raise ValueError("depth must be positive")
+        raise ValueError(f"n must be at least 2, got {n}")
+    if not (math.isfinite(depth) and depth > 0):
+        raise ValueError(f"depth must be finite and positive, got {depth!r}")
     pts = (np.arange(n) + 0.5) / n
-    # depth * (depth**2 + diff**2) ** (-1.5) / n, evaluated in one array
-    out = pts[:, None] - pts[None, :]
-    np.square(out, out=out)
-    out += depth**2
-    np.power(out, -1.5, out=out)
-    out *= depth
-    out /= n
+    # depth * (depth**2 + diff**2) ** (-1.5) / n, all six passes on one
+    # cache-sized block of rows before the next
+    out = np.empty((n, n))
+    for rows in _row_blocks(n, n):
+        block = out[rows]
+        np.subtract(pts[rows, None], pts[None, :], out=block)
+        np.square(block, out=block)
+        block += depth**2
+        np.power(block, -1.5, out=block)
+        block *= depth
+        block /= n
     return out
 
 
 def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
     """Square severely ill-posed smooth-kernel problem with a bimodal truth."""
+    _check_noise_level(noise_level)
     matrix = gravity_kernel_matrix(n, depth)
     op = make_dense_operator(matrix)
     t = (np.arange(n) + 0.5) / n
@@ -222,12 +247,19 @@ def trace_view(n, points, direction):
 
     lengths = np.diff(taus, axis=1)
     keep = (lengths > 1e-14) & hit[:, None]
-    rays, seg = np.nonzero(keep)
-    half = 0.5 * (taus[rays, seg] + taus[rays, seg + 1])
-    mids = points[rays] + half[:, None] * direction[None, :]
-    cols = np.clip(np.floor(mids[:, 0]).astype(int), 0, n - 1)
-    rows = np.clip(np.floor(mids[:, 1]).astype(int), 0, n - 1)
-    return rays, rows * n + cols, lengths[keep]
+    # per kept segment, in row-major order: its ray, its midpoint's
+    # parameter, and the cell holding the midpoint on each axis
+    counts = np.count_nonzero(keep, axis=1)
+    rays = np.repeat(np.arange(points.shape[0]), counts)
+    half = (0.5 * (taus[:, :-1] + taus[:, 1:]))[keep]
+    cells = []
+    for ax in range(2):
+        cell = np.repeat(points[:, ax], counts)
+        cell += half * direction[ax]
+        cell = np.floor(cell, out=cell).astype(int)
+        np.maximum(cell, 0, out=cell)
+        cells.append(np.minimum(cell, n - 1, out=cell))
+    return rays, cells[1] * n + cells[0], lengths[keep]
 
 
 def trace_ray(n, point, direction):
@@ -248,12 +280,16 @@ def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed
     diagonal.  Row i*n_detectors + d holds the exact cell-intersection
     lengths of detector d at angle i.
     """
+    check_maxiter(n, "n")
     if n < 4:
-        raise ValueError("n must be at least 4")
+        raise ValueError(f"n must be at least 4, got {n}")
     if n_angles is None:
         n_angles = n
     if n_detectors is None:
         n_detectors = int(round(np.sqrt(2.0) * n))
+    check_maxiter(n_angles, "n_angles")
+    check_maxiter(n_detectors, "n_detectors")
+    _check_noise_level(noise_level)
     m = n_angles * n_detectors
     center = np.array([n / 2.0, n / 2.0])
     spacing = n * np.sqrt(2.0) / n_detectors

@@ -88,8 +88,25 @@ def _reconstruct(state, x0, y):
     return x0 + state.solution_basis[:, :y.shape[0]] @ y
 
 
+def _check_truth(x_true, n, name):
+    """x_true as a float vector; a ValueError naming it unless finite of length n."""
+    x_true = np.asarray(x_true, dtype=float)
+    if x_true.shape != (n,):
+        raise ValueError(f"{name} must be a vector of length {n} (the operator's "
+                         f"columns), got shape {x_true.shape}")
+    if not np.all(np.isfinite(x_true)):
+        raise ValueError(f"{name} has non-finite entries")
+    return x_true
+
+
 def _drive(op, b, config, method):
     m, n = op.shape
+    # a bad truth fails here, before the first operator product
+    track_truth = config.track_truth
+    if track_truth is not None:
+        track_truth = _check_truth(track_truth, n, "track_truth")
+    if config.lambda_rule.kind == "optimal":
+        _check_truth(config.lambda_rule.x_true, n, "x_true")
     hybrid = method.startswith("hybrid_")
     if method.endswith("lslu"):
         state = hess_init(op, b, config.x0, config.pivot, config.maxiter)
@@ -137,7 +154,7 @@ def _drive(op, b, config, method):
                          ys, state)
     if not config.pure:
         result.residual_norms, result.relative_errors = compute_histories(
-            result, config.track_truth)
+            result, track_truth)
     return result
 
 
@@ -184,13 +201,14 @@ def compute_histories(result, x_true=None):
     measure the error against x_true.  A reporting run fills its
     histories with this after its loop; pure mode skips it to keep the
     solve free of long-vector reductions, and a caller can apply it to
-    a pure-mode result afterwards.
+    a pure-mode result afterwards.  An x_true that is not a finite
+    vector of length n raises a ValueError naming it.
     """
     state = result.state
     basis, projected = state.residual_basis, state.projected_matrix
     truth_norm = None
     if x_true is not None:
-        x_true = np.asarray(x_true, dtype=float)
+        x_true = _check_truth(x_true, state.n, "x_true")
         truth_norm = reductions.norm2(x_true)
     residual_norms, relative_errors = [], []
     for y in result.ys:

@@ -229,6 +229,15 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         (("--method", "bogus"), "--method"),
         (("--maxiter", "3.0"), "--maxiter"),
         (("--pivot", "full", "--sample-size", "25"), "sample_size"),
+        # generated-problem parameters the generators reject
+        (("--problem", "tomo", "--n", "8", "--angles", "0"), "n_angles"),
+        (("--problem", "tomo", "--n", "8", "--detectors", "0"), "n_detectors"),
+        (("--problem", "tomo", "--n", "3"), "n must be at least 4"),
+        (("--n", "1"), "n must be at least 2"),
+        (("--depth", "-1"), "depth"),
+        (("--depth", "inf"), "depth"),
+        (("--noise-level", "nan"), "noise_level"),
+        (("--problem", "tomo", "--n", "8", "--noise-level", "-0.5"), "noise_level"),
     ]
     for name, content, named in (("float_int", '{"maxiter": 3.0}', "maxiter"),
                                  ("not_object", "[1, 2]", "JSON object"),

@@ -24,6 +24,20 @@ class TestDenseOperator:
         with pytest.raises(ValueError):
             make_dense_operator([[1.0, np.nan], [0.0, 1.0]])
 
+    # the check runs block by block over rows: a bad entry in the first
+    # or the (partial) last block, and in a single row or column, is seen
+    @pytest.mark.parametrize("shape, where", [
+        ((100, 1000), (0, 0)), ((100, 1000), (99, 999)), ((100, 1000), (70, 5)),
+        ((1, 70000), (0, 0)), ((1, 70000), (0, 69999)),
+        ((70000, 1), (0, 0)), ((70000, 1), (69999, 0)),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected_in_every_row_block(self, shape, where, bad):
+        matrix = np.ones(shape)
+        matrix[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            make_dense_operator(matrix)
+
     def test_shape_validation(self):
         op = make_dense_operator([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         with pytest.raises(ValueError):
@@ -79,12 +93,24 @@ class TestGravity:
         above = s[s > 1e-14 * s[0]]
         assert np.all(np.diff(above) < 0)
 
-    @pytest.mark.parametrize("n, depth", [(2, 0.25), (257, 0.25), (64, 0.1)])
+    # n=1000 assembles in row blocks whose last one is partial
+    @pytest.mark.parametrize("n, depth", [(2, 0.25), (257, 0.25), (64, 0.1),
+                                          (1000, 0.25)])
     def test_kernel_matches_expression(self, n, depth):
         pts = (np.arange(n) + 0.5) / n
         diff = pts[:, None] - pts[None, :]
         expected = depth * (depth**2 + diff**2) ** (-1.5) / n
         np.testing.assert_array_equal(gravity_kernel_matrix(n, depth), expected)
+
+    @pytest.mark.parametrize("depth", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_depth_named(self, depth):
+        with pytest.raises(ValueError, match="depth must be finite and positive"):
+            make_gravity_problem(16, depth=depth)
+
+    @pytest.mark.parametrize("n", [1, 2.5, True])
+    def test_bad_size_named(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            make_gravity_problem(n)
 
     def test_symmetric_positive_entries(self):
         matrix = gravity_kernel_matrix(20)
@@ -153,6 +179,7 @@ class TestTomo:
     @pytest.mark.parametrize("n, n_angles, n_detectors", [
         *[(n, n_angles, n_detectors) for n in (4, 5, 8, 16)
           for n_angles, n_detectors in ((None, None), (7, 11), (6, 3 * n))],
+        (24, None, None),
         (128, 4, 181),
     ])
     def test_matrix_matches_per_ray_reference(self, n, n_angles, n_detectors):
@@ -229,6 +256,27 @@ class TestTomo:
         ratio = np.linalg.norm(prob.e) / np.linalg.norm(prob.b_exact)
         assert ratio == pytest.approx(1e-2, abs=1e-12)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_angles": 0}, "n_angles must be at least 1"),
+        ({"n_angles": 2.5}, "n_angles must be an integer"),
+        ({"n_angles": True}, "n_angles must be an integer"),
+        ({"n_detectors": 0}, "n_detectors must be at least 1"),
+        ({"n_detectors": -3}, "n_detectors must be at least 1"),
+        ({"n_detectors": 11.0}, "n_detectors must be an integer"),
+        ({"n_detectors": False}, "n_detectors must be an integer"),
+        ({"noise_level": np.nan}, "noise_level must be finite and nonnegative"),
+        ({"noise_level": np.inf}, "noise_level must be finite and nonnegative"),
+        ({"noise_level": -0.1}, "noise_level must be finite and nonnegative"),
+    ])
+    def test_bad_input_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            make_tomo_problem(8, **kwargs)
+
+    @pytest.mark.parametrize("n", [3, 8.5, True])
+    def test_bad_size_named(self, n):
+        with pytest.raises(ValueError, match="^n must be"):
+            make_tomo_problem(n)
+
     def test_phantom_is_binary_disk(self, tomo16):
         vals = np.unique(tomo16.x_true)
         assert set(vals.tolist()) <= {0.0, 1.0}
@@ -285,3 +333,9 @@ class TestAddNoise:
     def test_zero_data_rejected(self):
         with pytest.raises(ValueError):
             add_noise(np.zeros(4), 0.1, seed=0)
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_bad_level_named(self, level):
+        with pytest.raises(ValueError,
+                           match="noise_level must be finite and nonnegative"):
+            add_noise(np.ones(4), level, seed=0)

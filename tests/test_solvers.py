@@ -7,8 +7,8 @@ from scipy.linalg import hadamard
 
 from lslu import (CountingOperator, LambdaRule, LinearOperator, PivotStrategy,
                   SolverConfig, gk_init, gk_run, hess_init, hess_run,
-                  make_dense_operator, run_hybrid_lslu, run_hybrid_lsqr,
-                  run_lslu, run_lsqr, solve)
+                  compute_histories, make_dense_operator, run_hybrid_lslu,
+                  run_hybrid_lsqr, run_lslu, run_lsqr, solve)
 from lslu import reductions
 from lslu.solvers import METHODS
 
@@ -457,6 +457,48 @@ def test_bad_inputs_reach_the_caller_from_solve(gravity32, method):
     with pytest.raises(ValueError, match="x0 must be a vector of length 32"):
         solve(gravity32.op, gravity32.b,
               SolverConfig(method, maxiter=4, x0=np.zeros(31)))
+
+
+_NAN_TRUTH = np.ones(32)
+_NAN_TRUTH[16] = np.nan
+_INF_TRUTH = np.ones(32)
+_INF_TRUTH[-1] = -np.inf
+# truths for a 32-column operator that a solve must reject, and the message
+BAD_TRUTHS = [
+    pytest.param(np.ones(1), "must be a vector of length 32", id="length-1"),
+    pytest.param(np.ones(33), "must be a vector of length 32", id="length-n+1"),
+    pytest.param(np.ones((32, 1)), "must be a vector of length 32", id="column"),
+    pytest.param(_NAN_TRUTH, "has non-finite entries", id="nan"),
+    pytest.param(_INF_TRUTH, "has non-finite entries", id="inf"),
+]
+
+
+@pytest.mark.parametrize("truth, message", BAD_TRUTHS)
+@pytest.mark.parametrize("method", METHODS)
+def test_bad_track_truth_named_before_any_product(gravity32, method, truth, message):
+    op = CountingOperator(gravity32.op)
+    with pytest.raises(ValueError, match=f"track_truth {message}"):
+        solve(op, gravity32.b, SolverConfig(method, maxiter=4, track_truth=truth))
+    assert op.n_forward == op.n_adjoint == 0
+
+
+@pytest.mark.parametrize("truth, message", BAD_TRUTHS)
+@pytest.mark.parametrize("method", ["hybrid_lslu", "hybrid_lsqr"])
+def test_bad_optimal_rule_truth_named_before_any_product(gravity32, method, truth,
+                                                         message):
+    op = CountingOperator(gravity32.op)
+    config = SolverConfig(method, maxiter=4, lambda_rule=LambdaRule.optimal(truth))
+    with pytest.raises(ValueError, match=f"x_true {message}"):
+        solve(op, gravity32.b, config)
+    assert op.n_forward == op.n_adjoint == 0
+
+
+@pytest.mark.parametrize("truth, message", BAD_TRUTHS)
+def test_bad_truth_rejected_by_compute_histories(gravity32, truth, message):
+    res = solve(gravity32.op, gravity32.b,
+                SolverConfig("hybrid_lslu", maxiter=4, pure=True))
+    with pytest.raises(ValueError, match=f"x_true {message}"):
+        compute_histories(res, truth)
 
 
 def test_solve_dispatch(gravity32):
