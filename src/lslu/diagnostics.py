@@ -3,8 +3,8 @@
 Runs the Hessenberg-based and bidiagonalization-based methods side by
 side and verifies, iteration by iteration, the sandwich inequalities
 tying their residual norms together through the conditioning of the
-non-orthogonal basis.  Dense QR/SVD of the m-by-(k+1) basis is fine
-here: diagnostics only run at desk scale (O(m k^2) per report).
+non-orthogonal basis, read off the R factor of one dense QR per LSLU
+basis (KrylovState.r_factor, shared with the UQ): fine at desk scale.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .hessenberg import PivotStrategy
+from .hessenberg import PivotStrategy, condition_number, qr_r
 from .projected import LambdaRule
 from .solvers import SolverConfig, run_hybrid_lslu, run_hybrid_lsqr, run_lslu, run_lsqr
 
@@ -45,27 +44,22 @@ class BoundReport:
         return all(self.lower_ok) and all(self.upper_ok)
 
 
-def _cond_from_singular_values(s):
-    s = s[s > 0]
-    if s.size == 0:
-        return np.inf
-    return float(s[0] / s[-1])
-
-
 def kappa_qr(basis):
     """Condition number via the triangular factor of a dense QR."""
-    return _cond_from_singular_values(scipy.linalg.svdvals(_r_factor(basis)))
-
-
-def _r_factor(basis):
-    # the leading j-by-j block of R is the R factor of basis[:, :j], so
-    # one QR serves every leading column count
-    return scipy.linalg.qr(basis, mode="r")[0]
+    return condition_number(qr_r(basis))
 
 
 def kappa_svd(basis):
     """Condition number straight from the singular values of the basis."""
-    return _cond_from_singular_values(scipy.linalg.svdvals(basis))
+    return condition_number(basis)
+
+
+def _sandwich(res_lu, res_qr, residual, kappa):
+    # one report row per iteration both solves reached
+    report = BoundReport()
+    for k in range(1, min(res_lu.k_reached, res_qr.k_reached) + 1):
+        report.append(k, residual(res_lu, k), residual(res_qr, k), kappa(k))
+    return report
 
 
 def plain_bound_report(op, b, maxiter, pivot=None):
@@ -73,25 +67,17 @@ def plain_bound_report(op, b, maxiter, pivot=None):
 
     At each k: ||r_k(orthonormal)|| <= ||r_k(Hessenberg)|| <=
     kappa(R of D_{k+1}) * ||r_k(orthonormal)||, with small slack factors
-    absorbing floating-point noise.  One QR of the final D gives every
-    R of D_{k+1} as its leading block.
+    absorbing floating-point noise.  The state's R factor of the final D
+    gives every R of D_{k+1} as its leading block.
     """
-    config_lu = SolverConfig(method="lslu", maxiter=maxiter,
-                             pivot=pivot or PivotStrategy.full())
-    config_qr = SolverConfig(method="lsqr", maxiter=maxiter)
-    res_lu = run_lslu(op, b, config_lu)
-    res_qr = run_lsqr(op, b, config_qr)
-
-    report = BoundReport()
-    R = _r_factor(res_lu.state.D)
-    limit = min(res_lu.k_reached, res_qr.k_reached)
-    for k in range(1, limit + 1):
-        # at a terminal exact-solve iteration d_{k+1} never materializes;
-        # the k available residual-basis columns stand in (residuals are 0)
-        kap = _cond_from_singular_values(scipy.linalg.svdvals(R[:k + 1, :k + 1]))
-        report.append(k, res_lu.residual_norms[k - 1],
-                      res_qr.residual_norms[k - 1], kap)
-    return report
+    pivot = pivot or PivotStrategy.full()
+    res_lu = run_lslu(op, b, SolverConfig("lslu", maxiter, pivot=pivot))
+    res_qr = run_lsqr(op, b, SolverConfig("lsqr", maxiter))
+    R = res_lu.state.r_factor("residual")
+    # at a terminal exact-solve iteration d_{k+1} never materializes;
+    # the k available residual-basis columns stand in (residuals are 0)
+    return _sandwich(res_lu, res_qr, lambda res, k: res.residual_norms[k - 1],
+                     lambda k: condition_number(R[:k + 1, :k + 1]))
 
 
 def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
@@ -100,19 +86,16 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     The stacked residual of an iterate x is sqrt(||b - A x||^2 +
     lam^2 ||x||^2); the condition number is that of the block-diagonal
     assembly of D_{k+1} and L_k, whose singular values are those of the
-    two blocks together, read off the leading blocks of one QR of each
-    basis.
+    two blocks together, read off the leading blocks of the state's R
+    factor of each basis.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    rule = LambdaRule.fixed(lam)
-    config_lu = SolverConfig(method="hybrid_lslu", maxiter=maxiter,
-                             lambda_rule=rule,
-                             pivot=pivot or PivotStrategy.full())
-    config_qr = SolverConfig(method="hybrid_lsqr", maxiter=maxiter,
-                             lambda_rule=rule)
-    res_lu = run_hybrid_lslu(op, b, config_lu)
-    res_qr = run_hybrid_lsqr(op, b, config_qr)
+    rule, pivot = LambdaRule.fixed(lam), pivot or PivotStrategy.full()
+    res_lu = run_hybrid_lslu(op, b, SolverConfig("hybrid_lslu", maxiter, pivot=pivot,
+                                                 lambda_rule=rule))
+    res_qr = run_hybrid_lsqr(op, b, SolverConfig("hybrid_lsqr", maxiter,
+                                                 lambda_rule=rule))
 
     def stacked(res, k):
         # residual_norms[k - 1] is ||b - A x_k|| of this same x_k, as the
@@ -120,15 +103,9 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
         x = res.state.x0 + res.state.solution_basis[:, :k] @ res.ys[k - 1]
         return float(np.hypot(res.residual_norms[k - 1], lam * np.linalg.norm(x)))
 
-    report = BoundReport()
-    R_D, R_L = _r_factor(res_lu.state.D), _r_factor(res_lu.state.L)
-    limit = min(res_lu.k_reached, res_qr.k_reached)
-    for k in range(1, limit + 1):
-        blocks = (R_D[:k + 1, :k + 1], R_L[:k, :k])
-        sigma = np.concatenate([scipy.linalg.svdvals(block) for block in blocks])
-        report.append(k, stacked(res_lu, k), stacked(res_qr, k),
-                      _cond_from_singular_values(np.sort(sigma)[::-1]))
-    return report
+    R_D, R_L = res_lu.state.r_factor("residual"), res_lu.state.r_factor("solution")
+    return _sandwich(res_lu, res_qr, stacked,
+                     lambda k: condition_number(R_D[:k + 1, :k + 1], R_L[:k, :k]))
 
 
 def relation_residuals(state, op):

@@ -18,7 +18,8 @@ The state keeps both pivot blocks and adds a row or column as each
 pivot becomes final, so no step gathers them again.  KrylovState holds
 what this and the Golub-Kahan state share; L, D, H and W name its
 views.  begin_step and iterate are the step prologue and the step loop
-of both families.
+of both families.  The bases' metric, for the UQ and the bound reports,
+is the R factor of one QR per basis (qr_r), kept by KrylovState.r_factor.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.blas import dtrsv
 
 BREAKDOWN_NONE = "none"
@@ -82,6 +84,18 @@ class PivotStrategy:
         return cls(kind="sampled", sample_size=sample_size, seed=seed)
 
 
+def qr_r(basis):
+    """R factor of a dense QR of basis.  Its leading j-by-j block is the
+    R factor of basis[:, :j], so one QR serves every leading column count."""
+    return scipy.linalg.qr(basis, mode="r")[0]
+
+
+def condition_number(*blocks):
+    """2-norm condition number of blockdiag(*blocks), inf when singular."""
+    sigma = np.concatenate([scipy.linalg.svdvals(block) for block in blocks])
+    return float(sigma.max() / sigma.min()) if sigma.min() > 0 else np.inf
+
+
 def check_maxiter(maxiter, name="maxiter"):
     """Reject a count that is not an integer >= 1 (bools included), naming it."""
     if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral):
@@ -125,6 +139,16 @@ class KrylovState:
         self._sol = np.empty((self.cap, self.n))
         self._res = np.empty((self.cap + 1, self.m))
         self._proj = np.zeros((self.cap + 1, self.cap))
+        self._r_factors = {}
+
+    def r_factor(self, which):
+        """qr_r of the "solution" or "residual" basis, computed when first
+        asked for and kept until a step adds a column to that basis."""
+        basis = getattr(self, f"{which}_basis")
+        R = self._r_factors.get(which)
+        if R is None or R.shape[1] != basis.shape[1]:
+            R = self._r_factors[which] = qr_r(basis)
+        return R
 
     @property
     def solution_basis(self):

@@ -387,15 +387,29 @@ def stop_check(ghat_history, tol):
     return abs(ghat_history[-1] - ghat_history[-2]) / first < tol
 
 
+def check_truth(x_true, n=None, name="x_true"):
+    """x_true as a float vector; a ValueError naming it unless finite and
+    1-D, of length n (the operator's columns) when n is given."""
+    x_true = np.asarray(x_true, dtype=float)
+    if x_true.ndim != 1 or n not in (None, x_true.shape[0]):
+        want = ("a 1-D vector" if n is None
+                else f"a vector of length {n} (the operator's columns)")
+        raise ValueError(f"{name} must be {want}, got shape {x_true.shape}")
+    if not np.all(np.isfinite(x_true)):
+        raise ValueError(f"{name} has non-finite entries")
+    return x_true
+
+
 @dataclass
 class LambdaRule:
     """Regularization-parameter selection rule for the projected problem.
 
     kind 'fixed' uses value verbatim; 'gcv' and 'wgcv' minimize the
     corresponding function; 'optimal' minimizes the true solution error
-    (diagnostic only; needs x_true).  Other kinds ignore value and
-    x_true.  The searching kinds look in [1e-6*sigma_1, sigma_1], a
-    window that scales with the projected matrix.
+    (diagnostic only; needs x_true, a finite 1-D vector).  Other kinds
+    ignore value and x_true.  The searching kinds look in
+    [1e-6*sigma_1, sigma_1], a window that scales with the projected
+    matrix.
     """
 
     KINDS = ("fixed", "gcv", "wgcv", "optimal")
@@ -416,7 +430,7 @@ class LambdaRule:
         if self.kind == "optimal" and self.x_true is None:
             raise ValueError("optimal rule needs x_true")
         if self.x_true is not None:
-            self.x_true = np.asarray(self.x_true, dtype=float)
+            self.x_true = check_truth(self.x_true)
 
     @classmethod
     def fixed(cls, value):
@@ -464,7 +478,7 @@ def select_lambda(rule, svd, beta, k, m, basis=None, x0=None):
     The wgcv weight is omega = (k+1)/m clamped to [0, 1].  The optimal
     rule searches the same window, minimizing the distance of the
     reconstructed iterate to rule.x_true; it needs the current solution
-    basis (n-by-k) and x0.
+    basis (n-by-k) and x0, and rejects an x_true not of length n.
     """
     if rule.kind == "fixed":
         return float(rule.value)
@@ -482,7 +496,7 @@ def select_lambda(rule, svd, beta, k, m, basis=None, x0=None):
     else:
         if basis is None:
             raise ValueError("optimal rule needs the solution basis")
-        x_true = rule.x_true
+        x_true = check_truth(rule.x_true, basis.shape[0])
         base = (x0 if x0 is not None else 0.0) - x_true
         coeff = beta * svd.ue1[:svd.k]
         mapped = basis @ svd.V  # (n, k): one basis product, reused per evaluation

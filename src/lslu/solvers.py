@@ -21,8 +21,8 @@ from . import reductions
 from .golub_kahan import gk_init, gk_step
 from .hessenberg import (BREAKDOWN_NONE, KrylovState, PivotStrategy,
                          check_maxiter, hess_init, hess_step, iterate)
-from .projected import (LambdaRule, ghat, ls_projected, select_lambda,
-                        stop_check, svd_small, tikhonov_projected)
+from .projected import (LambdaRule, check_truth, ghat, ls_projected,
+                        select_lambda, stop_check, svd_small, tikhonov_projected)
 
 METHODS = ("lslu", "hybrid_lslu", "lsqr", "hybrid_lsqr")
 
@@ -88,25 +88,14 @@ def _reconstruct(state, x0, y):
     return x0 + state.solution_basis[:, :y.shape[0]] @ y
 
 
-def _check_truth(x_true, n, name):
-    """x_true as a float vector; a ValueError naming it unless finite of length n."""
-    x_true = np.asarray(x_true, dtype=float)
-    if x_true.shape != (n,):
-        raise ValueError(f"{name} must be a vector of length {n} (the operator's "
-                         f"columns), got shape {x_true.shape}")
-    if not np.all(np.isfinite(x_true)):
-        raise ValueError(f"{name} has non-finite entries")
-    return x_true
-
-
 def _drive(op, b, config, method):
     m, n = op.shape
     # a bad truth fails here, before the first operator product
     track_truth = config.track_truth
     if track_truth is not None:
-        track_truth = _check_truth(track_truth, n, "track_truth")
+        track_truth = check_truth(track_truth, n, "track_truth")
     if config.lambda_rule.kind == "optimal":
-        _check_truth(config.lambda_rule.x_true, n, "x_true")
+        check_truth(config.lambda_rule.x_true, n, "x_true")
     hybrid = method.startswith("hybrid_")
     if method.endswith("lslu"):
         state = hess_init(op, b, config.x0, config.pivot, config.maxiter)
@@ -143,10 +132,8 @@ def _drive(op, b, config, method):
             break
 
     if stop_reason is None:
-        if state.breakdown != BREAKDOWN_NONE:
-            stop_reason = STOP_BREAKDOWN
-        else:
-            stop_reason = STOP_MAXITER
+        stop_reason = (STOP_MAXITER if state.breakdown == BREAKDOWN_NONE
+                       else STOP_BREAKDOWN)
     k_stop = len(ys)
 
     x_final = _reconstruct(state, x0, ys[k_stop - 1] if k_stop >= 1 else None)
@@ -208,7 +195,7 @@ def compute_histories(result, x_true=None):
     basis, projected = state.residual_basis, state.projected_matrix
     truth_norm = None
     if x_true is not None:
-        x_true = _check_truth(x_true, state.n, "x_true")
+        x_true = check_truth(x_true, state.n, "x_true")
         truth_norm = reductions.norm2(x_true)
     residual_norms, relative_errors = [], []
     for y in result.ys:

@@ -10,6 +10,10 @@ The Woodbury identity then gives the rank-k posterior representation
 whose diagonal (solution variances) and total sum are cheap to read
 off.  Because the basis is not orthonormal, Delta is a full (but only
 k-by-k) symmetric matrix.
+
+The residual basis D enters through R_k, the leading block of its R
+factor (KrylovState.r_factor); the rank is cut, with a warning, while
+cond(R_k)^2 = cond(D_k^T D_k) exceeds GRAM_COND_LIMIT.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrsm
 
-from .hessenberg import check_maxiter
+from .hessenberg import check_maxiter, condition_number
 
 GRAM_COND_LIMIT = 1e12
 
@@ -47,15 +52,11 @@ def woodbury_delta(Z, spectrum, reg):
     return (Delta + Delta.T) / 2.0
 
 
-def _assemble(L_mat, D_mat, W_mat, sigma2, reg):
-    # keep only as many columns as the residual-basis Gram matrix supports;
-    # the loop leaves the Gram matrix of the k it settles on in gram
+def _assemble(L_mat, R, W_mat, sigma2, reg):
+    # keep only as many columns as the residual basis supports: R_k, the
+    # leading block of its R factor, has cond(R_k)^2 = cond(D_k^T D_k)
     k = L_mat.shape[1]
-    while k >= 1:
-        gram = D_mat[:, :k].T @ D_mat[:, :k]
-        eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
-        if eigs[0] > 0 and eigs[-1] / eigs[0] <= GRAM_COND_LIMIT:
-            break
+    while k >= 1 and condition_number(R[:k, :k]) ** 2 > GRAM_COND_LIMIT:
         k -= 1
     if k < 1:
         raise ValueError("residual basis Gram matrix is numerically singular")
@@ -63,21 +64,18 @@ def _assemble(L_mat, D_mat, W_mat, sigma2, reg):
         warnings.warn(f"ill-conditioned Gram matrix; truncating rank to {k}",
                       RuntimeWarning)
 
-    W = W_mat[:k, :k]
-    core = W @ np.linalg.solve((gram + gram.T) / 2.0, W.T)
-    core = (core + core.T) / 2.0
-    vals, vecs = np.linalg.eigh(core)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
-    keep = vals > max(vals[0], 0.0) * 1e-14
+    # the core W (R^T R)^{-1} W^T is X X^T, X = W R^{-1}: its eigenpairs are
+    # the right singular vectors of X^T = R^{-T} W^T and sigma^2
+    Xt = dtrsm(1.0, R[:k, :k], W_mat[:k, :k].T, trans_a=1)
+    _, sing, vecs = np.linalg.svd(Xt)
+    vals, vecs = sing**2, vecs.T
+    keep = vals > vals[0] * 1e-14
     if not np.any(keep):
         raise ValueError("low-rank spectrum collapsed to zero")
-    if not np.all(keep):
-        vals, vecs = vals[keep], vecs[:, keep]
+    vals, vecs = vals[keep], vecs[:, keep]
     Z = L_mat[:, :k] @ vecs
-    Delta = woodbury_delta(Z, vals, reg)
-    return UqApprox(Z=Z, spectrum=vals, Delta=Delta, sigma2=float(sigma2),
-                    reg=float(reg), k=int(vals.shape[0]))
+    return UqApprox(Z=Z, spectrum=vals, Delta=woodbury_delta(Z, vals, reg),
+                    sigma2=float(sigma2), reg=float(reg), k=int(vals.shape[0]))
 
 
 def check_noise_model(sigma2, reg):
@@ -95,18 +93,17 @@ def check_noise_model(sigma2, reg):
 def build_uq(state, sigma2, reg, k=None):
     """Posterior pieces from either factorization state, through
     A^T A ~= S_k C_k (R_k^T R_k)^{-1} C_k^T S_k^T with the first k columns
-    of its solution and residual bases and its k-by-k coupling (W_k or
-    B_k^T).  k is an integer >= 1, capped at (and defaulting to) the
-    largest rank the state supports."""
+    of its solution basis, R_k from state.r_factor("residual") and its
+    k-by-k coupling (W_k or B_k^T).  k is an integer >= 1, capped at (and
+    defaulting to) the largest rank the state supports."""
     check_noise_model(sigma2, reg)
     if k is not None:
         check_maxiter(k, "k")
     if state.k < 1:
         raise ValueError("state has no completed iterations")
-    kmax = min(state.k, state.residual_count)
-    k = kmax if k is None else min(k, kmax)
-    return _assemble(state.solution_basis[:, :k], state.residual_basis[:, :k],
-                     state.coupling[:k, :k].copy(), sigma2, reg)
+    k = state.k if k is None else min(k, state.k)
+    return _assemble(state.solution_basis[:, :k], state.r_factor("residual"),
+                     state.coupling[:k, :k], sigma2, reg)
 
 
 #: The bidiagonalization route is build_uq itself, kept under its old name.

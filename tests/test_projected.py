@@ -441,3 +441,28 @@ class TestLambdaRuleConstructor:
         rule = LambdaRule.optimal([1, 2])
         assert rule.x_true.dtype == float
         np.testing.assert_array_equal(rule.x_true, [1.0, 2.0])
+
+    @pytest.mark.parametrize("x_true,match", [
+        pytest.param(np.ones((3, 1)), r"^x_true must be a 1-D vector, got shape \(3, 1\)",
+                     id="column"),
+        pytest.param(2.0, r"^x_true must be a 1-D vector, got shape \(\)", id="scalar"),
+        pytest.param(np.full(3, np.nan), "^x_true has non-finite entries", id="all-nan"),
+        pytest.param([1.0, np.inf, 2.0], "^x_true has non-finite entries", id="inf"),
+    ])
+    @pytest.mark.parametrize("kind", ["optimal", "gcv"])
+    def test_bad_truth_named(self, kind, x_true, match):
+        with pytest.raises(ValueError, match=match):
+            LambdaRule(kind=kind, x_true=x_true)
+
+
+def test_select_lambda_rejects_truth_of_wrong_length(gravity32):
+    # a length-1 truth against a 32-row basis used to broadcast silently
+    state = hess_run(gravity32.op, gravity32.b, maxiter=6)
+    svd = svd_small(state.H)
+    for truth in (np.ones(1), np.ones(33)):
+        with pytest.raises(ValueError, match="^x_true must be a vector of length 32 "):
+            select_lambda(LambdaRule.optimal(truth), svd, state.beta, state.k,
+                          state.m, basis=state.L, x0=state.x0)
+    lam = select_lambda(LambdaRule.optimal(gravity32.x_true), svd, state.beta,
+                        state.k, state.m, basis=state.L, x0=state.x0)
+    assert 0 < lam <= svd.sigma[0]

@@ -6,10 +6,11 @@ import pytest
 from scipy.linalg import hadamard
 
 from lslu import (CountingOperator, LambdaRule, LinearOperator, PivotStrategy,
-                  SolverConfig, gk_init, gk_run, hess_init, hess_run,
+                  SolverConfig, build_uq, gk_init, gk_run, hess_init, hess_run,
                   compute_histories, make_dense_operator, run_hybrid_lslu,
                   run_hybrid_lsqr, run_lslu, run_lsqr, solve)
 from lslu import reductions
+from lslu.hessenberg import condition_number
 from lslu.solvers import METHODS
 
 A22 = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -174,15 +175,20 @@ def test_determinism_bitwise(tomo16):
 
 def test_concurrent_solves_share_nothing(gravity32, tomo16):
     # hybrid LSLU solves of two problems, two threads each, started together
-    # and switched often, give the bits of the same solves run alone
+    # and switched often, give the bits of the same solves run alone, and
+    # so do the UQ and kappa each thread reads off its own state
     problems = {"gravity32": gravity32, "tomo16": tomo16}
     config = SolverConfig(method="hybrid_lslu", maxiter=30)
 
     def outputs(res):
+        # the solve, then a UQ build and a kappa from the state's R factors
         st = res.state
+        uq = build_uq(st, 0.3, 1e-2)
+        kappa = condition_number(st.r_factor("residual"), st.r_factor("solution"))
         return [np.asarray(a).tobytes() for a in (
             res.x_final, res.lambdas, res.ghats, res.residual_norms,
-            st.L, st.D, st.H, st.W, st.t, st.g)] + [res.k_stop, res.stop_reason]
+            st.L, st.D, st.H, st.W, st.t, st.g, uq.Z, uq.spectrum, uq.Delta)] + [
+            res.k_stop, res.stop_reason, kappa]
 
     alone = {name: outputs(solve(p.op, p.b, config)) for name, p in problems.items()}
     names = [name for name in problems for _ in range(2)]
@@ -486,9 +492,13 @@ def test_bad_track_truth_named_before_any_product(gravity32, method, truth, mess
 @pytest.mark.parametrize("method", ["hybrid_lslu", "hybrid_lsqr"])
 def test_bad_optimal_rule_truth_named_before_any_product(gravity32, method, truth,
                                                          message):
+    # the rule itself rejects a truth that is not a finite 1-D vector; the
+    # solve rejects one of the wrong length
+    if np.ndim(truth) != 1:
+        message = "must be a 1-D vector"
     op = CountingOperator(gravity32.op)
-    config = SolverConfig(method, maxiter=4, lambda_rule=LambdaRule.optimal(truth))
     with pytest.raises(ValueError, match=f"x_true {message}"):
+        config = SolverConfig(method, maxiter=4, lambda_rule=LambdaRule.optimal(truth))
         solve(op, gravity32.b, config)
     assert op.n_forward == op.n_adjoint == 0
 

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lslu import (PivotStrategy, UqApprox, build_uq, build_uq_bidiag,
-                  covariance_sum, gk_run, hess_run, make_dense_operator,
-                  oracle_posterior, variance_diagonal, woodbury_delta)
-from lslu.uq import _assemble
+                  covariance_sum, gk_run, hess_init, hess_run, hess_step,
+                  make_dense_operator, oracle_posterior, variance_diagonal,
+                  woodbury_delta)
+from lslu.hessenberg import qr_r
+from lslu.uq import GRAM_COND_LIMIT, _assemble
 
 
 class TestWorkedExample:
@@ -79,7 +84,7 @@ class TestBuild:
         L = rng.standard_normal((n, k))
         W = np.triu(rng.standard_normal((k, k))) + 2 * np.eye(k)
         with pytest.warns(RuntimeWarning):
-            uq = _assemble(L, D, W, 1.0, 0.5)
+            uq = _assemble(L, qr_r(D), W, 1.0, 0.5)
         assert uq.k < k
 
     def test_spectrum_positive_descending(self, gravity32):
@@ -141,15 +146,109 @@ class TestOneBuilderForBothStates:
         assert build_uq_bidiag is build_uq
 
     def test_bidiag_state_matches_explicit_coupling_bitwise(self, gravity64):
-        # the separate bidiagonal builder assembled V_k, U_k and B_k^T by hand
+        # the separate bidiagonal builder assembled V_k, U_k and B_k^T by
+        # hand; U enters through its R factor, of which _assemble reads
+        # the leading k-by-k block
         state = gk_run(gravity64.op, gravity64.b, maxiter=15)
+        R = qr_r(state.U)
         for k in range(1, 16):
             got = build_uq(state, 0.3, 1e-3, k=k)
-            want = _assemble(state.V[:, :k], state.U[:, :k],
-                             state.B[:k, :k].T.copy(), 0.3, 1e-3)
+            want = _assemble(state.V[:, :k], R, state.B[:k, :k].T.copy(),
+                             0.3, 1e-3)
             for field in ("Z", "spectrum", "Delta"):
                 assert np.array_equal(getattr(got, field), getattr(want, field))
             assert (got.sigma2, got.reg, got.k) == (want.sigma2, want.reg, want.k)
+
+
+def _gram_assemble(L_mat, D_mat, W_mat, sigma2, reg):
+    # reference: the assembly through the Gram matrix D_k^T D_k that the R
+    # factor replaced, truncating by the condition number of its eigenvalues
+    k = L_mat.shape[1]
+    while k >= 1:
+        gram = D_mat[:, :k].T @ D_mat[:, :k]
+        eigs = np.linalg.eigvalsh((gram + gram.T) / 2.0)
+        if eigs[0] > 0 and eigs[-1] / eigs[0] <= GRAM_COND_LIMIT:
+            break
+        k -= 1
+    if k < 1:
+        raise ValueError("residual basis Gram matrix is numerically singular")
+    if k < L_mat.shape[1]:
+        warnings.warn(f"ill-conditioned Gram matrix; truncating rank to {k}",
+                      RuntimeWarning)
+    W = W_mat[:k, :k]
+    core = W @ np.linalg.solve((gram + gram.T) / 2.0, W.T)
+    vals, vecs = np.linalg.eigh((core + core.T) / 2.0)
+    order = np.argsort(vals)[::-1]
+    vals, vecs = vals[order], vecs[:, order]
+    keep = vals > max(vals[0], 0.0) * 1e-14
+    vals, vecs = vals[keep], vecs[:, keep]
+    Z = L_mat[:, :k] @ vecs
+    return UqApprox(Z=Z, spectrum=vals, Delta=woodbury_delta(Z, vals, reg),
+                    sigma2=float(sigma2), reg=float(reg), k=int(vals.shape[0]))
+
+
+def _with_warnings(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        uq = build()
+    return uq, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("problem", ["gravity64", "tomo16"])
+@pytest.mark.parametrize("family", ["none", "full", "sampled", "golub_kahan"])
+def test_r_factor_route_matches_the_gram_route(request, problem, family):
+    # same truncation (and warning) at every k, and the same posterior
+    # variances and covariance sum to 1e-9 relative
+    p = request.getfixturevalue(problem)
+    if family == "golub_kahan":
+        state = gk_run(p.op, p.b, maxiter=15)
+    else:
+        strategy = {"none": PivotStrategy.none(), "full": PivotStrategy.full(),
+                    "sampled": PivotStrategy.sampled(25, seed=5)}[family]
+        state = hess_run(p.op, p.b, strategy=strategy, maxiter=15)
+    for k in range(1, state.k + 1):
+        for reg in (1e-4, 1e-2, 1.0):
+            got, got_warnings = _with_warnings(lambda: build_uq(state, 0.3, reg, k=k))
+            want, want_warnings = _with_warnings(lambda: _gram_assemble(
+                state.solution_basis[:, :k], state.residual_basis[:, :k],
+                state.coupling[:k, :k], 0.3, reg))
+            assert (got.k, got_warnings) == (want.k, want_warnings), (k, reg)
+            assert covariance_sum(got) == pytest.approx(covariance_sum(want),
+                                                        rel=1e-9, abs=0)
+            np.testing.assert_allclose(variance_diagonal(got),
+                                       variance_diagonal(want), rtol=1e-9, atol=0)
+
+
+def test_sweep_reaches_truncation(gravity64):
+    # the reference sweep above covers the truncating branch: unpivoted
+    # gravity64 bases grow ill-conditioned within 15 steps
+    state = hess_run(gravity64.op, gravity64.b, strategy=PivotStrategy.none(),
+                     maxiter=15)
+    with pytest.warns(RuntimeWarning, match="truncating rank"):
+        assert build_uq(state, 0.3, 1e-2).k < 15
+
+
+def test_r_factor_recomputed_after_more_steps(gravity32):
+    # UQ of a state stepped after a first build equals UQ of a state run
+    # straight to the end, bit for bit; the kept R is one QR of the final D
+    op, b = gravity32.op, gravity32.b
+    state = hess_init(op, b, maxiter=10)
+    for _ in range(4):
+        hess_step(state, op)
+    early = build_uq(state, 0.3, 1e-2)
+    assert early.k == 4
+    while state.k < 10:
+        hess_step(state, op)
+    late = build_uq(state, 0.3, 1e-2)
+    straight = build_uq(hess_run(op, b, maxiter=10), 0.3, 1e-2)
+    for field in ("Z", "spectrum", "Delta"):
+        assert np.array_equal(getattr(late, field), getattr(straight, field))
+    assert late.k == straight.k == 10
+    assert np.array_equal(state.r_factor("residual"),
+                          scipy.linalg.qr(state.D, mode="r")[0])
+    assert np.array_equal(state.r_factor("solution"),
+                          scipy.linalg.qr(state.L, mode="r")[0])
+    assert state.r_factor("residual") is state.r_factor("residual")
 
 
 class TestVarianceProperties:
