@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hessenberg import PivotStrategy, condition_number, qr_r
+from .hessenberg import PivotStrategy, condition_number
 from .projected import LambdaRule
 from .solvers import SolverConfig, run_hybrid_lslu, run_hybrid_lsqr, run_lslu, run_lsqr
 
@@ -42,16 +42,6 @@ class BoundReport:
 
     def all_ok(self):
         return all(self.lower_ok) and all(self.upper_ok)
-
-
-def kappa_qr(basis):
-    """Condition number via the triangular factor of a dense QR."""
-    return condition_number(qr_r(basis))
-
-
-def kappa_svd(basis):
-    """Condition number straight from the singular values of the basis."""
-    return condition_number(basis)
 
 
 def _sandwich(res_lu, res_qr, residual, kappa):

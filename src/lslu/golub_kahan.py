@@ -4,10 +4,11 @@ Produces U_{k+1} (residual space), V_k (solution space) and the lower
 bidiagonal B_{k+1,k} with A V_k = U_{k+1} B and A^T U_k = V_k B_k^T (B_k
 its leading square block).  BidiagState is a KrylovState; V, U and B
 name its views.  Unlike the Hessenberg process this recurrence takes
-inner products and norms of long vectors; those all go through the
+inner products and norms of long vectors.  Its norms go through the
 counted reductions module, which is how tests contrast the two
-families.  Full reorthogonalization is on by default so the baseline is
-trustworthy as an oracle at desk scale.
+families; the reorthogonalization's block products (rows @ vec, two
+passes per half-step) do not.  Full reorthogonalization is on by
+default so the baseline is trustworthy as an oracle at desk scale.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _reorthogonalize(vec, rows):
     return vec
 
 
-def gk_init(op, b, x0=None, reorth=True, maxiter=50):
+def gk_init(op, b, x0=None, *, reorth=True, maxiter=50):
     """Normalize the initial residual into u_1.
 
     The storage is sized once, for min(maxiter, m, n) iterations (see
@@ -106,9 +107,9 @@ def gk_step(state, op):
     return state
 
 
-def gk_run(op, b, x0=None, maxiter=50, reorth=True):
+def gk_run(op, b, x0=None, *, reorth=True, maxiter=50):
     """Iterate until maxiter, breakdown, or dimension exhaustion."""
-    state = gk_init(op, b, x0, reorth, maxiter)
+    state = gk_init(op, b, x0, reorth=reorth, maxiter=maxiter)
     for _ in iterate(state, gk_step, op, maxiter):
         pass
     return state

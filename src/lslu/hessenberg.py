@@ -51,7 +51,8 @@ class PivotStrategy:
 
     kind 'none' takes the next natural coordinate, 'full' the largest
     magnitude in the eligible window, 'sampled' the largest over a
-    random index sample (avoiding a global max-reduction).
+    random index sample (avoiding a global max-reduction).  'sampled'
+    alone takes sample_size (an integer >= 1) and seed (an integer >= 0).
     """
 
     KINDS = ("none", "full", "sampled")
@@ -64,12 +65,16 @@ class PivotStrategy:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown pivot strategy kind {self.kind!r}")
         if self.kind == "sampled":
-            if self.sample_size is None or self.sample_size < 1:
+            if self.sample_size is None:
                 raise ValueError("sampled pivoting needs sample_size >= 1")
+            check_maxiter(self.sample_size, "sample_size")
             if self.seed is None:
                 raise ValueError("sampled pivoting needs a seed")
-        elif self.sample_size is not None:
-            raise ValueError("sample_size only applies to sampled pivoting")
+            check_maxiter(self.seed, "seed", least=0)
+        else:
+            for name in ("sample_size", "seed"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} only applies to sampled pivoting")
 
     @classmethod
     def none(cls):
@@ -96,12 +101,12 @@ def condition_number(*blocks):
     return float(sigma.max() / sigma.min()) if sigma.min() > 0 else np.inf
 
 
-def check_maxiter(maxiter, name="maxiter"):
-    """Reject a count that is not an integer >= 1 (bools included), naming it."""
+def check_maxiter(maxiter, name="maxiter", least=1):
+    """Reject a count that is not an integer >= least (bools included), naming it."""
     if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {maxiter!r}")
-    if maxiter < 1:
-        raise ValueError(f"{name} must be at least 1, got {maxiter}")
+    if maxiter < least:
+        raise ValueError(f"{name} must be at least {least}, got {maxiter}")
 
 
 class KrylovState:
@@ -308,7 +313,7 @@ def iterate(state, step, op, maxiter):
             yield state.k
 
 
-def hess_init(op, b, x0=None, strategy=None, maxiter=50):
+def hess_init(op, b, x0=None, *, strategy=None, maxiter=50):
     """Start the factorization: residual, first pivot, and d_1.
 
     The storage is sized once, for min(maxiter, m, n) iterations (see
@@ -415,9 +420,9 @@ def hess_step(state, op):
     return state
 
 
-def hess_run(op, b, x0=None, strategy=None, maxiter=50):
+def hess_run(op, b, x0=None, *, strategy=None, maxiter=50):
     """Iterate until maxiter, breakdown, or dimension exhaustion."""
-    state = hess_init(op, b, x0, strategy, maxiter)
+    state = hess_init(op, b, x0, strategy=strategy, maxiter=maxiter)
     for _ in iterate(state, hess_step, op, maxiter):
         pass
     return state

@@ -262,16 +262,6 @@ def trace_view(n, points, direction):
     return rays, cells[1] * n + cells[0], lengths[keep]
 
 
-def trace_ray(n, point, direction):
-    """Exact intersection lengths of one ray with the cells of an n-by-n grid.
-
-    The one-ray case of trace_view: returns (indices, lengths) for the
-    cells the ray crosses, ordered along the ray.
-    """
-    _, indices, lengths = trace_view(n, [point], direction)
-    return indices, lengths
-
-
 def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed=0):
     """Rectangular sparse parallel-beam tomography problem with a disk phantom.
 

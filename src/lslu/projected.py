@@ -335,8 +335,8 @@ def _check_search_lam(lam, name, what):
                          f"not underflow to 0, got {name}={lam!r}")
 
 
-def wgcv_value(svd, beta, lam, omega, k=None):
-    """Weighted-GCV function of the projected problem.
+def wgcv_value(svd, beta, lam, omega):
+    """Weighted-GCV function of the projected problem, k = svd.k.
 
     The omega weight only enters the trace denominator; omega=1 is the
     standard GCV function (same floating-point path, bit for bit).  lam
@@ -345,46 +345,45 @@ def wgcv_value(svd, beta, lam, omega, k=None):
     _check_search_lam(lam, "lam", "lam")
     if not 0 <= omega <= 1:
         raise ValueError("omega must lie in [0, 1]")
-    if k is None:
-        k = svd.k
-    return _wgcv_function(svd, beta, omega, k)(lam)
+    return _wgcv_function(svd, beta, omega, svd.k)(lam)
 
 
-def gcv_value(svd, beta, lam, k=None):
+def gcv_value(svd, beta, lam):
     """Standard GCV function of the projected problem."""
-    return wgcv_value(svd, beta, lam, 1.0, k=k)
+    return wgcv_value(svd, beta, lam, 1.0)
 
 
-def ghat(svd, beta, lam, k, m, n):
+def ghat(svd, beta, lam, m, n):
     """Stopping function: projected GCV-in-k with the full problem's traces.
 
     The numerator carries the full-problem factor n; the trace in the
-    denominator runs over all m rows, of which only k are touched by the
-    projected filter.
+    denominator runs over all m rows, of which only k = svd.k are
+    touched by the projected filter.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if m <= k:
+    if m <= svd.k:
         raise ValueError("requires m > k")
     if lam**2 == 0:
         # every filter factor is 0: the lam-free value, with no 0/0 at a
         # zero singular value
-        return n * beta**2 * svd.ue1[svd.k] ** 2 / (m - k) ** 2
-    return _wgcv_function(svd, beta, 1.0, n, m - k)(lam)
+        return n * beta**2 * svd.ue1[svd.k] ** 2 / (m - svd.k) ** 2
+    return _wgcv_function(svd, beta, 1.0, n, m - svd.k)(lam)
 
 
 def stop_check(ghat_history, tol):
     """True when the latest relative change of the stopping function is small.
 
     Fires iff |G(k+1) - G(k)| / G(1) < tol for the last recorded pair.
-    A zero first value disables stopping (always False).
+    A zero or non-finite first value, or a non-finite value in the last
+    pair, never fires.
     """
     if len(ghat_history) < 2:
         raise ValueError("need at least two stopping-function values")
-    first = ghat_history[0]
-    if first == 0:
+    first, prev, last = ghat_history[0], ghat_history[-2], ghat_history[-1]
+    if first == 0 or not all(map(math.isfinite, (first, prev, last))):
         return False
-    return abs(ghat_history[-1] - ghat_history[-2]) / first < tol
+    return abs(last - prev) / first < tol
 
 
 def check_truth(x_true, n=None, name="x_true"):
@@ -450,16 +449,17 @@ class LambdaRule:
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_SEARCH_TOL, _SEARCH_MAXITER = 1e-3, 200  # log10 bracket width; safety bound
 
 
-def golden_section_log(f, lo, hi, tol=1e-3, maxiter=200):
+def golden_section_log(f, lo, hi):
     """Golden-section minimizer of f over [lo, hi] on a log10 abscissa."""
     a, b = np.log10(lo), np.log10(hi)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(10.0**c), f(10.0**d)
-    for _ in range(maxiter):
-        if b - a <= tol:
+    for _ in range(_SEARCH_MAXITER):
+        if b - a <= _SEARCH_TOL:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -472,13 +472,13 @@ def golden_section_log(f, lo, hi, tol=1e-3, maxiter=200):
     return 10.0 ** ((a + b) / 2.0)
 
 
-def select_lambda(rule, svd, beta, k, m, basis=None, x0=None):
+def select_lambda(rule, svd, beta, m, *, basis=None, x0=None):
     """Pick the iteration's regularization parameter under the given rule.
 
-    The wgcv weight is omega = (k+1)/m clamped to [0, 1].  The optimal
-    rule searches the same window, minimizing the distance of the
-    reconstructed iterate to rule.x_true; it needs the current solution
-    basis (n-by-k) and x0, and rejects an x_true not of length n.
+    The wgcv weight is omega = (k+1)/m clamped to [0, 1], k = svd.k.
+    The optimal rule searches the same window, minimizing the distance
+    of the reconstructed iterate to rule.x_true; it needs the current
+    solution basis (n-by-k) and x0, and rejects an x_true not of length n.
     """
     if rule.kind == "fixed":
         return float(rule.value)
@@ -490,9 +490,9 @@ def select_lambda(rule, svd, beta, k, m, basis=None, x0=None):
     _check_search_lam(lo, "1e-6*sigma_1", "search window lower bound")
 
     if rule.kind == "gcv":
-        func = _wgcv_function(svd, beta, 1.0, k)
+        func = _wgcv_function(svd, beta, 1.0, svd.k)
     elif rule.kind == "wgcv":
-        func = _wgcv_function(svd, beta, min(1.0, max(0.0, (k + 1) / m)), k)
+        func = _wgcv_function(svd, beta, min(1.0, max(0.0, (svd.k + 1) / m)), svd.k)
     else:
         if basis is None:
             raise ValueError("optimal rule needs the solution basis")

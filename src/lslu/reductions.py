@@ -1,11 +1,13 @@
 """Counted global reductions (inner products and Euclidean norms).
 
-Every length-m / length-n inner product or 2-norm taken by the solver
-drivers goes through this module, so tests can witness that the LSLU
-family's iteration hot path performs none of them.  Infinity norms and
-coordinate maxima (the pivot searches) are deliberately *not* routed
-here: they are max-reductions, not inner products, and avoiding the
-latter is the whole point of the Hessenberg-based methods.
+Every length-m / length-n inner product or 2-norm that the solver
+drivers take one vector at a time goes through this module, so tests
+can witness that the LSLU family's iteration hot path performs none of
+them; the Golub-Kahan reorthogonalization's block products (rows @ vec)
+are not counted, so that family's count is a lower bound.  Infinity
+norms and coordinate maxima (the pivot searches) are deliberately *not*
+routed here: they are max-reductions, not inner products, and avoiding
+the latter is the whole point of the Hessenberg-based methods.
 """
 
 from __future__ import annotations

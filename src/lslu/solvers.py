@@ -98,7 +98,8 @@ def _drive(op, b, config, method):
         check_truth(config.lambda_rule.x_true, n, "x_true")
     hybrid = method.startswith("hybrid_")
     if method.endswith("lslu"):
-        state = hess_init(op, b, config.x0, config.pivot, config.maxiter)
+        state = hess_init(op, b, config.x0, strategy=config.pivot,
+                          maxiter=config.maxiter)
         step = hess_step
     else:
         state = gk_init(op, b, config.x0, maxiter=config.maxiter)
@@ -113,7 +114,7 @@ def _drive(op, b, config, method):
         # the projected matrix grew by one column and row: extend its SVD
         svd = svd_small(state.projected_matrix, svd)
         if hybrid:
-            lam = select_lambda(rule, svd, state.beta, k, m,
+            lam = select_lambda(rule, svd, state.beta, m,
                                 basis=state.solution_basis, x0=x0)
             y = tikhonov_projected(svd, state.beta, lam)
         else:
@@ -121,12 +122,9 @@ def _drive(op, b, config, method):
             y = ls_projected(svd, state.beta)
         ys.append(y)
         lambdas.append(lam)
-        gh = ghat(svd, state.beta, lam, k, m, n) if k < m else float("nan")
-        ghats.append(gh)
+        ghats.append(ghat(svd, state.beta, lam, m, n) if k < m else float("nan"))
 
         if (hybrid and config.stop_tol is not None and len(ghats) >= 2
-                and np.isfinite(ghats[0]) and np.isfinite(ghats[-1])
-                and np.isfinite(ghats[-2])
                 and stop_check(ghats, config.stop_tol)):
             stop_reason = STOP_GHAT
             break

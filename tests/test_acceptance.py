@@ -189,7 +189,7 @@ def test_criterion_08_selection_functions_match_trace_oracles():
             for omega in (0.0, 0.25, 0.7, 1.0):
                 assert wgcv_value(svd, beta, lam, omega) == pytest.approx(
                     wgcv_oracle(H, beta, lam, omega), rel=1e-10)
-            assert ghat(svd, beta, lam, k, m, n) == pytest.approx(
+            assert ghat(svd, beta, lam, m, n) == pytest.approx(
                 ghat_oracle(H, beta, lam, m, n), rel=1e-10)
             assert wgcv_value(svd, beta, lam, 1.0) == gcv_value(svd, beta, lam)
     _report(8, "GCV/wGCV/stopping closed forms match dense trace oracles")

@@ -229,6 +229,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         (("--method", "bogus"), "--method"),
         (("--maxiter", "3.0"), "--maxiter"),
         (("--pivot", "full", "--sample-size", "25"), "sample_size"),
+        (("--pivot", "sampled", "--sample-size", "5", "--pivot-seed", "-1"),
+         "seed must be at least 0, got -1"),
         # generated-problem parameters the generators reject
         (("--problem", "tomo", "--n", "8", "--angles", "0"), "n_angles"),
         (("--problem", "tomo", "--n", "8", "--detectors", "0"), "n_detectors"),

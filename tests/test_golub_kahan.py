@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lslu import (BREAKDOWN_EXACT, BREAKDOWN_NONE, gk_init, gk_run, gk_step,
-                  ls_projected, make_dense_operator, svd_small)
+from lslu import (BREAKDOWN_EXACT, BREAKDOWN_NONE, PivotStrategy, gk_init, gk_run,
+                  gk_step, hess_init, hess_run, ls_projected, make_dense_operator,
+                  svd_small)
 
 
 def test_identity_hand_recurrence():
@@ -76,3 +77,13 @@ def test_step_past_maxiter_raises(gravity32):
     with pytest.raises(ValueError, match="maxiter=5"):
         gk_step(state, gravity32.op)
     assert state.k == 5 and state.breakdown == BREAKDOWN_NONE
+
+
+@pytest.mark.parametrize("entry, option", [
+    (hess_init, PivotStrategy.full()), (hess_run, PivotStrategy.full()),
+    (gk_init, 10), (gk_run, 10)], ids=["hess_init", "hess_run", "gk_init", "gk_run"])
+def test_options_after_x0_are_keyword_only(entry, option):
+    # no positional call can bind an option to another option's name
+    op = make_dense_operator(np.eye(3))
+    with pytest.raises(TypeError):
+        entry(op, np.ones(3), None, option)

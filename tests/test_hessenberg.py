@@ -252,6 +252,34 @@ def test_sample_size_validation():
         PivotStrategy(kind="diagonal")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"sample_size": 2.5}, "sample_size must be an integer, got 2.5"),
+    ({"sample_size": True}, "sample_size must be an integer, got True"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+])
+def test_sampled_inputs_checked_when_built(kwargs, message):
+    # NumPy would reject each only at the first sampled pivot
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PivotStrategy(**{"kind": "sampled", "sample_size": 5, "seed": 0, **kwargs})
+
+
+@pytest.mark.parametrize("kind", ["none", "full"])
+def test_seed_only_for_sampled_pivoting(kind):
+    with pytest.raises(ValueError, match="^seed only applies to sampled pivoting$"):
+        PivotStrategy(kind=kind, seed=3)
+
+
+def test_numpy_integer_sample_size_and_seed(tomo16):
+    a = hess_run(tomo16.op, tomo16.b, maxiter=8,
+                 strategy=PivotStrategy.sampled(np.int64(25), seed=np.int64(8)))
+    b = hess_run(tomo16.op, tomo16.b, strategy=PivotStrategy.sampled(25, seed=8),
+                 maxiter=8)
+    np.testing.assert_array_equal(a.L, b.L)
+    np.testing.assert_array_equal(a.t, b.t)
+
+
 def _reference_run(op, b, strategy, maxiter):
     """The process with (n, k) column storage, eliminating one column at a time.
 

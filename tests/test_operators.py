@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from lslu import (add_noise, make_dense_operator, make_gravity_problem,
-                  make_tomo_problem, trace_ray)
+                  make_tomo_problem, trace_view)
 from lslu.operators import gravity_kernel_matrix
 
 
@@ -201,7 +201,7 @@ class TestTomo:
         ([10.0, 0.0], [1.0, 1.0]),    # oblique, passes beside the grid
     ])
     def test_ray_missing_grid_is_empty(self, point, direction):
-        idx, lens = trace_ray(4, point, direction)
+        _, idx, lens = trace_view(4, [point], direction)
         assert idx.shape == lens.shape == (0,)
         assert idx.dtype.kind == "i" and lens.dtype == float
 
@@ -212,7 +212,7 @@ class TestTomo:
     ])
     def test_ray_through_grid_corners(self, point, direction, cells):
         # x and y crossings coincide at every corner the ray passes through
-        idx, lens = trace_ray(4, point, direction)
+        _, idx, lens = trace_view(4, [point], direction)
         assert idx.tolist() == cells
         # each segment spans one unit along the ray's longer axis
         step = np.linalg.norm(direction) / np.max(np.abs(direction))
@@ -223,14 +223,14 @@ class TestTomo:
 
     def test_axis_aligned_ray_unit_lengths(self):
         # a horizontal ray strictly inside a row crosses 4 unit cells
-        idx, lens = trace_ray(4, point=[-1.0, 1.5], direction=[1.0, 0.0])
+        _, idx, lens = trace_view(4, [[-1.0, 1.5]], [1.0, 0.0])
         assert len(idx) == 4
         np.testing.assert_allclose(lens, np.ones(4), rtol=0, atol=1e-12)
         assert sorted(idx.tolist()) == [4, 5, 6, 7]  # row 1
         assert float(np.sum(lens)) == pytest.approx(4.0, abs=1e-12)
 
     def test_diagonal_ray_sqrt2(self):
-        idx, lens = trace_ray(2, point=[0.0, 0.0], direction=[1.0, 1.0])
+        _, idx, lens = trace_view(2, [[0.0, 0.0]], [1.0, 1.0])
         np.testing.assert_allclose(lens, np.sqrt(2.0) * np.ones(2), atol=1e-12)
         assert sorted(idx.tolist()) == [0, 3]
 

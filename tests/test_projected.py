@@ -32,18 +32,16 @@ def wgcv_oracle(H, beta, lam, omega):
     return num / den
 
 
-def wgcv_reference(svd, beta, lam, omega, k=None):
+def wgcv_reference(svd, beta, lam, omega):
     """The weighted-GCV value built anew at every lam, with the
     zero-denominator guard; the library evaluates the same operations
     with its lam-free terms built once, so the two agree bit for bit."""
-    if k is None:
-        k = svd.k
     s2 = svd.sigma**2
     denom = s2 + lam**2
     filt = np.where(denom > 0, lam**2 / np.where(denom > 0, denom, 1.0), 0.0)
     terms = float(np.sum((filt * svd.ue1[:svd.k]) ** 2) + svd.ue1[svd.k] ** 2)
     trace = 1.0 + np.sum(((1.0 - omega) * s2 + lam**2) / (s2 + lam**2))
-    return k * beta**2 * terms / trace**2
+    return svd.k * beta**2 * terms / trace**2
 
 
 def ghat_oracle(H, beta, lam, m, n):
@@ -204,8 +202,6 @@ class TestGcvMatchesReference:
         beta = float(rng.standard_normal())
         for lam in self.LAMS:
             assert gcv_value(svd, beta, lam) == wgcv_reference(svd, beta, lam, 1.0)
-            assert gcv_value(svd, beta, lam, k=k + 3) == wgcv_reference(
-                svd, beta, lam, 1.0, k=k + 3)
             for omega in (0.0, 0.37, 1.0):
                 assert wgcv_value(svd, beta, lam, omega) == wgcv_reference(
                     svd, beta, lam, omega), (lam, omega)
@@ -221,14 +217,15 @@ class TestGcvMatchesReference:
         omega = min(1.0, max(0.0, (k + 1) / m))
         for rule, w in ((LambdaRule.gcv(), 1.0), (LambdaRule.wgcv(), omega)):
             expected = golden_section_log(
-                lambda lam: wgcv_reference(svd, beta, lam, w, k=k), lo, hi)
-            assert select_lambda(rule, svd, beta, k, m) == expected
+                lambda lam: wgcv_reference(svd, beta, lam, w), lo, hi)
+            assert select_lambda(rule, svd, beta, m) == expected
 
 
-def ghat_reference(svd, beta, lam, k, m, n):
+def ghat_reference(svd, beta, lam, m, n):
     """The stopping function from its own filter factors, guarded against a
     zero denominator; the library evaluates it through the weighted-GCV
     builder (omega 1, factor n, trace offset m - k), bit for bit."""
+    k = svd.k
     s2 = svd.sigma**2
     denom = s2 + lam**2
     filt = np.where(denom > 0, lam**2 / np.where(denom > 0, denom, 1.0), 0.0)
@@ -254,8 +251,8 @@ class TestGhatMatchesReference:
         for k in range(1, state.k + 1):
             svd = svd_small(state.projected_matrix[:k + 1, :k])
             for lam in self.LAMS:
-                assert ghat(svd, state.beta, lam, k, m, n) == ghat_reference(
-                    svd, state.beta, lam, k, m, n), (k, lam)
+                assert ghat(svd, state.beta, lam, m, n) == ghat_reference(
+                    svd, state.beta, lam, m, n), (k, lam)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-200, 1e-3])
     def test_zero_singular_value_bitwise(self, lam):
@@ -263,29 +260,28 @@ class TestGhatMatchesReference:
         # path: no 0/0 (a RuntimeWarning from lslu.projected fails the suite)
         svd = TestGcvMatchesReference._svd_with_zero_sigma(
             np.random.default_rng(5), 6)
-        value = ghat(svd, 0.7, lam, 6, 20, 15)
+        value = ghat(svd, 0.7, lam, 20, 15)
         assert np.isfinite(value)
-        assert value == ghat_reference(svd, 0.7, lam, 6, 20, 15)
+        assert value == ghat_reference(svd, 0.7, lam, 20, 15)
 
 
 class TestGhat:
     def test_hand_value(self):
         svd = svd_small([[2.0], [0.0]])
-        assert ghat(svd, 1.0, 2.0, 1, 2, 2) == pytest.approx(0.5 / 2.25,
-                                                             abs=1e-15)
+        assert ghat(svd, 1.0, 2.0, 2, 2) == pytest.approx(0.5 / 2.25, abs=1e-15)
 
     def test_zero_beta(self):
         svd = svd_small([[2.0], [0.0]])
-        assert ghat(svd, 0.0, 2.0, 1, 5, 5) == 0.0
+        assert ghat(svd, 0.0, 2.0, 5, 5) == 0.0
 
     def test_zero_lambda_no_tail(self):
         svd = svd_small([[2.0], [0.0]])
-        assert ghat(svd, 1.0, 0.0, 1, 5, 5) == 0.0
+        assert ghat(svd, 1.0, 0.0, 5, 5) == 0.0
 
     def test_m_not_larger_than_k_rejected(self):
         svd = svd_small([[2.0], [0.0]])
         with pytest.raises(ValueError):
-            ghat(svd, 1.0, 0.5, 1, 1, 2)
+            ghat(svd, 1.0, 0.5, 1, 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_trace_oracle(self, seed):
@@ -296,7 +292,7 @@ class TestGhat:
         beta = float(rng.standard_normal())
         m, n = k + int(rng.integers(1, 40)), int(rng.integers(2, 40))
         for lam in (1e-3, 0.2, 2.0):
-            value = ghat(svd, beta, lam, k, m, n)
+            value = ghat(svd, beta, lam, m, n)
             assert value == pytest.approx(ghat_oracle(H, beta, lam, m, n),
                                           rel=1e-10)
 
@@ -328,17 +324,41 @@ class TestStopCheck:
         with pytest.raises(ValueError):
             stop_check([1.0], 1e-3)
 
+    @pytest.mark.parametrize("history", [
+        [np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0], [1.0, np.nan, 0.5],
+        [1.0, 0.5, np.inf], [1.0, np.inf, np.inf], [1.0, 0.5, -np.inf]])
+    def test_non_finite_never_fires(self, history):
+        # |1 - 1| / inf = 0 is below any tol
+        assert stop_check(history, 1e-4) is False
+
+    def test_reads_only_the_first_value_and_the_last_pair(self):
+        assert stop_check([1.0, np.nan, 0.5, 0.5], 1e-4)
+
+
+def test_k_comes_from_the_svd():
+    # the old calls that passed k: gcv/wgcv take no k, and the five-argument
+    # select_lambda would bind m to basis, so each raises
+    svd = svd_small([[2.0], [0.0]])
+    with pytest.raises(TypeError):
+        select_lambda(LambdaRule.gcv(), svd, 1.0, 1, 2)
+    with pytest.raises(TypeError):
+        gcv_value(svd, 1.0, 0.5, k=4)
+    with pytest.raises(TypeError):
+        wgcv_value(svd, 1.0, 0.5, 0.5, k=4)
+    with pytest.raises(TypeError):
+        ghat(svd, 1.0, 0.5, 1, 5, 5)
+
 
 class TestSelectLambda:
     def test_fixed(self):
         svd = svd_small([[2.0], [0.0]])
         rule = LambdaRule.fixed(0.01)
-        for k in (1, 5):
-            assert select_lambda(rule, svd, 1.0, k, 100) == 0.01
+        for m in (2, 100):
+            assert select_lambda(rule, svd, 1.0, m) == 0.01
 
     def test_gcv_monotone_hits_lower_bound(self):
         svd = svd_small([[2.0], [0.0]])
-        lam = select_lambda(LambdaRule.gcv(), svd, 1.0, 1, 2)
+        lam = select_lambda(LambdaRule.gcv(), svd, 1.0, 2)
         lo = 1e-6 * 2.0
         assert abs(np.log10(lam) - np.log10(lo)) <= 2e-3
 
@@ -347,7 +367,7 @@ class TestSelectLambda:
         svd = svd_small([[sigma], [0.0]])
         basis = np.array([[1.0]])
         x_true = np.array([0.41])
-        lam = select_lambda(LambdaRule.optimal(x_true), svd, beta, 1, 2,
+        lam = select_lambda(LambdaRule.optimal(x_true), svd, beta, 2,
                             basis=basis, x0=np.zeros(1))
         grid = np.logspace(np.log10(1e-6 * sigma), np.log10(sigma), 10000)
         errs = [abs(sigma / (sigma**2 + l**2) * beta * svd.ue1[0] - x_true[0])
@@ -364,7 +384,7 @@ class TestSelectLambda:
         x_true = rng.standard_normal(n)
         beta = 1.3
         rule = LambdaRule.optimal(x_true)
-        lam = select_lambda(rule, svd, beta, k, 20, basis=basis, x0=np.zeros(n))
+        lam = select_lambda(rule, svd, beta, 20, basis=basis, x0=np.zeros(n))
         lo, hi = 1e-6 * svd.sigma[0], svd.sigma[0]
         grid = np.logspace(np.log10(lo), np.log10(hi), 10000)
         s = svd.sigma
@@ -383,20 +403,20 @@ class TestSelectLambda:
         rng = np.random.default_rng(4)
         H = rng.standard_normal((5, 4))
         svd = svd_small(H)
-        lam_w = select_lambda(LambdaRule.wgcv(), svd, 1.0, 4, 3)
-        lam_g = select_lambda(LambdaRule.gcv(), svd, 1.0, 4, 3)
+        lam_w = select_lambda(LambdaRule.wgcv(), svd, 1.0, 3)
+        lam_g = select_lambda(LambdaRule.gcv(), svd, 1.0, 3)
         assert lam_w == lam_g
 
     @pytest.mark.parametrize("rule", [LambdaRule.gcv(), LambdaRule.wgcv()])
     def test_zero_projected_matrix_rejected(self, rule):
         svd = svd_small([[0.0], [0.0]])
         with pytest.raises(ValueError, match="projected matrix is zero"):
-            select_lambda(rule, svd, 1.0, 1, 2)
+            select_lambda(rule, svd, 1.0, 2)
 
     def test_default_window_lower_bound_must_have_a_square(self):
         svd = svd_small([[1e-160], [0.0]])
         with pytest.raises(ValueError, match="sigma_1"):
-            select_lambda(LambdaRule.gcv(), svd, 1.0, 1, 2)
+            select_lambda(LambdaRule.gcv(), svd, 1.0, 2)
 
     @pytest.mark.parametrize("kind", ["gcv", "wgcv"])
     @pytest.mark.parametrize("c", [1e-14, 1e-10, 1e-5, 1e5, 1e10])
@@ -405,8 +425,8 @@ class TestSelectLambda:
         rng = np.random.default_rng(31)
         H = np.triu(rng.standard_normal((9, 8)), -1)
         rule = LambdaRule(kind=kind)
-        lam = select_lambda(rule, svd_small(H), 0.8, 8, 40)
-        lam_c = select_lambda(rule, svd_small(c * H), c * 0.8, 8, 40)
+        lam = select_lambda(rule, svd_small(H), 0.8, 40)
+        lam_c = select_lambda(rule, svd_small(c * H), c * 0.8, 40)
         assert lam_c == pytest.approx(c * lam, rel=1e-12)
 
 
@@ -461,8 +481,8 @@ def test_select_lambda_rejects_truth_of_wrong_length(gravity32):
     svd = svd_small(state.H)
     for truth in (np.ones(1), np.ones(33)):
         with pytest.raises(ValueError, match="^x_true must be a vector of length 32 "):
-            select_lambda(LambdaRule.optimal(truth), svd, state.beta, state.k,
-                          state.m, basis=state.L, x0=state.x0)
+            select_lambda(LambdaRule.optimal(truth), svd, state.beta, state.m,
+                          basis=state.L, x0=state.x0)
     lam = select_lambda(LambdaRule.optimal(gravity32.x_true), svd, state.beta,
-                        state.k, state.m, basis=state.L, x0=state.x0)
+                        state.m, basis=state.L, x0=state.x0)
     assert 0 < lam <= svd.sigma[0]
