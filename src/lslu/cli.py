@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import typing
 import warnings
@@ -63,7 +64,7 @@ class RunConfig:
     stop_tol: float | None = None
     pivot: str = field(default="full", metadata={"choices": PivotStrategy.KINDS})
     sample_size: int | None = None
-    pivot_seed: int = 0
+    pivot_seed: int | None = None
     sample_sizes: list[int] = field(default_factory=lambda: [25, 50, 100])
     k_max: int = 15
     sigma2: float | None = None
@@ -74,6 +75,20 @@ class RunConfig:
 
 
 _HINTS = typing.get_type_hints(RunConfig)
+
+# per group of library checks: what its error messages call an input,
+# and the RunConfig field (so the flag) that input comes from
+_PIVOT_NAMES = {"seed": "pivot_seed", "sample_size": "sample_size"}
+_SOLVER_NAMES = {"lambda value": "lambda_value", "maxiter": "maxiter",
+                 "stop_tol": "stop_tol"}
+_PROBLEM_NAMES = {"n": "n", "depth": "depth", "noise_level": "noise_level",
+                  "n_angles": "angles", "n_detectors": "detectors"}
+_NOISE_MODEL_NAMES = {"sigma2": "sigma2", "reg": "reg"}
+
+
+def flag(name):
+    """The command-line flag of a RunConfig field."""
+    return "--" + name.replace("_", "-")
 
 
 def _scalar(kind, value, choices):
@@ -110,12 +125,20 @@ def parse_field(f, value, source):
 
 
 @contextmanager
-def config_errors(prefix=""):
-    """Report a library config object's ValueError as a usage error."""
+def config_errors(names=None):
+    """Report a library config object's ValueError as a usage error.
+
+    names maps what the library calls an input in its messages to the
+    RunConfig field it came from, so that the message names the flag.
+    """
     try:
         yield
     except ValueError as exc:
-        raise UsageError(f"{prefix}{exc}") from exc
+        message = str(exc)
+        for name, field_name in (names or {}).items():
+            message = re.sub(rf"(?<![\w-]){re.escape(name)}\b", flag(field_name),
+                             message)
+        raise UsageError(message) from exc
 
 
 def _fmt(value):
@@ -144,7 +167,7 @@ def build_problem(config):
             raise UsageError("dense_file problem needs --matrix-file and --rhs-file")
         op, b = load_dense_problem(config.matrix_file, config.rhs_file)
         return op, b, None, None, {}
-    with config_errors():
+    with config_errors(_PROBLEM_NAMES):
         if config.problem == "tomo":
             prob = make_tomo_problem(config.n, config.angles, config.detectors,
                                      config.noise_level, config.seed)
@@ -155,10 +178,13 @@ def build_problem(config):
 
 
 def make_solver_config(config, x_true):
-    with config_errors():
-        seed = config.pivot_seed if config.pivot == "sampled" else None
+    seed = config.pivot_seed
+    if seed is None and config.pivot == "sampled":
+        seed = 0  # a sampled run without --pivot-seed
+    with config_errors(_PIVOT_NAMES):
         pivot = PivotStrategy(kind=config.pivot, sample_size=config.sample_size,
                               seed=seed)
+    with config_errors(_SOLVER_NAMES):
         rule = LambdaRule(config.lambda_rule, config.lambda_value, x_true=x_true)
         return SolverConfig(config.method, config.maxiter, pivot=pivot,
                             lambda_rule=rule, stop_tol=config.stop_tol,
@@ -259,7 +285,8 @@ def cmd_compare(config):
     base_lu = "hybrid_lslu" if hybrid else "lslu"
     base_qr = "hybrid_lsqr" if hybrid else "lsqr"
 
-    variants = [(f"{base_lu}_full", replace(config, method=base_lu))]
+    # only the sampled variants take the pivot seed
+    variants = [(f"{base_lu}_full", replace(config, method=base_lu, pivot_seed=None))]
     limit = max(op.nrows, op.ncols)
     for size in config.sample_sizes:
         if size > limit:
@@ -268,7 +295,7 @@ def cmd_compare(config):
             continue
         variants.append((f"{base_lu}_s{size}", replace(
             config, method=base_lu, pivot="sampled", sample_size=size)))
-    variants.append((base_qr, replace(config, method=base_qr)))
+    variants.append((base_qr, replace(config, method=base_qr, pivot_seed=None)))
     configs = [(name, make_solver_config(cfg, x_true)) for name, cfg in variants]
     warn_unread_lambda_value(config, "compare")
     curves = [(name, solve(op, b, cfg)) for name, cfg in configs]
@@ -297,8 +324,8 @@ def cmd_uq(config):
     hybrid_config = make_solver_config(replace(
         config, method="hybrid_lsqr", lambda_rule="wgcv", stop_tol=stop_tol), x_true)
     warn_unread_lambda_value(config, "uq")
-    with config_errors("k_max: "):
-        check_maxiter(config.k_max)
+    with config_errors():
+        check_maxiter(config.k_max, flag("k_max"))
     m = op.nrows
     sigma2 = config.sigma2
     if sigma2 is None:
@@ -314,7 +341,7 @@ def cmd_uq(config):
             if k_stop < 1:
                 raise UsageError("cannot derive reg: hybrid run produced no iterations")
             reg = float(hybrid.lambdas[k_stop - 1])
-    with config_errors():
+    with config_errors(_NOISE_MODEL_NAMES):
         check_noise_model(sigma2, reg)
 
     k_max = config.k_max
@@ -343,8 +370,8 @@ def cmd_bounds(config):
     """residual-bound report (fixed lambda: hybrid form)"""
     with config_errors():
         if config.lambda_value is not None and not config.lambda_value > 0:
-            raise ValueError("the hybrid bound report needs a positive lambda value, "
-                             f"got {config.lambda_value!r}")
+            raise ValueError("the hybrid bound report needs a positive "
+                             f"--lambda-value, got {config.lambda_value!r}")
     op, b, x_true, _, _ = build_problem(config)
     pivot = make_solver_config(config, x_true).pivot
     if config.lambda_value is not None:
@@ -375,7 +402,7 @@ def build_parser():
         p.add_argument("--config", help="JSON file with RunConfig fields")
         for f in fields(RunConfig):
             choices = f.metadata.get("choices")
-            p.add_argument("--" + f.name.replace("_", "-"), help=f.type,
+            p.add_argument(flag(f.name), help=f.type,
                            metavar="{" + ",".join(choices) + "}" if choices else None)
     return parser
 
@@ -398,7 +425,7 @@ def resolve_config(args):
     for f in fields(RunConfig):
         text = getattr(args, f.name)
         if text is not None:
-            values[f.name] = parse_field(f, text, "--" + f.name.replace("_", "-"))
+            values[f.name] = parse_field(f, text, flag(f.name))
     return RunConfig(**values)
 
 

@@ -139,6 +139,9 @@ def make_dense_operator(matrix):
 def make_sparse_operator(matrix):
     """Wrap a scipy sparse matrix as a LinearOperator."""
     csr = sp.csr_matrix(matrix)
+    # the stored values, duplicates of a COO input already summed
+    if not np.isfinite(csr.data).all():
+        raise ValueError("matrix has non-finite entries")
     csc_t = sp.csr_matrix(csr.T)
     m, n = csr.shape
     return LinearOperator(m, n, lambda x: csr @ x, lambda y: csc_t @ y, matrix=csr)

@@ -5,17 +5,20 @@ H or bidiagonal B) through its SVD: Tikhonov and least-squares solves,
 the GCV and weighted-GCV parameter-selection functions, the iteration
 stopping function, and the parameter search itself.  The matrix grows
 by one column and one row per iteration, so past a measured crossover
-its SVD is extended from the previous one (extend_svd, O(k^2) work and
-two k-by-k products) rather than recomputed in O(k^3).
+its SVD is extended from the previous one (extend_svd: one LAPACK
+dlasd8 call for the secular equation, O(k^2) NumPy work and two k-by-k
+products) rather than recomputed in O(k^3).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dlasd4
+from scipy.linalg import cython_lapack
 
 from . import reductions
 
@@ -48,6 +51,72 @@ _CHUNK_ENTRIES = 2048
 _EPS = np.finfo(float).eps
 #: ls_projected drops singular values at or below this fraction of sigma_1.
 _LS_RCOND = 1e-14
+
+# PyCapsule accessors of their own, so the shared ctypes.pythonapi
+# prototypes are left as other libraries set them
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                     ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _pointer_kind(arg):
+    # a C parameter of a cython_lapack signature, as 'i' (int *), 'd'
+    # (double *, or Cython's typedef of it) or None
+    if arg == "int *":
+        return "i"
+    return "d" if re.fullmatch(r"(double|__pyx_t_\w+_d) \*", arg) else None
+
+
+def _lapack_routine(name, kinds):
+    """The LAPACK routine that scipy exports to Cython as name, callable
+    through ctypes with one address (an int) per argument.
+
+    kinds spells its arguments in order, 'i' for int * and 'd' for
+    double *.  The function comes from the capsule in
+    scipy.linalg.cython_lapack.__pyx_capi__, the one Cython's cimport
+    reads; an ImportError naming the routine is raised unless that
+    capsule's signature is exactly those pointers.
+    """
+    capsule = cython_lapack.__pyx_capi__.get(name)
+    if capsule is None:
+        raise ImportError(f"scipy.linalg.cython_lapack does not export {name}")
+    signature = _capsule_name(capsule)
+    args = re.fullmatch(r"void \((.*)\)", signature.decode())
+    if args is None or [_pointer_kind(a) for a in args[1].split(", ")] != list(kinds):
+        raise ImportError(f"LAPACK {name} from scipy has the signature "
+                          f"{signature.decode()!r}, not {len(kinds)} pointers "
+                          f"of kinds {kinds!r} (i: int *, d: double *)")
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(kinds))(
+        _capsule_pointer(capsule, signature))
+
+
+# DLASD8(ICOMPQ, K, D, Z, VF, VL, DIFL, DIFR, LDDIFR, DSIGMA, WORK, INFO)
+_DLASD8 = _lapack_routine("dlasd8", "iiddddddiddi")
+
+
+def _dlasd8(d, z):
+    """LAPACK dlasd8 (ICOMPQ = 0) on the secular problem of the poles d
+    (ascending, distinct) and z: the roots omega, the recomputed z of
+    Gu & Eisenstat with the signs of z, DIFL = omega - d and DIFR =
+    omega - d shifted one pole up (its last entry undefined).  A
+    LinAlgError when the root finder fails.  All of it is O(K) memory;
+    LAPACK leaves the poles as they are on binary machines."""
+    K = d.shape[0]
+    # rows: DSIGMA, Z, D, VF, VL, DIFL, DIFR, then the 3K of WORK
+    buf = np.zeros((10, K))
+    buf[0] = d
+    buf[1] = z
+    ints = np.array([0, K, K, 0], dtype=np.intc)  # ICOMPQ, K, LDDIFR, INFO
+    a, i = buf.ctypes.data, ints.ctypes.data
+    row = 8 * K
+    _DLASD8(i, i + 4, a + 2 * row, a + row, a + 3 * row, a + 4 * row,
+            a + 5 * row, a + 6 * row, i + 8, a, a + 7 * row, i + 12)
+    if ints[3] != 0:
+        raise np.linalg.LinAlgError(f"dlasd8 failed (info={ints[3]})")
+    # the roots outlive the call: a copy, so the workspace is freed
+    return buf[2].copy(), buf[1], buf[5], buf[6]
 
 
 def svd_small(H, prev=None):
@@ -83,12 +152,12 @@ def extend_svd(prev, H):
     With c = U^T h and a Givens rotation folding (c_k, eta) into rho,
     H = blockdiag(U, 1) R^T [C; 0] blockdiag(V, 1)^T, where the square
     core C = diag(sigma, 0) + z e_last^T, z = (c_0..c_{k-1}, rho), has
-    C C^T = diag(sigma, 0)^2 + z z^T.  LAPACK dlasd4 finds each singular
-    value of C from that secular equation; the vectors come from the
+    C C^T = diag(sigma, 0)^2 + z z^T.  One LAPACK dlasd8 call finds the
+    singular values of C from that secular equation and the
     Loewner-recomputed z (Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
-    16, 1995), so they are orthogonal to working precision.  Tiny z_j
-    and close singular values deflate as in LAPACK dlasd2, with
-    tolerances relative to max(sigma_1, |z|).  The new U and V are
+    16, 1995) that the vectors are built from, so they are orthogonal to
+    working precision.  Tiny z_j and close singular values deflate as in
+    LAPACK dlasd2, with tolerances relative to max(sigma_1, |z|).  The new U and V are
     written a block of columns at a time, with no k-by-k temporary.
     Raises LinAlgError when the secular solver fails; svd_small then
     falls back to LAPACK.
@@ -143,11 +212,12 @@ class _SecularCore:
     remaining poles within tol a rotation moves the first one's z into
     the second's and the first leaves; pole 0 always stays.  The last
     safeguards of dlasd2 follow (the smallest kept nonzero pole and z_0
-    are at least tol/2 and tol), then dlasd4 solves the secular equation
-    of the kept poles.  Each root is kept as omega = base + tau with
-    base its nearer pole, so the gaps d_j^2 - omega^2 are rebuilt to
-    full relative accuracy from O(k) numbers instead of dlasd4's k-by-k
-    output.  Vectors are rows over the columns of C: column n-1-a is
+    are at least tol/2 and tol), then one dlasd8 call solves the secular
+    equation of the kept poles and recomputes their z.  Each root is
+    kept as omega = base + tau with base its nearer pole (from dlasd8's
+    distances DIFL and DIFR to the poles either side), so the gaps
+    d_j^2 - omega^2 are rebuilt to full relative accuracy from O(k)
+    numbers.  Vectors are rows over the columns of C: column n-1-a is
     pole a.
     """
 
@@ -170,34 +240,27 @@ class _SecularCore:
             dk[1] = tol / 2
         zk[0] = max(zk[0], tol)
         self.K = dk.shape[0]
-        self._roots(dk, zk)
+        zhat = self._roots(dk, zk)
         self.values = np.concatenate([self.omega, d[self.deflated]])
         self.order = np.argsort(-self.values, kind="stable")
         # poles and z over the columns of C; z is 0 at deflated poles
         self.d_cols = d[::-1].copy()
         self.d_cols[n - 1 - kept] = dk
         self.z_cols = np.zeros(n)
-        self.z_cols[n - 1 - kept] = self._loewner_z(dk, zk)
+        self.z_cols[n - 1 - kept] = zhat
 
     def _roots(self, d, z):
-        K = d.shape[0]
-        if K == 1:
-            self.omega, self.base, self.tau = z.copy(), np.zeros(1), z.copy()
-            return
-        r = math.sqrt(float(z @ z))
-        zn = z / r
-        omega, base, tau = np.empty(K), np.empty(K), np.empty(K)
-        for i in range(K):
-            delta, omega[i], _, info = dlasd4(i, d, zn, r * r)
-            if info != 0:
-                raise np.linalg.LinAlgError(
-                    f"dlasd4 failed on root {i} (info={info})")
-            near = i + 1 if i + 1 < K and abs(delta[i + 1]) < abs(delta[i]) else i
-            base[i] = d[near]
-            tau[i] = -delta[near]
-        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(tau))):
-            raise np.linalg.LinAlgError("dlasd4 returned non-finite roots")
-        self.omega, self.base, self.tau = omega, base, tau
+        # one dlasd8 call; each root is kept as its nearer pole plus the
+        # offset from it, the last root having no pole above
+        omega, zhat, difl, difr = _dlasd8(d, z)
+        upper = -difr < difl
+        upper[-1] = False
+        tau = np.where(upper, difr, difl)
+        if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(tau))
+                and np.all(np.isfinite(zhat))):
+            raise np.linalg.LinAlgError("dlasd8 returned non-finite roots")
+        self.omega, self.base, self.tau = omega, d[np.arange(d.shape[0]) + upper], tau
+        return zhat
 
     @staticmethod
     def gaps(d, base, tau, omega):
@@ -212,26 +275,6 @@ class _SecularCore:
         for r in range(0, base.shape[0], step):
             gaps[r:r + step] *= d + omega[r:r + step, None]
         return gaps
-
-    def _loewner_z(self, d, z):
-        # z_m^2 = prod_i (omega_i^2 - d_m^2) / prod_{j != m} (d_j^2 - d_m^2),
-        # root i paired with pole i below m and pole i+1 from m on, so that
-        # every ratio lies in (0, 1] (LAPACK dlasd3)
-        K = d.shape[0]
-        last = slice(K - 1, K)
-        zhat = self.gaps(d, self.base[last], self.tau[last], self.omega[last])[0]
-        poles = np.arange(K)
-        rows = max(1, _BLOCK_ENTRIES // K)
-        for i0 in range(0, K - 1, rows):
-            i = slice(i0, min(K - 1, i0 + rows))
-            ratio = self.gaps(d, self.base[i], self.tau[i], self.omega[i])
-            rank = np.arange(i.start, i.stop)[:, None]
-            paired = np.where(poles > rank, d[i, None], d[i.start + 1:i.stop + 1, None])
-            ratio /= d - paired
-            paired += d
-            ratio /= paired
-            zhat *= np.prod(ratio, axis=0)
-        return np.copysign(np.sqrt(np.abs(zhat)), z)
 
     def left_vectors(self, idx):
         """Unit left singular vectors of the values idx (rows), and the

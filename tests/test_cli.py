@@ -95,6 +95,23 @@ def test_compare_single_size(tmp_path):
     assert len(header) == 4  # k, full, s10, lsqr
 
 
+def test_compare_seeds_only_the_sampled_variants(tmp_path):
+    # without --pivot-seed the sampled variants draw from seed 0
+    columns = {}
+    for seed in (None, "0", "5"):
+        out = tmp_path / f"seed{seed}"
+        extra = () if seed is None else ("--pivot-seed", seed)
+        assert run_cli("compare", "--problem", "tomo", "--n", "16", "--method", "lslu",
+                       "--maxiter", "8", "--sample-sizes", "10", *extra,
+                       "--output-dir", str(out)) == 0
+        rows = [line.split(",") for line in
+                (out / "compare.csv").read_text().splitlines()[1:]]
+        columns[seed] = [list(col) for col in zip(*rows)]  # k, full, s10, lsqr
+    assert columns["0"] == columns[None]
+    assert columns["5"][2] != columns[None][2]
+    assert [columns["5"][i] for i in (0, 1, 3)] == [columns[None][i] for i in (0, 1, 3)]
+
+
 def test_uq_outputs(tmp_path):
     out = tmp_path / "uq"
     code = run_cli("uq", "--problem", "gravity", "--n", "32",
@@ -221,25 +238,38 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     # flag values the library's constructors reject, and JSON values that
     # do not parse as their flag text would; the message names the input
     cases = [
-        (("--maxiter", "0"), "maxiter"),
-        (("--pivot", "sampled", "--sample-size", "0"), "sample_size"),
-        (("--stop-tol", "-1"), "stop_tol"),
-        (("--lambda-value", "nan"), "lambda value"),
-        (("--lambda-rule", "fixed", "--lambda-value", "nan"), "lambda value"),
+        (("--maxiter", "0"), "--maxiter must be at least 1, got 0"),
+        (("--pivot", "sampled"), "sampled pivoting needs --sample-size >= 1"),
+        (("--pivot", "sampled", "--sample-size", "0"),
+         "--sample-size must be at least 1, got 0"),
+        (("--stop-tol", "-1"), "--stop-tol must be finite and positive"),
+        (("--lambda-value", "nan"), "--lambda-value must be finite and nonnegative"),
+        (("--lambda-rule", "fixed", "--lambda-value", "nan"),
+         "--lambda-value must be finite and nonnegative"),
+        (("--lambda-rule", "fixed"), "fixed rule needs a --lambda-value"),
         (("--method", "bogus"), "--method"),
         (("--maxiter", "3.0"), "--maxiter"),
-        (("--pivot", "full", "--sample-size", "25"), "sample_size"),
+        (("--pivot", "full", "--sample-size", "25"),
+         "--sample-size only applies to sampled pivoting"),
         (("--pivot", "sampled", "--sample-size", "5", "--pivot-seed", "-1"),
-         "seed must be at least 0, got -1"),
+         "--pivot-seed must be at least 0, got -1"),
+        # a pivot seed only steers sampled pivoting
+        (("--pivot", "full", "--pivot-seed", "7"),
+         "--pivot-seed only applies to sampled pivoting"),
+        (("--pivot", "none", "--pivot-seed", "0"),
+         "--pivot-seed only applies to sampled pivoting"),
         # generated-problem parameters the generators reject
-        (("--problem", "tomo", "--n", "8", "--angles", "0"), "n_angles"),
-        (("--problem", "tomo", "--n", "8", "--detectors", "0"), "n_detectors"),
-        (("--problem", "tomo", "--n", "3"), "n must be at least 4"),
-        (("--n", "1"), "n must be at least 2"),
-        (("--depth", "-1"), "depth"),
-        (("--depth", "inf"), "depth"),
-        (("--noise-level", "nan"), "noise_level"),
-        (("--problem", "tomo", "--n", "8", "--noise-level", "-0.5"), "noise_level"),
+        (("--problem", "tomo", "--n", "8", "--angles", "0"),
+         "--angles must be at least 1, got 0"),
+        (("--problem", "tomo", "--n", "8", "--detectors", "0"),
+         "--detectors must be at least 1, got 0"),
+        (("--problem", "tomo", "--n", "3"), "--n must be at least 4, got 3"),
+        (("--n", "1"), "--n must be at least 2, got 1"),
+        (("--depth", "-1"), "--depth must be finite and positive"),
+        (("--depth", "inf"), "--depth must be finite and positive"),
+        (("--noise-level", "nan"), "--noise-level must be finite and nonnegative"),
+        (("--problem", "tomo", "--n", "8", "--noise-level", "-0.5"),
+         "--noise-level must be finite and nonnegative"),
     ]
     for name, content, named in (("float_int", '{"maxiter": 3.0}', "maxiter"),
                                  ("not_object", "[1, 2]", "JSON object"),
@@ -256,11 +286,14 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert err.startswith("error: ") and named in err, (args, err)
     assert run_cli("uq", "--n", "16", "--k-max", "0",
                    "--output-dir", str(tmp_path / "out")) == 1
-    assert "k_max" in capsys.readouterr().err
+    assert "--k-max must be at least 1, got 0" in capsys.readouterr().err
+    assert run_cli("uq", "--n", "16", "--k-max", "3", "--reg", "-1",
+                   "--output-dir", str(tmp_path / "out")) == 1
+    assert "--reg must be positive" in capsys.readouterr().err
     assert run_cli("bounds", "--n", "16", "--maxiter", "3", "--lambda-value", "0",
                    "--output-dir", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "lambda value" in err and "0.0" in err
+    assert err.startswith("error: ") and "--lambda-value, got 0.0" in err
     # compare chooses each variant's pivoting; it rejects the single-run flags
     for args, named in ((("--sample-size", "25"), "--sample-size"),
                         (("--pivot", "none"), "--pivot"),

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from lslu import (add_noise, make_dense_operator, make_gravity_problem,
-                  make_tomo_problem, trace_view)
+                  make_sparse_operator, make_tomo_problem, trace_view)
 from lslu.operators import gravity_kernel_matrix
 
 
@@ -44,6 +44,24 @@ class TestDenseOperator:
             op.forward([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             op.adjoint([1.0, 2.0])
+
+
+class TestSparseOperator:
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, fmt, bad):
+        # rejected when built, before any product
+        matrix = sp.random(30, 20, density=0.2, random_state=3, format="coo")
+        matrix.data[7] = bad
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            make_sparse_operator(matrix.asformat(fmt))
+
+    def test_finite_matrix_matches_dense(self):
+        matrix = sp.random(30, 20, density=0.2, random_state=3, format="csc")
+        op = make_sparse_operator(matrix)
+        x, y = np.arange(20.0), np.arange(30.0)
+        np.testing.assert_allclose(op.forward(x), matrix.toarray() @ x)
+        np.testing.assert_allclose(op.adjoint(y), matrix.toarray().T @ y)
 
 
 def _adjoint_consistency(op, seed, trials=20):

@@ -3,21 +3,28 @@
 Each extension is checked against LAPACK's SVD of the same matrix:
 singular values within c k eps sigma_1, the factorization within
 c k eps ||H||, orthonormal factors, and the Tikhonov solution and GCV
-values that the solvers read off the SVD.
+values that the solvers read off the SVD.  The secular step, one call
+of LAPACK dlasd8 bound through ctypes, is checked against a loop of
+scipy's dlasd4, one call per root.
 """
 
+import ctypes
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import dnrm2
+from scipy.linalg.lapack import dlasd4
 
 import lslu.projected as projected
 from lslu import (LambdaRule, PivotStrategy, SolverConfig, gcv_value, gk_run,
                   hess_run, make_dense_operator, make_gravity_problem,
                   make_tomo_problem, solve, svd_small, tikhonov_projected)
-from lslu.projected import extend_svd
+from lslu.projected import _dlasd8, _lapack_routine, extend_svd
 
 EPS = np.finfo(float).eps
 C = 10.0  # the constant of the c k eps bounds
@@ -134,6 +141,125 @@ def test_every_sweep_matrix_extends(sweep_states):
             ref = np.linalg.svd(M[:j + 1, :j], compute_uv=False)
             assert np.max(np.abs(svd.sigma - ref)) <= C * j * EPS * ref[0]
     assert extensions > 400
+
+
+def secular_problem(kind, K, seed):
+    """Poles d (ascending, d[0] = 0) and z of a secular problem, scaled
+    as extend_svd scales them."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(K)
+    if kind == "random":
+        poles = np.sort(rng.uniform(0.0, 1.0, K - 1))
+    elif kind == "graded":
+        poles = 10.0 ** -np.linspace(12, 0, K - 1)
+        z *= 10.0 ** -rng.uniform(0, 8, K)
+    else:  # near-deflating: close poles, small z, just past the tolerances
+        poles = 0.5 + 800 * EPS * np.arange(K - 1)
+        z[1::2] = np.copysign(1e-13, z[1::2])
+    d = np.concatenate([[0.0], poles])
+    return d, z / (2 * max(np.max(np.abs(z)), d[-1]))
+
+
+def dlasd4_loop(d, z, r):
+    """Roots, DIFL, DIFR and the Loewner z of the secular problem with
+    rho = r^2 and normalized z / r, one scipy dlasd4 call per root."""
+    K = d.shape[0]
+    omega, delta = np.empty(K), np.empty((K, K))
+    for i in range(K):
+        delta[i], omega[i], _, info = dlasd4(i, d, z * (1.0 / r), r * r)
+        assert info == 0
+    # omega_i^2 - d_m^2, with no cancellation; root i over pole i below
+    # m and pole i + 1 from m on, the last root unpaired
+    num = -delta * (d + omega[:, None])
+    zhat = num[K - 1].copy()
+    for m in range(K):
+        for i in range(K - 1):
+            p = i if i < m else i + 1
+            zhat[m] *= num[i, m] / ((d[p] - d[m]) * (d[p] + d[m]))
+    diag = np.arange(K)
+    return (omega, -delta[diag, diag], -delta[diag[:-1], diag[1:]],
+            np.copysign(np.sqrt(np.abs(zhat)), z))
+
+
+@pytest.mark.parametrize("kind", ["random", "graded", "near_deflating"])
+@pytest.mark.parametrize("K", [2, 3, 10, 60, 200])
+def test_dlasd8_matches_dlasd4_loop(kind, K):
+    for seed in range(3):
+        d, z = secular_problem(kind, K, seed)
+        omega, zhat, difl, difr = _dlasd8(d, z)
+        # on the z / dnrm2(z) that dlasd8 normalizes to itself, the same
+        # roots and pole distances, to a few ulps
+        ref, ref_difl, ref_difr, ref_z = dlasd4_loop(d, z, dnrm2(z))
+        assert np.all(np.abs(omega - ref) <= 4 * EPS * ref)
+        assert np.all(np.abs(difl - ref_difl) <= 4 * EPS * ref_difl)
+        assert np.all(np.abs(difr[:-1] - ref_difr) <= 4 * EPS * -ref_difr)
+        np.testing.assert_array_equal(np.sign(zhat), np.sign(z))
+        assert np.max(np.abs(zhat - ref_z)) <= C * K * EPS * np.linalg.norm(z)
+        # the roots of z / sqrt(z . z), rounded otherwise
+        ref = dlasd4_loop(d, z, np.sqrt(z @ z))[0]
+        assert np.all(np.abs(omega - ref) <= 4 * EPS * ref)
+
+
+def test_dlasd8_single_pole():
+    omega, zhat, difl, _ = _dlasd8(np.zeros(1), np.array([-0.375]))
+    assert omega[0] == difl[0] == 0.375 and zhat[0] == -0.375
+
+
+def test_lapack_binding_checks_its_signature():
+    assert callable(_lapack_routine("dlasd8", "iiddddddiddi"))
+    # dlasd4's signature is not dlasd8's; a kind out of order is refused
+    for name, kinds in (("dlasd4", "iiddddddiddi"), ("dlasd8", "iidddddddddi"),
+                        ("dlasd8", "iiddddddidd")):
+        with pytest.raises(ImportError, match=name):
+            _lapack_routine(name, kinds)
+    with pytest.raises(ImportError, match="no_such_routine"):
+        _lapack_routine("no_such_routine", "i")
+
+
+def test_dlasd8_failure_falls_back_to_lapack(monkeypatch):
+    H = projected_matrix("hessenberg", projected._EXTEND_MIN_K + 5, 11, "random", False)
+    prev = svd_small(H[:-1, :-1])
+
+    def fail(*args):
+        ctypes.c_int.from_address(args[-1]).value = 1  # INFO
+
+    monkeypatch.setattr(projected, "_DLASD8", fail)
+    with pytest.raises(np.linalg.LinAlgError, match="dlasd8 failed"):
+        extend_svd(prev, H)
+    svd = svd_small(H, prev)
+    U, s, Vh = np.linalg.svd(H)
+    np.testing.assert_array_equal(svd.U, U)
+    np.testing.assert_array_equal(svd.sigma, s)
+    np.testing.assert_array_equal(svd.V, Vh.T)
+
+
+def test_concurrent_extensions_share_nothing():
+    # the LAPACK call runs without the interpreter lock: chains extended
+    # in four threads at once give the bits of one chain run alone
+    H = projected_matrix("hessenberg", 80, 7, "random", False)
+
+    def chain():
+        svd = extended(H)
+        return [a.tobytes() for a in (svd.U, svd.sigma, svd.V)]
+
+    alone = chain()
+    together = [None] * 4
+
+    def run(i):
+        together[i] = chain()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert together == [alone] * 4
 
 
 class TestSvdSmallRoute:
