@@ -1,9 +1,14 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lslu import (add_noise, make_dense_operator, make_gravity_problem,
-                  make_sparse_operator, make_tomo_problem, trace_view)
+from lslu import (SolverConfig, add_noise, export_dense_matrix, load_dense_problem,
+                  make_dense_operator, make_gravity_problem, make_sparse_operator,
+                  make_tomo_problem, solve, trace_view)
 from lslu.operators import gravity_kernel_matrix
 
 
@@ -131,9 +136,91 @@ class TestGravity:
             make_gravity_problem(n)
 
     def test_symmetric_positive_entries(self):
-        matrix = gravity_kernel_matrix(20)
-        assert np.all(matrix > 0)
-        np.testing.assert_allclose(matrix, matrix.T, rtol=0, atol=1e-15)
+        # the operator applies the matrix as symmetric, so it must be so
+        # bit for bit; n=1000 ends on a partial row block
+        for n in (2, 3, 20, 257, 1000):
+            for depth in (0.25, 0.0137):
+                matrix = gravity_kernel_matrix(n, depth)
+                assert np.all(matrix > 0), (n, depth)
+                np.testing.assert_array_equal(matrix, matrix.T, err_msg=f"{n}, {depth}")
+
+
+class TestSymmetricOperator:
+    def test_forward_equals_adjoint_and_matrix_product(self, gravity64):
+        op = gravity64.op
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            x = rng.standard_normal(64)
+            y = op.forward(x)
+            np.testing.assert_array_equal(op.adjoint(x), y)
+            exact = op.matrix @ x
+            assert np.linalg.norm(y - exact) <= 1e-13 * np.linalg.norm(exact)
+
+    def test_product_does_not_copy_matrix(self):
+        # a copy of the 2 MB matrix on the way into BLAS would show here
+        op = make_gravity_problem(512).op
+        x = np.random.default_rng(12).standard_normal(512)
+        op.forward(x)
+        tracemalloc.start()
+        try:
+            op.forward(x)
+            op.adjoint(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < op.matrix.nbytes // 16
+
+    def test_concurrent_products_share_nothing(self):
+        # four threads apply one operator at once and keep every output:
+        # each output is its own array, with the bits of a product run alone
+        op = make_gravity_problem(200).op
+        xs = np.random.default_rng(13).standard_normal((6, 200))
+        alone = [op.forward(x).tobytes() for x in xs]
+        together = [None] * 4
+
+        def run(i):
+            outs = [f(x) for _ in range(5) for f in (op.forward, op.adjoint)
+                    for x in xs]
+            together[i] = outs
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        outs = [y for run in together for y in run]
+        assert [y.tobytes() for y in outs] == alone * (len(outs) // len(alone))
+        assert len({y.ctypes.data for y in outs}) == len(outs)
+
+    def test_symmetric_file_solves_as_in_memory(self, gravity64, tmp_path):
+        mpath, bpath = tmp_path / "A.txt", tmp_path / "b.txt"
+        export_dense_matrix(gravity64.op, mpath)
+        np.savetxt(bpath, gravity64.b)
+        op, b = load_dense_problem(mpath, bpath)
+        np.testing.assert_array_equal(op.matrix, gravity64.op.matrix)
+        np.testing.assert_array_equal(b, gravity64.b)
+        config = SolverConfig(method="hybrid_lslu", maxiter=12)
+        loaded, built = solve(op, b, config), solve(gravity64.op, gravity64.b, config)
+        for name in ("x_final", "lambdas", "ghats", "residual_norms"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(built, name))
+
+    def test_nonsymmetric_file_keeps_gemv(self, tmp_path):
+        matrix = gravity_kernel_matrix(16)
+        matrix[3, 5] *= 1 + 1e-15
+        mpath, bpath = tmp_path / "A.txt", tmp_path / "b.txt"
+        np.savetxt(mpath, matrix)
+        np.savetxt(bpath, np.ones(16))
+        op, _ = load_dense_problem(mpath, bpath)
+        np.testing.assert_array_equal(op.matrix, matrix)
+        x = np.random.default_rng(14).standard_normal(16)
+        np.testing.assert_array_equal(op.forward(x), matrix @ x)
+        np.testing.assert_array_equal(op.adjoint(x), matrix.T @ x)
 
 
 def _reference_trace_ray(n, point, direction):
@@ -309,7 +396,6 @@ def test_problem_data_decomposition(gravity32, tomo16):
 
 
 def test_dense_export_roundtrip(tmp_path):
-    from lslu import export_dense_matrix, load_dense_problem
     rng = np.random.default_rng(6)
     matrix = rng.standard_normal((5, 4))
     b = rng.standard_normal(5)
@@ -323,7 +409,6 @@ def test_dense_export_roundtrip(tmp_path):
 
 
 def test_sparse_export(tomo16, tmp_path):
-    from lslu import export_dense_matrix
     path = tmp_path / "T.txt"
     export_dense_matrix(tomo16.op, path)
     dense = np.loadtxt(path)
