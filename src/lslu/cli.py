@@ -178,12 +178,9 @@ def build_problem(config):
 
 
 def make_solver_config(config, x_true):
-    seed = config.pivot_seed
-    if seed is None and config.pivot == "sampled":
-        seed = 0  # a sampled run without --pivot-seed
     with config_errors(_PIVOT_NAMES):
         pivot = PivotStrategy(kind=config.pivot, sample_size=config.sample_size,
-                              seed=seed)
+                              seed=config.pivot_seed)
     with config_errors(_SOLVER_NAMES):
         rule = LambdaRule(config.lambda_rule, config.lambda_value, x_true=x_true)
         return SolverConfig(config.method, config.maxiter, pivot=pivot,

@@ -15,7 +15,8 @@ import numpy as np
 
 from .hessenberg import PivotStrategy, condition_number
 from .projected import LambdaRule
-from .solvers import SolverConfig, run_hybrid_lslu, run_hybrid_lsqr, run_lslu, run_lsqr
+from .solvers import (SolverConfig, reconstruct, run_hybrid_lslu, run_hybrid_lsqr,
+                      run_lslu, run_lsqr)
 
 LOWER_SLACK = 1e-10
 UPPER_SLACK = 1e-8
@@ -90,7 +91,7 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     def stacked(res, k):
         # residual_norms[k - 1] is ||b - A x_k|| of this same x_k, as the
         # factorization gives it
-        x = res.state.x0 + res.state.solution_basis[:, :k] @ res.ys[k - 1]
+        x = reconstruct(res.state, res.ys[k - 1])
         return float(np.hypot(res.residual_norms[k - 1], lam * np.linalg.norm(x)))
 
     R_D, R_L = res_lu.state.r_factor("residual"), res_lu.state.r_factor("solution")

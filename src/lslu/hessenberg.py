@@ -52,7 +52,8 @@ class PivotStrategy:
     kind 'none' takes the next natural coordinate, 'full' the largest
     magnitude in the eligible window, 'sampled' the largest over a
     random index sample (avoiding a global max-reduction).  'sampled'
-    alone takes sample_size (an integer >= 1) and seed (an integer >= 0).
+    alone takes sample_size (an integer >= 1) and seed (an integer >= 0,
+    0 when None).
     """
 
     KINDS = ("none", "full", "sampled")
@@ -69,7 +70,7 @@ class PivotStrategy:
                 raise ValueError("sampled pivoting needs sample_size >= 1")
             check_maxiter(self.sample_size, "sample_size")
             if self.seed is None:
-                raise ValueError("sampled pivoting needs a seed")
+                self.seed = 0
             check_maxiter(self.seed, "seed", least=0)
         else:
             for name in ("sample_size", "seed"):
@@ -85,7 +86,7 @@ class PivotStrategy:
         return cls(kind="full")
 
     @classmethod
-    def sampled(cls, sample_size, seed=0):
+    def sampled(cls, sample_size, seed=None):
         return cls(kind="sampled", sample_size=sample_size, seed=seed)
 
 
@@ -131,20 +132,54 @@ class KrylovState:
     costs neither a memset nor a page); the small factors rely on their
     structural zeros and are zeroed.  See begin_step for what a full
     state does.
+
+    The init is the start both families share: it checks maxiter and
+    the shapes of b and x0 (zeros when None), writes r0 into the first
+    residual row and takes the family's `scale` of it, a ValueError
+    naming b, x0 or the forward map if not finite, exact_solution if 0.
+    Otherwise the family's init picks beta and calls start(beta).
     """
 
-    def __init__(self, op, x0, maxiter):
-        self.m, self.n = op.shape
-        self.cap = min(maxiter, self.m, self.n)
+    def __init__(self, op, b, x0, maxiter):
+        check_maxiter(maxiter)
+        self.m, self.n = m, n = op.shape
+        b = np.asarray(b, dtype=float)
+        if b.shape != (m,):
+            raise ValueError(f"b must be a vector of length {m} (the operator's rows), "
+                             f"got shape {b.shape}")
+        x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
+        if x0.shape != (n,):
+            raise ValueError(f"x0 must be a vector of length {n} (the operator's "
+                             f"columns), got shape {x0.shape}")
+        self.cap = min(maxiter, m, n)
         self.x0 = x0
         self.k = 0
         self.residual_count = 0
         self.beta = 0.0
         self.breakdown = BREAKDOWN_NONE
-        self._sol = np.empty((self.cap, self.n))
-        self._res = np.empty((self.cap + 1, self.m))
+        self._sol = np.empty((self.cap, n))
+        self._res = np.empty((self.cap + 1, m))
         self._proj = np.zeros((self.cap + 1, self.cap))
         self._r_factors = {}
+
+        r0 = self._res[0]  # at x0 = 0, b - 0.0: b bit for bit, without a product
+        np.subtract(b, op.forward(x0) if np.any(x0) else 0.0, out=r0)
+        self._r0_scale = self.scale(r0)
+        if not np.isfinite(self._r0_scale):
+            for name, vec in (("b", b), ("x0", x0)):
+                if not np.all(np.isfinite(vec)):
+                    raise ValueError(f"{name} has non-finite entries")
+            if not np.all(np.isfinite(r0)):
+                raise ValueError("the forward map returned non-finite values at x0")
+            raise ValueError("the scale of the initial residual b - A x0 overflows")
+        if self._r0_scale == 0.0:
+            self.breakdown = BREAKDOWN_EXACT
+
+    def start(self, beta):
+        """Make r0 / beta, in place, the first residual basis vector."""
+        self._res[0] /= beta
+        self.beta = float(beta)
+        self.residual_count = 1
 
     def r_factor(self, which):
         """qr_r of the "solution" or "residual" basis, computed when first
@@ -186,8 +221,10 @@ class HessenbergState(KrylovState):
     doubles.
     """
 
-    def __init__(self, op, x0, strategy, maxiter):
-        super().__init__(op, x0, maxiter)
+    scale = staticmethod(lambda vec: np.max(np.abs(vec)))
+
+    def __init__(self, op, b, x0, strategy, maxiter):
+        super().__init__(op, b, x0, maxiter)
         self._W = np.zeros((self.cap, self.cap))
         self._piv = np.zeros((self.cap + 1, self.cap + 1), order="F")
         self.strategy = strategy
@@ -238,41 +275,6 @@ def _eliminate(vec, rows, piv, block):
     return coef
 
 
-def initial_residual(op, b, x0):
-    """b, x0 (zeros when None) and r0 = b - A x0 as float vectors.
-
-    A b or x0 whose shape does not match the operator raises a
-    ValueError naming it.  Finiteness is left to check_start, through
-    the scale of r0 that every init takes anyway.
-    """
-    m, n = op.shape
-    b = np.asarray(b, dtype=float)
-    if b.shape != (m,):
-        raise ValueError(f"b must be a vector of length {m} (the operator's rows), "
-                         f"got shape {b.shape}")
-    if x0 is None:
-        x0 = np.zeros(n)
-    else:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (n,):
-            raise ValueError(f"x0 must be a vector of length {n} (the operator's "
-                             f"columns), got shape {x0.shape}")
-    r0 = b - op.forward(x0) if np.any(x0) else b.copy()
-    return b, x0, r0
-
-
-def check_start(scale, b, x0, r0):
-    """Raise a ValueError naming the input at fault when r0's scale is not finite."""
-    if np.isfinite(scale):
-        return
-    for name, vec in (("b", b), ("x0", x0)):
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"{name} has non-finite entries")
-    if not np.all(np.isfinite(r0)):
-        raise ValueError("the forward map returned non-finite values at x0")
-    raise ValueError("the scale of the initial residual b - A x0 overflows")
-
-
 def check_image(scale, name, k):
     """Raise a ValueError when an operator image's scale is not finite."""
     if not np.isfinite(scale):
@@ -320,23 +322,15 @@ def hess_init(op, b, x0=None, *, strategy=None, maxiter=50):
     begin_step for a step past it).  A zero initial residual yields a
     k=0 state flagged exact_solution.  A zero pivot entry under the
     'none' strategy raises BreakdownError, since pivoting would repair
-    it.  A b or x0 of the wrong length or with non-finite entries
-    raises a ValueError naming it.
+    it.  KrylovState checks b and x0.
     """
-    check_maxiter(maxiter)
     strategy = strategy or PivotStrategy.full()
-    m, n = op.shape
-    if strategy.kind == "sampled" and strategy.sample_size > max(m, n):
+    if strategy.kind == "sampled" and strategy.sample_size > max(op.shape):
         raise ValueError("sample_size exceeds max(m, n)")
-    b, x0, r0 = initial_residual(op, b, x0)
-    scale = np.max(np.abs(r0))
-    check_start(scale, b, x0, r0)
-
-    state = HessenbergState(op, x0, strategy, maxiter)
-    if scale == 0.0:
-        state.breakdown = BREAKDOWN_EXACT
+    state = HessenbergState(op, b, x0, strategy, maxiter)
+    if state.breakdown != BREAKDOWN_NONE:
         return state
-
+    r0 = state._res[0]
     pos = _pick_pivot(r0, state.t, 0, strategy, state._rng)
     beta = r0[state.t[pos]]
     if beta == 0.0:
@@ -344,10 +338,8 @@ def hess_init(op, b, x0=None, *, strategy=None, maxiter=50):
                   else "use full or sampled pivoting")
         raise BreakdownError(
             f"zero pivot entry in the initial residual; {advice}")
-    state.beta = float(beta)
     state.t[[0, pos]] = state.t[[pos, 0]]
-    state._res[0] = r0 / beta
-    state.residual_count = 1
+    state.start(beta)
     return state
 
 

@@ -45,8 +45,8 @@ class LinearOperator:
     """
 
     def __init__(self, nrows, ncols, forward, adjoint, matrix=None):
-        if nrows < 1 or ncols < 1:
-            raise ValueError("operator dimensions must be positive")
+        check_maxiter(nrows, "nrows")
+        check_maxiter(ncols, "ncols")
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self._forward = forward

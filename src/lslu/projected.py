@@ -49,7 +49,7 @@ _BLOCK_ENTRIES = 12288
 #: of about this many entries.
 _CHUNK_ENTRIES = 2048
 _EPS = np.finfo(float).eps
-#: ls_projected drops singular values at or below this fraction of sigma_1.
+#: At lam = 0 tikhonov_projected drops singular values <= this times sigma_1.
 _LS_RCOND = 1e-14
 
 # PyCapsule accessors of their own, so the shared ctypes.pythonapi
@@ -323,22 +323,24 @@ class _SecularCore:
 
 
 def tikhonov_projected(svd, beta, lam):
-    """Minimizer of ||beta e_1 - H y||^2 + lam^2 ||y||^2 via the SVD."""
+    """Minimizer of ||beta e_1 - H y||^2 + lam^2 ||y||^2 via the SVD.
+
+    At lam = 0 it is the plain least-squares solution, rank-aware:
+    singular values at or below _LS_RCOND * sigma_1 are cut.
+    """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     s = svd.sigma
-    if lam == 0 and s[-1] <= 1e-14 * s[0]:
-        raise np.linalg.LinAlgError(
-            "projected matrix is numerically rank deficient; lam=0 not solvable")
-    filt = s / (s**2 + lam**2)
+    if lam == 0:
+        filt = np.where(s > _LS_RCOND * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    else:
+        filt = s / (s**2 + lam**2)
     return svd.V @ (filt * (beta * svd.ue1[:svd.k]))
 
 
 def ls_projected(svd, beta):
-    """Plain least-squares solution min ||beta e_1 - H y|| (rank-aware)."""
-    s = svd.sigma
-    inv = np.where(s > _LS_RCOND * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return svd.V @ (inv * (beta * svd.ue1[:svd.k]))
+    """Plain least-squares solution min ||beta e_1 - H y||: lam = 0."""
+    return tikhonov_projected(svd, beta, 0.0)
 
 
 def _wgcv_function(svd, beta, omega, factor, offset=1.0):

@@ -198,6 +198,19 @@ def test_solve_optimal_rule(tmp_path):
     assert summary["lambda_final"] > 0
 
 
+def test_solve_fixed_zero_lambda_is_plain_lslu(tmp_path):
+    # past semiconvergence the projected matrix is numerically rank
+    # deficient; lam = 0 solves it as plain LSLU does
+    common = ("--problem", "gravity", "--n", "64", "--maxiter", "50")
+    hybrid, plain = tmp_path / "hybrid", tmp_path / "plain"
+    assert run_cli("solve", *common, "--lambda-rule", "fixed", "--lambda-value", "0",
+                   "--output-dir", str(hybrid)) == 0
+    assert run_cli("solve", *common, "--method", "lslu",
+                   "--output-dir", str(plain)) == 0
+    assert ((hybrid / "history.csv").read_bytes()
+            == (plain / "history.csv").read_bytes())
+
+
 def test_dense_file_problem(tmp_path):
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal((6, 5))
@@ -243,6 +256,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         (("--pivot", "sampled", "--sample-size", "0"),
          "--sample-size must be at least 1, got 0"),
         (("--stop-tol", "-1"), "--stop-tol must be finite and positive"),
+        (("--method", "lslu", "--stop-tol", "1e-4"),
+         "--stop-tol only applies to the hybrid methods"),
         (("--lambda-value", "nan"), "--lambda-value must be finite and nonnegative"),
         (("--lambda-rule", "fixed", "--lambda-value", "nan"),
          "--lambda-value must be finite and nonnegative"),

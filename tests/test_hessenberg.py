@@ -265,6 +265,11 @@ def test_sampled_inputs_checked_when_built(kwargs, message):
         PivotStrategy(**{"kind": "sampled", "sample_size": 5, "seed": 0, **kwargs})
 
 
+def test_sampled_seed_defaults_to_zero():
+    assert PivotStrategy("sampled", sample_size=5).seed == 0
+    assert PivotStrategy.sampled(5) == PivotStrategy.sampled(5, seed=0)
+
+
 @pytest.mark.parametrize("kind", ["none", "full"])
 def test_seed_only_for_sampled_pivoting(kind):
     with pytest.raises(ValueError, match="^seed only applies to sampled pivoting$"):

@@ -6,10 +6,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lslu import (SolverConfig, add_noise, export_dense_matrix, load_dense_problem,
-                  make_dense_operator, make_gravity_problem, make_sparse_operator,
-                  make_tomo_problem, solve, trace_view)
+from lslu import (LinearOperator, SolverConfig, add_noise, export_dense_matrix,
+                  load_dense_problem, make_dense_operator, make_gravity_problem,
+                  make_sparse_operator, make_tomo_problem, solve, trace_view)
 from lslu.operators import gravity_kernel_matrix
+
+
+class TestLinearOperator:
+    @pytest.mark.parametrize("dims, message", [
+        ((3.7, 2), "nrows must be an integer, got 3.7"),
+        ((3, 2.0), "ncols must be an integer, got 2.0"),
+        ((True, 2), "nrows must be an integer, got True"),
+        ((0, 2), "nrows must be at least 1, got 0"),
+        ((3, -1), "ncols must be at least 1, got -1"),
+    ])
+    def test_bad_dimensions_named(self, dims, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LinearOperator(*dims, lambda x: x, lambda y: y)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        op = LinearOperator(np.int64(3), np.int32(2), lambda x: x, lambda y: y)
+        assert op.shape == (3, 2) and type(op.nrows) is int
 
 
 class TestDenseOperator:

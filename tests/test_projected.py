@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lslu import (LambdaRule, ProjectedSvd, gcv_value, ghat, gk_run, hess_run,
-                  make_tomo_problem, select_lambda, stop_check, svd_small,
-                  tikhonov_projected, wgcv_value)
+                  ls_projected, make_tomo_problem, select_lambda, stop_check,
+                  svd_small, tikhonov_projected, wgcv_value)
 from lslu.projected import golden_section_log
 
 
@@ -93,10 +93,13 @@ class TestTikhonovProjected:
         y = tikhonov_projected(svd_small([[4.0], [5.0]]), 1.0, 0.0)
         np.testing.assert_allclose(y, [4.0 / 41.0], atol=1e-15)
 
-    def test_rank_deficient_rejected_at_zero(self):
+    def test_rank_deficient_at_zero_is_least_squares(self):
+        # lam = 0 cuts the zero singular value, as ls_projected does,
+        # and returns the minimum-norm least-squares solution
         H = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(np.linalg.LinAlgError):
-            tikhonov_projected(svd_small(H), 1.0, 0.0)
+        y = tikhonov_projected(svd_small(H), 1.0, 0.0)
+        np.testing.assert_allclose(y, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_array_equal(y, ls_projected(svd_small(H), 1.0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_normal_equations_residual(self, seed):

@@ -37,6 +37,19 @@ class TestHybridReducesToLslu:
         for yh, yp in zip(res_h.ys, res_p.ys):
             np.testing.assert_allclose(yh, yp, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("family", ["lslu", "lsqr"])
+    @pytest.mark.parametrize("problem", ["gravity64", "tomo16"])
+    def test_fixed_zero_is_the_plain_method_bitwise(self, family, problem, request):
+        # by k = 50 gravity64's projected matrix is numerically rank
+        # deficient, and lam = 0 cuts it as the plain solve does
+        prob = request.getfixturevalue(problem)
+        res_h, res_p = (solve(prob.op, prob.b, SolverConfig(
+            method, maxiter=50, lambda_rule=LambdaRule.fixed(0.0),
+            track_truth=prob.x_true)) for method in (f"hybrid_{family}", family))
+        np.testing.assert_array_equal(res_h.x_final, res_p.x_final)
+        for key in ("ghats", "residual_norms", "relative_errors", "lambdas"):
+            assert getattr(res_h, key) == getattr(res_p, key), key
+
 
 class TestExactSolveLimit:
     def test_lslu_square_to_breakdown(self):
@@ -572,6 +585,14 @@ def test_config_validation():
         SolverConfig(method="lslu", maxiter=0)
     with pytest.raises(ValueError):
         SolverConfig(method="hybrid_lslu", stop_tol=0.0)
+
+
+@pytest.mark.parametrize("method", ["lslu", "lsqr"])
+def test_stop_tol_rejected_for_plain_methods(method):
+    # a plain method has no automatic stop: the tolerance is rejected,
+    # not ignored
+    with pytest.raises(ValueError, match="^stop_tol only applies to the hybrid methods$"):
+        SolverConfig(method, 30, stop_tol=1e-4)
 
 
 @pytest.mark.parametrize("maxiter", [2.5, 3.0, True, False, "3", None, 0, -2])
