@@ -177,10 +177,14 @@ def build_problem(config):
     return prob.op, prob.b, prob.x_true, prob.e, prob.image_shapes
 
 
-def make_solver_config(config, x_true):
+def make_pivot(config):
     with config_errors(_PIVOT_NAMES):
-        pivot = PivotStrategy(kind=config.pivot, sample_size=config.sample_size,
-                              seed=config.pivot_seed)
+        return PivotStrategy(kind=config.pivot, sample_size=config.sample_size,
+                             seed=config.pivot_seed)
+
+
+def make_solver_config(config, x_true):
+    pivot = make_pivot(config)
     with config_errors(_SOLVER_NAMES):
         rule = LambdaRule(config.lambda_rule, config.lambda_value, x_true=x_true)
         return SolverConfig(config.method, config.maxiter, pivot=pivot,
@@ -366,11 +370,17 @@ def cmd_uq(config):
 def cmd_bounds(config):
     """residual-bound report (fixed lambda: hybrid form)"""
     with config_errors():
+        check_maxiter(config.maxiter, flag("maxiter"))
         if config.lambda_value is not None and not config.lambda_value > 0:
             raise ValueError("the hybrid bound report needs a positive "
                              f"--lambda-value, got {config.lambda_value!r}")
-    op, b, x_true, _, _ = build_problem(config)
-    pivot = make_solver_config(config, x_true).pivot
+    op, b, _, _, _ = build_problem(config)
+    # the reports run LSLU and LSQR themselves: of the solver flags they
+    # read only the pivoting
+    pivot = make_pivot(config)
+    if config.stop_tol is not None:
+        print("warning: --stop-tol is not read by bounds: it reports every "
+              "iteration up to --maxiter", file=sys.stderr)
     if config.lambda_value is not None:
         report = hybrid_bound_report(op, b, config.lambda_value,
                                      config.maxiter, pivot=pivot)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsymv
 
 from .hessenberg import check_maxiter
@@ -120,8 +121,8 @@ class InverseProblem:
     image_shapes: dict = field(default_factory=dict)
 
 
-# entries per row block of an elementwise pass over a dense matrix:
-# 256 KB of float64, so a block stays in cache across its passes
+# entries per row block of the finiteness scan of a dense matrix (256 KB
+# of float64), so that the scan makes no m-by-n temporary
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -151,13 +152,11 @@ def make_dense_operator(matrix):
 
 
 def _make_symmetric_operator(matrix):
-    """Wrap a square dense matrix the caller knows to be exactly symmetric.
+    """Wrap a finite square float matrix the caller knows to be exactly symmetric.
 
     Both maps are one dsymv that reads only the lower triangle.  The
-    matrix is not checked for symmetry, which would cost more than a
-    product.
+    matrix is not checked, which would cost more than a product.
     """
-    matrix = _checked_dense(matrix)
     n = matrix.shape[0]
     # matrix.T is the same matrix in Fortran order, which dsymv takes
     # without a copy; dsymv allocates a new output on every call
@@ -195,9 +194,10 @@ def add_noise(b_exact, noise_level, seed):
     if noise_level == 0:
         e = np.zeros_like(b_exact)
         return b_exact.copy(), e
-    scale = np.linalg.norm(b_exact)
-    if scale == 0:
-        raise ValueError("cannot scale noise against all-zero exact data")
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(b_exact)
+    if not 0 < scale < math.inf:
+        raise ValueError(f"cannot scale noise against exact data of norm {scale}")
     g = np.random.default_rng(seed).standard_normal(b_exact.shape[0])
     e = (noise_level * scale / np.linalg.norm(g)) * g
     return b_exact + e, e
@@ -210,19 +210,14 @@ def gravity_kernel_matrix(n, depth=0.25):
         raise ValueError(f"n must be at least 2, got {n}")
     if not (math.isfinite(depth) and depth > 0):
         raise ValueError(f"depth must be finite and positive, got {depth!r}")
-    pts = (np.arange(n) + 0.5) / n
-    # depth * (depth**2 + diff**2) ** (-1.5) / n, all six passes on one
-    # cache-sized block of rows before the next
-    out = np.empty((n, n))
-    for rows in _row_blocks(n, n):
-        block = out[rows]
-        np.subtract(pts[rows, None], pts[None, :], out=block)
-        np.square(block, out=block)
-        block += depth**2
-        np.power(block, -1.5, out=block)
-        block *= depth
-        block /= n
-    return out
+    # entry (i, j) is the kernel at the exact offset |i - j|/n (for n a power
+    # of two, bit for bit the midpoints' difference); np.float64 squares a
+    # huge depth to inf where a Python float raises, and the check rejects it
+    with np.errstate(all="ignore"):
+        kernel = depth * (np.float64(depth)**2 + (np.arange(n) / n)**2) ** -1.5 / n
+    if not (np.isfinite(kernel).all() and kernel.all()):
+        raise ValueError(f"depth {depth!r} over- or underflows the gravity kernel")
+    return toeplitz(kernel)
 
 
 def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
@@ -233,7 +228,11 @@ def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
     op = _make_symmetric_operator(matrix)
     t = (np.arange(n) + 0.5) / n
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
-    b_exact = matrix @ x_true
+    with np.errstate(over="ignore"):
+        b_exact = matrix @ x_true
+        scale = np.linalg.norm(b_exact)
+    if not 0 < scale < math.inf:
+        raise ValueError(f"depth {depth!r} over- or underflows the exact data's norm")
     b, e = add_noise(b_exact, noise_level, seed)
     return InverseProblem(op, x_true, b_exact, b, e, noise_level, seed)
 
@@ -348,7 +347,7 @@ def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed
 
 def load_dense_problem(matrix_path, rhs_path):
     """Read a whitespace-separated dense matrix and right-hand side from disk."""
-    matrix = np.loadtxt(matrix_path, ndmin=2)
+    matrix = _checked_dense(np.loadtxt(matrix_path, ndmin=2))
     b = np.loadtxt(rhs_path).ravel()
     symmetric = matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T)
     op = (_make_symmetric_operator if symmetric else make_dense_operator)(matrix)

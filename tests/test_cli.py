@@ -188,6 +188,35 @@ def test_bounds_plain_and_hybrid(tmp_path):
     assert all(line.endswith("true,true") for line in lines[1:])
 
 
+@pytest.mark.parametrize("method", [(), ("--method", "lslu")])
+def test_bounds_does_not_read_stop_tol(tmp_path, capsys, method):
+    # bounds reads only the pivoting of the solver flags: a --stop-tol,
+    # with a hybrid or a plain --method, is named on stderr and changes
+    # nothing it writes
+    args = ("bounds", "--n", "16", "--maxiter", "4", *method)
+    assert run_cli(*args, "--output-dir", str(tmp_path / "plain")) == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli(*args, "--stop-tol", "1e-4",
+                   "--output-dir", str(tmp_path / "tol")) == 0
+    assert capsys.readouterr().err == ("warning: --stop-tol is not read by bounds: "
+                                       "it reports every iteration up to --maxiter\n")
+    assert ((tmp_path / "tol" / "bounds.csv").read_bytes()
+            == (tmp_path / "plain" / "bounds.csv").read_bytes())
+
+
+@pytest.mark.parametrize("depth, what", [
+    ("1e200", "the gravity kernel"), ("1e-200", "the gravity kernel"),
+    ("1e-160", "the gravity kernel"), ("1e100", "the exact data's norm"),
+    ("1e-100", "the exact data's norm")])
+def test_extreme_depth_exits_1(tmp_path, capsys, depth, what):
+    # a depth whose kernel or data over- or underflows is a usage error
+    # naming --depth, with no numerical warning on the way
+    assert run_cli("solve", "--n", "16", "--depth", depth,
+                   "--output-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        f"error: --depth {float(depth)!r} over- or underflows {what}\n")
+
+
 def test_solve_optimal_rule(tmp_path):
     out = tmp_path / "opt"
     code = run_cli("solve", "--problem", "gravity", "--n", "32",
@@ -305,6 +334,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("uq", "--n", "16", "--k-max", "3", "--reg", "-1",
                    "--output-dir", str(tmp_path / "out")) == 1
     assert "--reg must be positive" in capsys.readouterr().err
+    assert run_cli("bounds", "--n", "16", "--maxiter", "0",
+                   "--output-dir", str(tmp_path / "out")) == 1
+    assert "--maxiter must be at least 1, got 0" in capsys.readouterr().err
     assert run_cli("bounds", "--n", "16", "--maxiter", "3", "--lambda-value", "0",
                    "--output-dir", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err

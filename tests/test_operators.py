@@ -1,6 +1,8 @@
+import re
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +113,12 @@ def test_operator_determinism(gravity32):
     np.testing.assert_array_equal(y1, y2)
 
 
+def _midpoint_matrix(n, depth):
+    """The gravity kernel at the rounded differences of the midpoints (i + 0.5)/n."""
+    pts = (np.arange(n) + 0.5) / n
+    return depth * (depth**2 + (pts[:, None] - pts[None, :])**2) ** (-1.5) / n
+
+
 class TestGravity:
     def test_kernel_entry_n2(self):
         # direct kernel evaluation: s=t=0.25, depth=0.25, weight 1/2
@@ -133,14 +141,68 @@ class TestGravity:
         above = s[s > 1e-14 * s[0]]
         assert np.all(np.diff(above) < 0)
 
-    # n=1000 assembles in row blocks whose last one is partial
+    # the kernel at the exact offsets |i - j|/n, for n a power of two or not
     @pytest.mark.parametrize("n, depth", [(2, 0.25), (257, 0.25), (64, 0.1),
                                           (1000, 0.25)])
     def test_kernel_matches_expression(self, n, depth):
-        pts = (np.arange(n) + 0.5) / n
-        diff = pts[:, None] - pts[None, :]
-        expected = depth * (depth**2 + diff**2) ** (-1.5) / n
+        offsets = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) / n
+        expected = depth * (depth**2 + offsets**2) ** (-1.5) / n
         np.testing.assert_array_equal(gravity_kernel_matrix(n, depth), expected)
+
+    # for n a power of two the midpoints (i + 0.5)/n are exact, so the
+    # kernel at the midpoints' rounded differences is the same matrix bit
+    # for bit: the benchmark's n=256 and n=4096 problems stay as they were
+    @pytest.mark.parametrize("n", [2, 64, 256, 1024])
+    @pytest.mark.parametrize("depth", [0.25, 0.1, 0.0137, 3.0])
+    def test_power_of_two_matches_midpoint_differences(self, n, depth):
+        np.testing.assert_array_equal(gravity_kernel_matrix(n, depth),
+                                      _midpoint_matrix(n, depth))
+
+    # for other n the midpoints' difference is off by up to an ulp of 1,
+    # which moves k(s) = depth (depth^2 + s^2)^-1.5 by a relative
+    # 3 s eps / (depth^2 + s^2) <= 1.5 eps / depth
+    @pytest.mark.parametrize("n", [3, 257, 1000])
+    @pytest.mark.parametrize("depth", [0.25, 0.0137])
+    def test_other_n_within_midpoint_rounding(self, n, depth):
+        np.testing.assert_allclose(gravity_kernel_matrix(n, depth),
+                                   _midpoint_matrix(n, depth),
+                                   rtol=4 * np.finfo(float).eps / depth, atol=0)
+
+    def test_problem_data_match_midpoint_matrix(self):
+        # the data of the n=256 problem (1% noise) are the midpoint
+        # matrix's, so every solve on it is too
+        prob = make_gravity_problem(256, seed=3)
+        matrix = _midpoint_matrix(256, 0.25)
+        b_exact = matrix @ prob.x_true
+        b, e = add_noise(b_exact, 1e-2, seed=3)
+        for got, want in ((prob.op.matrix, matrix), (prob.b_exact, b_exact),
+                          (prob.b, b), (prob.e, e)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_build_allocates_only_the_matrix(self):
+        # an n-by-n temporary, even of bools, or an index array would show
+        make_gravity_problem(512)
+        tracemalloc.start()
+        try:
+            prob = make_gravity_problem(512)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - prob.op.matrix.nbytes < prob.op.matrix.nbytes // 16
+
+    # the kernel overflows (tiny depth) or vanishes (huge depth), or the
+    # norm of the exact data does
+    @pytest.mark.parametrize("depth, what", [
+        (1e200, "the gravity kernel"), (1e-200, "the gravity kernel"),
+        (1e-160, "the gravity kernel"), (1e100, "the exact data's norm"),
+        (1e-100, "the exact data's norm")])
+    @pytest.mark.parametrize("noise_level", [1e-2, 0.0])
+    def test_extreme_depth_named(self, depth, what, noise_level):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"depth {depth!r} over- or underflows {what}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make_gravity_problem(32, depth=depth, noise_level=noise_level)
 
     @pytest.mark.parametrize("depth", [0.0, -1.0, np.inf, np.nan])
     def test_bad_depth_named(self, depth):
@@ -154,12 +216,14 @@ class TestGravity:
 
     def test_symmetric_positive_entries(self):
         # the operator applies the matrix as symmetric, so it must be so
-        # bit for bit; n=1000 ends on a partial row block
+        # bit for bit; it is Toeplitz too, for n a power of two or not
         for n in (2, 3, 20, 257, 1000):
             for depth in (0.25, 0.0137):
                 matrix = gravity_kernel_matrix(n, depth)
                 assert np.all(matrix > 0), (n, depth)
                 np.testing.assert_array_equal(matrix, matrix.T, err_msg=f"{n}, {depth}")
+                np.testing.assert_array_equal(matrix[1:, 1:], matrix[:-1, :-1],
+                                              err_msg=f"{n}, {depth}")
 
 
 class TestSymmetricOperator:
@@ -226,6 +290,21 @@ class TestSymmetricOperator:
         loaded, built = solve(op, b, config), solve(gravity64.op, gravity64.b, config)
         for name in ("x_final", "lambdas", "ghats", "residual_norms"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(built, name))
+
+    # a square, exactly symmetric file with a NaN or inf, and one that is
+    # not symmetric, are both rejected when read
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_file_rejected(self, tmp_path, symmetric, bad):
+        matrix = gravity_kernel_matrix(16)
+        matrix[3, 5] = matrix[5, 3] = bad
+        if not symmetric:
+            matrix[0, 1] *= 2
+        mpath, bpath = tmp_path / "A.txt", tmp_path / "b.txt"
+        np.savetxt(mpath, matrix)
+        np.savetxt(bpath, np.ones(16))
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            load_dense_problem(mpath, bpath)
 
     def test_nonsymmetric_file_keeps_gemv(self, tmp_path):
         matrix = gravity_kernel_matrix(16)
@@ -453,6 +532,15 @@ class TestAddNoise:
     def test_zero_data_rejected(self):
         with pytest.raises(ValueError):
             add_noise(np.zeros(4), 0.1, seed=0)
+
+    # data whose norm overflows would make the noise, and so b, infinite
+    @pytest.mark.parametrize("value", [1e200, np.inf])
+    def test_data_of_infinite_norm_rejected(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^cannot scale noise against "
+                               "exact data of norm inf$"):
+                add_noise(np.array([1.0, value]), 0.1, seed=0)
 
     @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf, -1e-3])
     def test_bad_level_named(self, level):
