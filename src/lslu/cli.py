@@ -367,6 +367,13 @@ def cmd_uq(config):
     return 0
 
 
+# the solver flags bounds does not read, and why
+_BOUNDS_IGNORES = {
+    "method": "it reports LSLU and LSQR side by side",
+    "lambda_rule": "it regularizes with --lambda-value if given, else not at all",
+    "stop_tol": "it reports every iteration up to --maxiter"}
+
+
 def cmd_bounds(config):
     """residual-bound report (fixed lambda: hybrid form)"""
     with config_errors():
@@ -376,11 +383,12 @@ def cmd_bounds(config):
                              f"--lambda-value, got {config.lambda_value!r}")
     op, b, _, _, _ = build_problem(config)
     # the reports run LSLU and LSQR themselves: of the solver flags they
-    # read only the pivoting
+    # read only the pivoting, and name any other set off its default
     pivot = make_pivot(config)
-    if config.stop_tol is not None:
-        print("warning: --stop-tol is not read by bounds: it reports every "
-              "iteration up to --maxiter", file=sys.stderr)
+    for name, why in _BOUNDS_IGNORES.items():
+        if getattr(config, name) != getattr(RunConfig, name):
+            print(f"warning: {flag(name)} is not read by bounds: {why}",
+                  file=sys.stderr)
     if config.lambda_value is not None:
         report = hybrid_bound_report(op, b, config.lambda_value,
                                      config.maxiter, pivot=pivot)

@@ -188,20 +188,53 @@ def test_bounds_plain_and_hybrid(tmp_path):
     assert all(line.endswith("true,true") for line in lines[1:])
 
 
+_METHOD_WARNING = ("warning: --method is not read by bounds: it reports LSLU "
+                   "and LSQR side by side\n")
+
+
 @pytest.mark.parametrize("method", [(), ("--method", "lslu")])
 def test_bounds_does_not_read_stop_tol(tmp_path, capsys, method):
     # bounds reads only the pivoting of the solver flags: a --stop-tol,
     # with a hybrid or a plain --method, is named on stderr and changes
-    # nothing it writes
+    # nothing it writes (a --method off its default is named as well)
     args = ("bounds", "--n", "16", "--maxiter", "4", *method)
+    warned = _METHOD_WARNING if method else ""
     assert run_cli(*args, "--output-dir", str(tmp_path / "plain")) == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == warned
     assert run_cli(*args, "--stop-tol", "1e-4",
                    "--output-dir", str(tmp_path / "tol")) == 0
-    assert capsys.readouterr().err == ("warning: --stop-tol is not read by bounds: "
-                                       "it reports every iteration up to --maxiter\n")
+    assert capsys.readouterr().err == warned + (
+        "warning: --stop-tol is not read by bounds: "
+        "it reports every iteration up to --maxiter\n")
     assert ((tmp_path / "tol" / "bounds.csv").read_bytes()
             == (tmp_path / "plain" / "bounds.csv").read_bytes())
+
+
+@pytest.mark.parametrize("args, warning", [
+    (("--lambda-rule", "fixed"),
+     "warning: --lambda-rule is not read by bounds: it regularizes with "
+     "--lambda-value if given, else not at all\n"),
+    (("--method", "hybrid_lsqr"), _METHOD_WARNING),
+], ids=["lambda-rule", "method"])
+def test_bounds_names_solver_flags_it_ignores(tmp_path, capsys, args, warning):
+    # neither flag changes what bounds writes; a --lambda-rule fixed with
+    # no --lambda-value is not an error here
+    common = ("bounds", "--n", "16", "--maxiter", "3")
+    assert run_cli(*common, "--output-dir", str(tmp_path / "plain")) == 0
+    capsys.readouterr()
+    assert run_cli(*common, *args, "--output-dir", str(tmp_path / "set")) == 0
+    assert capsys.readouterr().err == warning
+    assert ((tmp_path / "set" / "bounds.csv").read_bytes()
+            == (tmp_path / "plain" / "bounds.csv").read_bytes())
+
+
+def test_bounds_default_solver_flags_print_nothing(tmp_path, capsys):
+    # a flag given at its default cannot be told from one left out
+    assert run_cli("bounds", "--n", "16", "--maxiter", "3", "--method",
+                   "hybrid_lslu", "--lambda-rule", "wgcv",
+                   "--output-dir", str(tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out == ""
 
 
 @pytest.mark.parametrize("depth, what", [

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import lslu.projected
 from lslu import (LambdaRule, ProjectedSvd, gcv_value, ghat, gk_run, hess_run,
-                  ls_projected, make_tomo_problem, select_lambda, stop_check,
-                  svd_small, tikhonov_projected, wgcv_value)
+                  ls_projected, make_tomo_problem, reductions, select_lambda,
+                  stop_check, svd_small, tikhonov_projected, wgcv_value)
 from lslu.projected import golden_section_log
 
 
@@ -42,6 +43,26 @@ def wgcv_reference(svd, beta, lam, omega):
     terms = float(np.sum((filt * svd.ue1[:svd.k]) ** 2) + svd.ue1[svd.k] ** 2)
     trace = 1.0 + np.sum(((1.0 - omega) * s2 + lam**2) / (s2 + lam**2))
     return svd.k * beta**2 * terms / trace**2
+
+
+def golden_section_reference(f, lo, hi):
+    """The golden-section search the three grid passes replaced: scalar
+    evaluations of f on a log10 abscissa until the bracket is 1e-3
+    decades wide, then the bracket's midpoint."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.log10(lo), np.log10(hi)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(10.0**c), f(10.0**d)
+    while b - a > 1e-3:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(10.0**c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(10.0**d)
+    return 10.0 ** ((a + b) / 2.0)
 
 
 def ghat_oracle(H, beta, lam, m, n):
@@ -114,6 +135,19 @@ class TestTikhonovProjected:
         rhs = beta * H.T @ e1
         resid = np.linalg.norm((H.T @ H + lam**2 * np.eye(k)) @ y - rhs)
         assert resid <= 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("c", [2.0**-664, 1e-200, 1e-160, 1e150, 1e200, 2.0**664])
+    def test_filter_is_scale_free(self, c):
+        # scaling H, beta and lam by c leaves y, with no over- or underflow
+        rng = np.random.default_rng(12)
+        H = np.triu(rng.standard_normal((7, 6)), -1)
+        y = tikhonov_projected(svd_small(H), 0.9, 0.05)
+        y_c = tikhonov_projected(svd_small(c * H), c * 0.9, c * 0.05)
+        np.testing.assert_allclose(y_c, y, rtol=1e-12)
+
+    def test_zero_matrix_filters_to_zero(self):
+        svd = svd_small(np.zeros((3, 2)))
+        np.testing.assert_array_equal(tikhonov_projected(svd, 1.0, 0.5), [0.0, 0.0])
 
 
 class TestGcvForms:
@@ -211,16 +245,19 @@ class TestGcvMatchesReference:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_selected_lambda_bitwise(self, seed):
+        # the search over mu = lam / sigma_1, applied to the reference
+        # function of lam = sigma_1 mu, picks the same point
         rng = np.random.default_rng(200 + seed)
         k = int(rng.integers(2, 40))
         m = int(rng.integers(k + 1, 4 * k))
         svd = svd_small(np.triu(rng.standard_normal((k + 1, k)), -1))
         beta = float(rng.standard_normal())
-        lo, hi = 1e-6 * svd.sigma[0], svd.sigma[0]
+        sigma1 = svd.sigma[0]
         omega = min(1.0, max(0.0, (k + 1) / m))
         for rule, w in ((LambdaRule.gcv(), 1.0), (LambdaRule.wgcv(), omega)):
-            expected = golden_section_log(
-                lambda lam: wgcv_reference(svd, beta, lam, w), lo, hi)
+            expected = sigma1 * golden_section_log(
+                lambda mu: np.array([wgcv_reference(svd, beta, sigma1 * x, w)
+                                     for x in mu]), 1e-6, 1.0)
             assert select_lambda(rule, svd, beta, m) == expected
 
 
@@ -298,6 +335,19 @@ class TestGhat:
             value = ghat(svd, beta, lam, m, n)
             assert value == pytest.approx(ghat_oracle(H, beta, lam, m, n),
                                           rel=1e-10)
+
+    @pytest.mark.parametrize("c", [1e200, 2.0**664])
+    def test_extreme_scales_without_warning(self, c):
+        # squares overflow at c: a non-finite value, which stop_check never
+        # fires on; at 1/c lam**2 underflows and the lam-free value is 0 (a
+        # RuntimeWarning from lslu.projected fails the suite)
+        rng = np.random.default_rng(6)
+        H = np.triu(rng.standard_normal((7, 6)), -1)
+        for lam in (0.3, 1e-3):
+            big = ghat(svd_small(c * H), c * 0.8, c * lam, 30, 20)
+            assert not np.isfinite(big)
+            assert not stop_check([1.0, 0.5, big], 1e-3)
+            assert ghat(svd_small(H / c), 0.8 / c, lam / c, 30, 20) == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_denominator_equals_dense_trace(self, seed):
@@ -416,13 +466,16 @@ class TestSelectLambda:
         with pytest.raises(ValueError, match="projected matrix is zero"):
             select_lambda(rule, svd, 1.0, 2)
 
-    def test_default_window_lower_bound_must_have_a_square(self):
-        svd = svd_small([[1e-160], [0.0]])
-        with pytest.raises(ValueError, match="sigma_1"):
-            select_lambda(LambdaRule.gcv(), svd, 1.0, 2)
+    def test_window_lower_bound_needs_no_square(self):
+        # the search runs in lam / sigma_1, so a sigma_1 whose window end
+        # 1e-6 sigma_1 squares to 0 is searched like any other
+        for sigma in (1e-160, 2.0**-664, 1e-300):
+            svd = svd_small([[sigma], [0.0]])
+            assert select_lambda(LambdaRule.gcv(), svd, 1.0, 2) == 1e-6 * svd.sigma[0]
 
     @pytest.mark.parametrize("kind", ["gcv", "wgcv"])
-    @pytest.mark.parametrize("c", [1e-14, 1e-10, 1e-5, 1e5, 1e10])
+    @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e-14, 1e-10, 1e-5, 1e5, 1e10,
+                                   1e150, 1e200])
     def test_window_scales_with_the_matrix(self, kind, c):
         # no absolute floor: scaling H and beta by c scales lambda by c
         rng = np.random.default_rng(31)
@@ -431,6 +484,120 @@ class TestSelectLambda:
         lam = select_lambda(rule, svd_small(H), 0.8, 40)
         lam_c = select_lambda(rule, svd_small(c * H), c * 0.8, 40)
         assert lam_c == pytest.approx(c * lam, rel=1e-12)
+
+
+def _random_projected_svd(rng, k):
+    # singular values over up to 12 decades at a random scale, and U^T e_1
+    # with a Picard-like decay plus noise; U is the reflector taking e_1 to
+    # it, so U[0] is U^T e_1
+    sigma = np.sort(10.0 ** rng.uniform(-rng.uniform(1, 12), 0, k))[::-1]
+    sigma *= 10.0 ** rng.uniform(-3, 3)
+    coeff = (sigma / sigma[0]) ** rng.uniform(0, 2) * rng.standard_normal(k)
+    ue1 = np.append(coeff + 10.0 ** rng.uniform(-6, -1) * rng.standard_normal(k),
+                    10.0 ** rng.uniform(-6, 0) * rng.standard_normal())
+    ue1 /= np.linalg.norm(ue1)
+    v = -ue1
+    v[0] += 1.0
+    U = np.eye(k + 1) - 2.0 * np.outer(v, v) / (v @ v) if v @ v > 0 else np.eye(k + 1)
+    return ProjectedSvd(U=U, sigma=sigma, V=np.eye(k), ue1=U[0].copy())
+
+
+def _record_searches(monkeypatch):
+    """Wrap the module-level search: a list that gets, per search, its
+    function and the arrays of points it evaluated."""
+    searches = []
+    search = lslu.projected.golden_section_log
+
+    def recording(f, lo, hi):
+        passes = []
+        searches.append((f, passes))
+
+        def recorded(points):
+            passes.append(points.copy())
+            return f(points)
+        return search(recorded, lo, hi)
+
+    monkeypatch.setattr(lslu.projected, "golden_section_log", recording)
+    return searches
+
+
+class TestGridSearch:
+    def test_each_rule_makes_one_search_of_three_passes(self, monkeypatch,
+                                                        gravity32):
+        # the benchmark's tracer counts passes through this module-level name
+        state = hess_run(gravity32.op, gravity32.b, maxiter=8)
+        svd = svd_small(state.H)
+        searches = _record_searches(monkeypatch)
+        for rule in (LambdaRule.gcv(), LambdaRule.wgcv(),
+                     LambdaRule.optimal(gravity32.x_true)):
+            searches.clear()
+            select_lambda(rule, svd, state.beta, state.m, basis=state.L,
+                          x0=state.x0)
+            assert len(searches) == 1, rule.kind
+            assert [p.shape for p in searches[0][1]] == [(41,), (21,), (21,)]
+
+    def test_ties_take_the_smallest_point(self):
+        flat = golden_section_log(lambda p: np.zeros_like(p), 1e-6, 1.0)
+        assert flat == 1e-6
+        # a descent onto a plateau: the plateau's left end, to a spacing
+        plateau = golden_section_log(lambda p: np.maximum(1e-2 - p, 0.0), 1e-6, 1.0)
+        assert abs(np.log10(plateau) + 2.0) <= 1.5e-3
+
+    def test_optimal_rule_counts_one_norm_per_point(self, gravity32):
+        state = hess_run(gravity32.op, gravity32.b, maxiter=8)
+        with reductions.track() as counter:
+            select_lambda(LambdaRule.optimal(gravity32.x_true), svd_small(state.H),
+                          state.beta, state.m, basis=state.L, x0=state.x0)
+        assert counter.by_length == {32: 41 + 21 + 21}
+
+    @pytest.mark.parametrize("group", range(4))
+    def test_within_half_a_final_spacing_of_brute_force(self, monkeypatch, group):
+        # 200 random projected SVDs, k from 1 to 200, in four groups: every
+        # point lies in the window, and the pick is within half the final
+        # spacing (7.5e-4 decades) of a 1e5-point minimizer of the same
+        # function in the bracket the first pass chose
+        rng = np.random.default_rng(900 + group)
+        searches = _record_searches(monkeypatch)
+        for i in range(50):
+            k = int(rng.integers(1, 201))
+            svd = _random_projected_svd(rng, k)
+            rule = LambdaRule.gcv() if i % 2 else LambdaRule.wgcv()
+            searches.clear()
+            lam = select_lambda(rule, svd, 1.0, int(rng.integers(k + 1, 4 * k + 2)))
+            (f, passes), = searches
+            assert all(np.all((p >= 1e-6) & (p <= 1.0)) for p in passes)
+            first = np.log10(passes[0][np.argmin(f(passes[0]))])
+            grid = np.linspace(max(-6.0, first - 0.15), min(0.0, first + 0.15), 100_000)
+            values = np.concatenate([f(10.0**g) for g in np.array_split(grid, 400)])
+            brute = grid[np.argmin(values)]
+            # the brute-force minimizer itself is within half its spacing
+            assert abs(np.log10(lam / svd.sigma[0]) - brute) <= (
+                7.5e-4 + (grid[1] - grid[0]) / 2), (group, i, k)
+
+    @pytest.mark.parametrize("name", ["gravity64", "tomo16"])
+    @pytest.mark.parametrize("run", [hess_run, gk_run])
+    def test_near_golden_section_reference(self, request, name, run):
+        # at every iteration of 30, gcv and wgcv pick within 1.5e-3
+        # decades of the replaced golden-section search in [1e-6, 1] sigma_1
+        # (lambda does not feed back into the factorization, so the hybrid
+        # solves' projected problems are these)
+        prob = request.getfixturevalue(name)
+        m = prob.op.shape[0]
+        state = run(prob.op, prob.b, maxiter=30)
+        assert state.k == 30
+        far = []
+        for k in range(1, state.k + 1):
+            svd = svd_small(state.projected_matrix[:k + 1, :k])
+            sigma1 = svd.sigma[0]
+            for rule, omega in ((LambdaRule.gcv(), 1.0),
+                                (LambdaRule.wgcv(), min(1.0, (k + 1) / m))):
+                lam = select_lambda(rule, svd, state.beta, m)
+                ref = golden_section_reference(
+                    lambda x: wgcv_value(svd, state.beta, x, omega),
+                    1e-6 * sigma1, sigma1)
+                if abs(np.log10(lam / ref)) > 1.5e-3:
+                    far.append((rule.kind, k))
+        assert far == []
 
 
 class TestLambdaRuleConstructor:

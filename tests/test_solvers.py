@@ -228,6 +228,29 @@ def test_concurrent_solves_share_nothing(gravity32, tomo16):
         assert runs is not None and all(run == alone[name] for run in runs), name
 
 
+@pytest.mark.parametrize("rule", ["gcv", "wgcv"])
+@pytest.mark.parametrize("c", [2.0**-664, 2.0**664])
+def test_pure_hybrid_lslu_is_scale_free(gravity32, rule, c):
+    # A and b scaled by a power of two near 1e+-200: the same iterate, and
+    # every lambda scaled by c; the search, the filter and the stopping
+    # function raise nothing and warn of nothing.  Both operators are
+    # dense ones, so their products round alike.
+    A = gravity32.op.matrix
+    cfg = SolverConfig("hybrid_lslu", maxiter=20, lambda_rule=LambdaRule(kind=rule),
+                       pure=True)
+    ref = run_hybrid_lslu(make_dense_operator(A), gravity32.b, cfg)
+    res = run_hybrid_lslu(make_dense_operator(c * A), c * gravity32.b, cfg)
+    assert res.k_stop == ref.k_stop == 20
+    assert (np.linalg.norm(res.x_final - ref.x_final)
+            <= 1e-12 * np.linalg.norm(ref.x_final))
+    np.testing.assert_allclose(res.lambdas, c * np.array(ref.lambdas), rtol=1e-12)
+    # the stopping function overflows at 2^664 and underflows to 0 at 2^-664
+    if c > 1:
+        assert not any(np.isfinite(res.ghats))
+    else:
+        assert res.ghats == [0.0] * 20
+
+
 def test_breakdown_at_init_returns_x0():
     op = make_dense_operator(A22)
     x0 = np.array([2.0, -1.0])
