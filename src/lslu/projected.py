@@ -3,8 +3,12 @@
 Everything here operates on the (k+1)-by-k projected matrix (Hessenberg
 H or bidiagonal B) through its SVD: Tikhonov and least-squares solves,
 the GCV and weighted-GCV parameter-selection functions, the iteration
-stopping function, and the parameter search itself.  The matrix grows
-by one column and one row per iteration, so past a measured crossover
+stopping function, and the parameter search itself.  The last three
+share one GCV-family function of mu = lam / sigma_1 formed in
+sigma / sigma_1 (_gcv_family); the public values multiply it by their
+lam-free factor (k or n times beta * beta) last, so none of them
+squares an unscaled sigma, beta or lam.  The matrix grows by one
+column and one row per iteration, so past a measured crossover
 its SVD is extended from the previous one (extend_svd: one LAPACK
 dlasd8 call for the secular equation, O(k^2) NumPy work and two k-by-k
 products) rather than recomputed in O(k^3).
@@ -353,50 +357,22 @@ def ls_projected(svd, beta):
     return tikhonov_projected(svd, beta, 0.0)
 
 
-def _wgcv_function(svd, beta, omega, factor, offset=1.0):
-    """The GCV-family function of lam > 0, with its lam-free terms built once.
+def _gcv_family(svd, omega, offset):
+    """The GCV-family function of mu = lam / sigma_1, over its lam-free factor.
 
-    Weighted GCV has factor k and trace offset 1; the stopping function
-    has omega 1, factor n and offset m - k.
-    """
-    s2 = svd.sigma**2
-    u = svd.ue1[:svd.k]
-    tail = svd.ue1[svd.k] ** 2
-    a = (1.0 - omega) * s2
-    fb = factor * beta**2
-
-    def value(lam):
-        # no zero guard on den: it vanishes only where lam**2 underflows
-        # at a zero singular value, and there the trace is 0/0 regardless
-        l2 = lam**2
-        den = s2 + l2
-        t = l2 / den
-        t *= u
-        t *= t
-        terms = float(np.add.reduce(t) + tail)
-        trace = offset + np.add.reduce((a + l2) / den)
-        return fb * terms / trace**2
-
-    return value
-
-
-def _wgcv_search_function(svd, omega):
-    """The weighted-GCV function of mu = lam / sigma_1 for the search.
-
-    It maps an array of mu to the function's values over k beta^2, the
-    factor that does not move the minimizer, and is formed in s = sigma /
-    sigma_1, so no square of sigma, beta or lam is taken.  With the
-    filter complements f_i = mu^2 / (s_i^2 + mu^2), the numerator is
-    sum (f_i u_i)^2 plus the tail of U^T e_1, and the trace
-    1 + sum ((1 - omega) s_i^2 + mu^2) / (s_i^2 + mu^2) is
-    1 + k (1 - omega) + omega sum f_i.  One (points x k) array per call.
+    It maps an array of mu to sum (f_i u_i)^2 plus the tail of U^T e_1,
+    over the squared trace offset + omega sum f_i, with the filter
+    complements f_i = mu^2 / (s_i^2 + mu^2) of s = sigma / sigma_1, so no
+    square of sigma, beta or lam is taken.  Weighted GCV over k beta^2
+    has offset 1 + k (1 - omega); the stopping function over n beta^2
+    has omega 1 and offset m - k.  A zero matrix has every f_i = 1.  One
+    (points x k) array per call.
     """
     k = svd.k
-    s = svd.sigma / svd.sigma[0]
+    s = svd.sigma / (svd.sigma[0] or 1.0)
     s2 = s * s
     u2 = svd.ue1[:k] ** 2
     tail = svd.ue1[k] ** 2
-    offset = 1.0 + k * (1.0 - omega)
 
     def value(mu):
         mu2 = (mu * mu)[:, None]
@@ -409,25 +385,35 @@ def _wgcv_search_function(svd, omega):
     return value
 
 
-def _check_search_lam(lam, name, what):
-    # a lam whose square underflows to 0 makes the trace 0/0 at an exact
-    # zero singular value; the float() product cannot raise OverflowError
-    if not (lam > 0 and float(lam) * float(lam) > 0):
-        raise ValueError(f"{what} must be positive with a square that does "
-                         f"not underflow to 0, got {name}={lam!r}")
+def _mu(svd, lam):
+    # lam / sigma_1 for a finite lam >= 0, cut at 1e150 so that mu**2
+    # stays finite: from about 1.3e8 on every filter complement
+    # mu^2 / (s^2 + mu^2), s <= 1, rounds to 1, so the cut moves no value
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got lam={lam!r}")
+    return min(float(lam) / float(svd.sigma[0] or 1.0), 1e150)
 
 
 def wgcv_value(svd, beta, lam, omega):
     """Weighted-GCV function of the projected problem, k = svd.k.
 
     The omega weight only enters the trace denominator; omega=1 is the
-    standard GCV function (same floating-point path, bit for bit).  lam
-    must be positive, and large enough that lam**2 does not underflow.
+    standard GCV function (same floating-point path, bit for bit).  It
+    is the search's function of mu = lam / sigma_1 times k beta^2, so
+    scaling the problem and lam by c scales the value by c^2 to
+    rounding, and a value out of range reads inf or 0.  lam must be
+    finite and positive, and large enough that mu**2 does not underflow.
     """
-    _check_search_lam(lam, "lam", "lam")
+    mu = _mu(svd, lam)
+    if not mu * mu > 0:
+        # at a zero singular value the trace would be 0/0
+        raise ValueError(f"lam must be positive with (lam / sigma_1)**2 not "
+                         f"underflowing to 0, got lam={lam!r}")
     if not 0 <= omega <= 1:
         raise ValueError("omega must lie in [0, 1]")
-    return _wgcv_function(svd, beta, omega, svd.k)(lam)
+    k = svd.k
+    f = _gcv_family(svd, omega, 1.0 + k * (1.0 - omega))(np.array([mu]))
+    return float(beta) * float(beta) * float(k * f[0])
 
 
 def gcv_value(svd, beta, lam):
@@ -440,23 +426,23 @@ def ghat(svd, beta, lam, m, n):
 
     The numerator carries the full-problem factor n; the trace in the
     denominator runs over all m rows, of which only k = svd.k are
-    touched by the projected filter.  Where a square overflows (a
-    projected problem scaled past about 1e154) the value is inf or nan,
-    which stop_check never fires on, and no warning is raised.
+    touched by the projected filter.  It is beta * beta times
+    ghat(svd, 1.0, lam, m, n), bit for bit, and that beta-free factor is
+    formed in sigma / sigma_1 and lam / sigma_1, so it keeps its value
+    when the problem and lam are scaled; beta * beta alone reads inf or
+    0 out of range, with no warning.  At lam = 0, or where
+    (lam / sigma_1)**2 underflows, every filter complement is 0 and the
+    value is the lam-free n beta^2 tail / (m - k)^2.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if m <= svd.k:
+    mu = _mu(svd, lam)
+    k = svd.k
+    if m <= k:
         raise ValueError("requires m > k")
-    # NumPy scalars square as Python floats do, bit for bit, but past
-    # about 1e154 give inf (and the value inf or nan) instead of raising
-    beta, lam = np.float64(beta), np.float64(lam)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if lam**2 == 0:
-            # every filter factor is 0: the lam-free value, with no 0/0
-            # at a zero singular value
-            return n * beta**2 * svd.ue1[svd.k] ** 2 / (m - svd.k) ** 2
-        return _wgcv_function(svd, beta, 1.0, n, m - svd.k)(lam)
+    if mu * mu == 0:
+        g = n * svd.ue1[k] ** 2 / (m - k) ** 2
+    else:
+        g = n * _gcv_family(svd, 1.0, m - k)(np.array([mu]))[0]
+    return float(beta) * float(beta) * float(g)
 
 
 def stop_check(ghat_history, tol):
@@ -592,10 +578,9 @@ def select_lambda(rule, svd, beta, m, *, basis=None, x0=None):
         raise ValueError("the projected matrix is zero: no search window for "
                          "the regularization parameter")
 
-    if rule.kind == "gcv":
-        func = _wgcv_search_function(svd, 1.0)
-    elif rule.kind == "wgcv":
-        func = _wgcv_search_function(svd, min(1.0, max(0.0, (svd.k + 1) / m)))
+    if rule.kind in ("gcv", "wgcv"):
+        omega = 1.0 if rule.kind == "gcv" else min(1.0, max(0.0, (svd.k + 1) / m))
+        func = _gcv_family(svd, omega, 1.0 + svd.k * (1.0 - omega))
     else:
         if basis is None:
             raise ValueError("optimal rule needs the solution basis")

@@ -66,8 +66,13 @@ class SolveResult:
     list also when no truth is tracked.  residual_norms[k - 1] is
     ||b - A x_k|| as the factorization gives it (see compute_histories),
     equal to a direct evaluation up to rounding.  x_final equals
-    x0 + (solution basis) @ y_{k_stop}.  state is the HessenbergState or
-    BidiagState the solve grew, both read through the KrylovState names.
+    x0 + (solution basis) @ y_{k_stop}.  ghats[k - 1] is the stopping
+    function ghat(svd, beta, lam_k, m, n) of iteration k (nan once k
+    reaches m); stop_tol compares the beta-free values ghat(svd, 1.0,
+    ...), which these are beta * beta times, so stopping works at scales
+    where beta * beta makes the reported values inf or 0.  state is the
+    HessenbergState or BidiagState the solve grew, both read through the
+    KrylovState names.
     """
 
     x_final: np.ndarray
@@ -122,7 +127,9 @@ def _drive(op, b, config, method):
         y = tikhonov_projected(svd, state.beta, lam)
         ys.append(y)
         lambdas.append(lam)
-        ghats.append(ghat(svd, state.beta, lam, m, n) if k < m else float("nan"))
+        # beta-free: stop_check reads only ratios, which a factor
+        # beta * beta turns into inf/inf or 0/0 on a scaled problem
+        ghats.append(ghat(svd, 1.0, lam, m, n) if k < m else float("nan"))
 
         if (config.stop_tol is not None and len(ghats) >= 2
                 and stop_check(ghats, config.stop_tol)):
@@ -135,6 +142,7 @@ def _drive(op, b, config, method):
     k_stop = len(ys)
 
     x_final = reconstruct(state, ys[-1] if ys else None)
+    ghats = [state.beta * state.beta * g for g in ghats]
     result = SolveResult(x_final, k_stop, stop_reason, [], [], lambdas, ghats,
                          ys, state)
     if not config.pure:

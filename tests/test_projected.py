@@ -33,10 +33,16 @@ def wgcv_oracle(H, beta, lam, omega):
     return num / den
 
 
+#: How far the library's GCV-family values may sit from the references
+#: below: they form the same terms in sigma / sigma_1 and lam / sigma_1
+#: and multiply by beta^2 last, which moves a value by a few ulps.
+REFERENCE_RTOL = 16 * np.finfo(float).eps
+
+
 def wgcv_reference(svd, beta, lam, omega):
-    """The weighted-GCV value built anew at every lam, with the
-    zero-denominator guard; the library evaluates the same operations
-    with its lam-free terms built once, so the two agree bit for bit."""
+    """The weighted-GCV value built anew at every lam, in lam and sigma
+    unscaled, with the zero-denominator guard; the library agrees with
+    it to REFERENCE_RTOL."""
     s2 = svd.sigma**2
     denom = s2 + lam**2
     filt = np.where(denom > 0, lam**2 / np.where(denom > 0, denom, 1.0), 0.0)
@@ -183,15 +189,47 @@ class TestGcvForms:
         assert np.isfinite(value)
         assert value == pytest.approx(1.0 / 4.0, rel=1e-6)  # (1+k)^2 = 4 at k=1
 
-    @pytest.mark.parametrize("lam", [1e-200, 1e-163, 0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("lam", [1e-200, 1e-163, 0.0, -1.0, float("nan"),
+                                     float("inf"), -float("inf")])
     def test_underflowing_lambda_rejected(self, lam):
-        # lam**2 == 0 at an exact zero singular value would make the trace 0/0
+        # (lam / sigma_1)**2 == 0 at an exact zero singular value would make
+        # the trace 0/0; a non-finite lam is rejected too
         svd = svd_small([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         assert svd.sigma[-1] == 0.0
         with pytest.raises(ValueError, match="lam"):
             gcv_value(svd, 1.0, lam)
         with pytest.raises(ValueError, match="lam"):
             wgcv_value(svd, 1.0, lam, 0.5)
+
+    @pytest.mark.parametrize("c", [2.0**-664, 2.0**664])
+    def test_values_scale_with_beta_squared(self, c):
+        # H, beta and lam scaled by c: the values at c = 1, with the c^2
+        # folded into beta; no square of c * lam or c * sigma is taken
+        rng = np.random.default_rng(14)
+        H = np.triu(rng.standard_normal((7, 6)), -1)
+        svd, svd_c = svd_small(H), svd_small(c * H)
+        for lam in (1e-4, 0.05, 3.0):
+            np.testing.assert_allclose(gcv_value(svd_c, 0.8, c * lam),
+                                       gcv_value(svd, 0.8, lam), rtol=1e-13)
+            for omega in (0.0, 0.4, 1.0):
+                np.testing.assert_allclose(wgcv_value(svd_c, 0.8, c * lam, omega),
+                                           wgcv_value(svd, 0.8, lam, omega),
+                                           rtol=1e-13)
+
+    def test_out_of_range_values_read_inf_or_zero(self):
+        # beta * beta overflows or underflows as a float product does:
+        # no OverflowError and no warning
+        svd = svd_small(np.triu(np.random.default_rng(15).standard_normal((5, 4)), -1))
+        assert gcv_value(svd, 1e200, 0.3) == np.inf
+        assert wgcv_value(svd, 1e-200, 0.3, 0.5) == 0.0
+
+    def test_tiny_lambda_of_a_tiny_matrix_accepted(self):
+        # lam is judged against sigma_1: 1e-200 is sigma_1 itself here
+        svd = svd_small([[1e-200, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        value = gcv_value(svd, 1.0, 1e-200)
+        assert value == pytest.approx(
+            gcv_value(svd_small([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]), 1.0, 1.0),
+            rel=1e-15)
 
     def test_smallest_lambdas_with_a_square_stay_finite(self):
         svd = svd_small([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
@@ -238,10 +276,14 @@ class TestGcvMatchesReference:
             svd = svd_small(np.triu(rng.standard_normal((k + 1, k)), -1))
         beta = float(rng.standard_normal())
         for lam in self.LAMS:
-            assert gcv_value(svd, beta, lam) == wgcv_reference(svd, beta, lam, 1.0)
+            np.testing.assert_allclose(gcv_value(svd, beta, lam),
+                                       wgcv_reference(svd, beta, lam, 1.0),
+                                       rtol=REFERENCE_RTOL, atol=0)
             for omega in (0.0, 0.37, 1.0):
-                assert wgcv_value(svd, beta, lam, omega) == wgcv_reference(
-                    svd, beta, lam, omega), (lam, omega)
+                np.testing.assert_allclose(
+                    wgcv_value(svd, beta, lam, omega),
+                    wgcv_reference(svd, beta, lam, omega),
+                    rtol=REFERENCE_RTOL, atol=0, err_msg=f"{lam} {omega}")
 
     @pytest.mark.parametrize("seed", range(4))
     def test_selected_lambda_bitwise(self, seed):
@@ -262,9 +304,10 @@ class TestGcvMatchesReference:
 
 
 def ghat_reference(svd, beta, lam, m, n):
-    """The stopping function from its own filter factors, guarded against a
-    zero denominator; the library evaluates it through the weighted-GCV
-    builder (omega 1, factor n, trace offset m - k), bit for bit."""
+    """The stopping function from its own filter factors in lam and sigma
+    unscaled, guarded against a zero denominator; the library evaluates
+    it through the GCV-family function (omega 1, trace offset m - k) and
+    agrees with it to REFERENCE_RTOL."""
     k = svd.k
     s2 = svd.sigma**2
     denom = s2 + lam**2
@@ -291,8 +334,10 @@ class TestGhatMatchesReference:
         for k in range(1, state.k + 1):
             svd = svd_small(state.projected_matrix[:k + 1, :k])
             for lam in self.LAMS:
-                assert ghat(svd, state.beta, lam, m, n) == ghat_reference(
-                    svd, state.beta, lam, m, n), (k, lam)
+                np.testing.assert_allclose(
+                    ghat(svd, state.beta, lam, m, n),
+                    ghat_reference(svd, state.beta, lam, m, n),
+                    rtol=REFERENCE_RTOL, atol=0, err_msg=f"{k} {lam}")
 
     @pytest.mark.parametrize("lam", [0.0, 1e-200, 1e-3])
     def test_zero_singular_value_bitwise(self, lam):
@@ -302,7 +347,17 @@ class TestGhatMatchesReference:
             np.random.default_rng(5), 6)
         value = ghat(svd, 0.7, lam, 20, 15)
         assert np.isfinite(value)
-        assert value == ghat_reference(svd, 0.7, lam, 20, 15)
+        np.testing.assert_allclose(value, ghat_reference(svd, 0.7, lam, 20, 15),
+                                   rtol=REFERENCE_RTOL, atol=0)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-200, 1e-3, 0.4, 1e200])
+    def test_beta_factor_bitwise(self, lam):
+        # the solvers record the beta-free value and report beta * beta
+        # times it, which is the value at beta, bit for bit
+        svd = svd_small(np.triu(np.random.default_rng(8).standard_normal((8, 7)), -1))
+        for beta in (0.7, -3.1, 2.0**-664, 1e200):
+            assert ghat(svd, beta, lam, 20, 15) == beta * beta * ghat(
+                svd, 1.0, lam, 20, 15)
 
 
 class TestGhat:
@@ -317,6 +372,22 @@ class TestGhat:
     def test_zero_lambda_no_tail(self):
         svd = svd_small([[2.0], [0.0]])
         assert ghat(svd, 1.0, 0.0, 5, 5) == 0.0
+
+    @pytest.mark.parametrize("lam", [float("inf"), float("nan"), -1.0])
+    def test_bad_lambda_rejected(self, lam):
+        svd = svd_small([[2.0], [0.0]])
+        with pytest.raises(ValueError, match="lam"):
+            ghat(svd, 1.0, lam, 5, 5)
+
+    def test_huge_lambda_reads_the_all_ones_limit(self):
+        # past about 1e8 sigma_1 every filter complement rounds to 1, and
+        # lam / sigma_1 is cut before its square overflows: n / m^2 for a
+        # unit U^T e_1, with no warning; (w)GCV reads k / (k + 1)^2
+        svd = svd_small(np.triu(np.random.default_rng(16).standard_normal((5, 4)), -1))
+        for lam in (1e10, 1e160, 1e300):
+            assert ghat(svd, 1.0, lam, 12, 9) == ghat(svd, 1.0, 1e9, 12, 9)
+            assert ghat(svd, 1.0, lam, 12, 9) == pytest.approx(9 / 144, rel=1e-14)
+            assert wgcv_value(svd, 1.0, lam, 0.3) == pytest.approx(4 / 25, rel=1e-14)
 
     def test_m_not_larger_than_k_rejected(self):
         svd = svd_small([[2.0], [0.0]])
@@ -338,8 +409,8 @@ class TestGhat:
 
     @pytest.mark.parametrize("c", [1e200, 2.0**664])
     def test_extreme_scales_without_warning(self, c):
-        # squares overflow at c: a non-finite value, which stop_check never
-        # fires on; at 1/c lam**2 underflows and the lam-free value is 0 (a
+        # beta * beta overflows at c: a non-finite value, which stop_check
+        # never fires on; at 1/c it underflows and the value is 0 (a
         # RuntimeWarning from lslu.projected fails the suite)
         rng = np.random.default_rng(6)
         H = np.triu(rng.standard_normal((7, 6)), -1)

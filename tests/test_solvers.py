@@ -7,8 +7,8 @@ from scipy.linalg import hadamard
 
 from lslu import (CountingOperator, LambdaRule, LinearOperator, PivotStrategy,
                   SolverConfig, build_uq, gk_init, gk_run, hess_init, hess_run,
-                  compute_histories, make_dense_operator, run_hybrid_lslu,
-                  run_hybrid_lsqr, run_lslu, run_lsqr, solve)
+                  compute_histories, ghat, make_dense_operator, run_hybrid_lslu,
+                  run_hybrid_lsqr, run_lslu, run_lsqr, solve, svd_small)
 from lslu import reductions
 from lslu.hessenberg import condition_number
 from lslu.solvers import METHODS
@@ -244,11 +244,30 @@ def test_pure_hybrid_lslu_is_scale_free(gravity32, rule, c):
     assert (np.linalg.norm(res.x_final - ref.x_final)
             <= 1e-12 * np.linalg.norm(ref.x_final))
     np.testing.assert_allclose(res.lambdas, c * np.array(ref.lambdas), rtol=1e-12)
-    # the stopping function overflows at 2^664 and underflows to 0 at 2^-664
+    # the reported stopping function's factor beta * beta overflows at
+    # 2^664 and underflows to 0 at 2^-664 (stopping reads it without)
     if c > 1:
         assert not any(np.isfinite(res.ghats))
     else:
         assert res.ghats == [0.0] * 20
+
+
+@pytest.mark.parametrize("rule", ["gcv", "wgcv"])
+@pytest.mark.parametrize("c", [2.0**-664, 2.0**664])
+def test_stop_tol_is_scale_free(gravity32, rule, c):
+    # stop_tol reads the beta-free stopping function, so it stops a solve
+    # scaled near 1e+-200 where the one at scale 1 stops, although the
+    # reported ghats, beta * beta times it, read 0 or inf there
+    A = gravity32.op.matrix
+    cfg = SolverConfig("hybrid_lslu", maxiter=30, lambda_rule=LambdaRule(kind=rule),
+                       stop_tol=1e-4, pure=True)
+    ref = run_hybrid_lslu(make_dense_operator(A), gravity32.b, cfg)
+    res = run_hybrid_lslu(make_dense_operator(c * A), c * gravity32.b, cfg)
+    assert ref.stop_reason == res.stop_reason == "ghat_tol"
+    assert res.k_stop == ref.k_stop < 30
+    # the reported value at scale 1 is the stopping function at beta
+    assert ref.ghats[-1] == ghat(svd_small(ref.state.projected_matrix),
+                                 ref.state.beta, ref.lambdas[-1], *A.shape)
 
 
 def test_breakdown_at_init_returns_x0():
