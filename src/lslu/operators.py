@@ -10,7 +10,21 @@ A dense operator applies its matrix with one BLAS gemv per product.  A
 square matrix known to be exactly symmetric (the gravity matrix, or a
 symmetric matrix read by `load_dense_problem`) is applied with one
 dsymv instead, for both maps: it reads one triangle, half the bytes of
-a gemv, and uses each entry twice.
+a gemv, and uses each entry twice.  A symmetric matrix that is also
+exactly Toeplitz (again the gravity matrix, or such a file) is fixed by
+its first column, and from n = 512 on it is applied by FFT: a product
+is two real FFTs of length about 2n against the spectrum of a circulant
+that embeds the matrix, O(n log n) work that never reads the matrix.
+Below 512 one dsymv is faster; near 512 the two are within about 10%
+of each other, and from there on the FFT wins by a growing margin (per
+product, dsymv against FFT, best of 5 x 200 calls on one core of a
+2-vCPU x86-64 Xeon VM with one BLAS thread: 18.7 against 26.3 us at
+n = 448, 29.3 against 26.3 us at n = 512, 214 against 39 us at
+n = 1000, 4.85 against 0.135 ms at n = 4096).  The FFT rounds differently from dsymv, by about 1e-15
+relative per product; on solves of gravity n = 512 to 4096 that moves
+the iterates by up to about 2e-7 relative and leaves the stopping
+iteration unchanged.  `op.matrix` stays the full dense array on every
+path, and the generated problem data do not depend on the path.
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsymv
 
@@ -165,6 +180,56 @@ def _make_symmetric_operator(matrix):
     return LinearOperator(n, n, apply, apply, matrix=matrix)
 
 
+def _make_toeplitz_operator(matrix):
+    """Wrap a finite square float matrix the caller knows to be exactly
+    symmetric and exactly Toeplitz.
+
+    The matrix is the leading n-by-n block of the symmetric circulant
+    whose first column is [c_0 ... c_{n-1}, 0 ..., c_{n-1} ... c_1], of a
+    fast FFT length N >= 2n - 1.  The DFT diagonalizes a circulant, and a
+    symmetric one has a real spectrum, so each product is one real FFT
+    of x padded to N, a multiply by that spectrum, and one inverse real
+    FFT cut back to n.  Both maps are that one function.  Calls share
+    only the read-only spectrum.
+    """
+    n = matrix.shape[0]
+    size = next_fast_len(2 * n - 1, real=True)
+    column = np.zeros(size)
+    column[:n] = matrix[:, 0]
+    column[size - n + 1:] = matrix[n - 1:0:-1, 0]
+    spectrum = rfft(column).real.copy()
+    spectrum.flags.writeable = False
+
+    def apply(x):
+        # two temporaries per call: the transform, scaled in place, and
+        # the inverse of length N, whose first n entries are returned as a view
+        transform = rfft(x, size)
+        transform *= spectrum
+        return irfft(transform, size)[:n]
+
+    return LinearOperator(n, n, apply, apply, matrix=matrix)
+
+
+# the smallest order at which a symmetric Toeplitz matrix is applied by
+# FFT rather than by dsymv: the measured crossover (module docstring)
+_FFT_MIN_N = 512
+
+
+def _select_operator(matrix, symmetric, toeplitz):
+    """The operator with the fastest product for a finite float matrix.
+
+    symmetric and toeplitz say whether the caller knows the matrix to be
+    exactly so: a symmetric Toeplitz matrix of order at least _FFT_MIN_N
+    is applied by FFT, any other symmetric one by dsymv, and the rest by
+    gemv.
+    """
+    if symmetric and toeplitz and matrix.shape[0] >= _FFT_MIN_N:
+        return _make_toeplitz_operator(matrix)
+    if symmetric:
+        return _make_symmetric_operator(matrix)
+    return make_dense_operator(matrix)
+
+
 def make_sparse_operator(matrix):
     """Wrap a scipy sparse matrix as a LinearOperator."""
     csr = sp.csr_matrix(matrix)
@@ -221,11 +286,20 @@ def gravity_kernel_matrix(n, depth=0.25):
 
 
 def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
-    """Square severely ill-posed smooth-kernel problem with a bimodal truth."""
+    """Square severely ill-posed smooth-kernel problem with a bimodal truth.
+
+    The matrix is symmetric Toeplitz, so its operator applies it by FFT
+    from n = 512 on and by dsymv below (see the module docstring); the
+    FFT moves a solve by up to about 2e-7 relative and leaves its
+    stopping iteration unchanged.  `op.matrix` is the full dense matrix
+    either way, and the exact data are its product with the truth, so
+    the problem data do not depend on the product.
+    """
     _check_noise_level(noise_level)
     matrix = gravity_kernel_matrix(n, depth)
-    # the kernel is symmetric in s and t, and so, bit for bit, is the matrix
-    op = _make_symmetric_operator(matrix)
+    # the kernel is symmetric in s and t, and so, bit for bit, is the
+    # matrix; `toeplitz` builds it from its first column
+    op = _select_operator(matrix, symmetric=True, toeplitz=True)
     t = (np.arange(n) + 0.5) / n
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
     with np.errstate(over="ignore"):
@@ -350,7 +424,8 @@ def load_dense_problem(matrix_path, rhs_path):
     matrix = _checked_dense(np.loadtxt(matrix_path, ndmin=2))
     b = np.loadtxt(rhs_path).ravel()
     symmetric = matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T)
-    op = (_make_symmetric_operator if symmetric else make_dense_operator)(matrix)
+    op = _select_operator(matrix, symmetric, symmetric and np.array_equal(
+        matrix[1:, 1:], matrix[:-1, :-1]))
     if b.shape[0] != op.nrows:
         raise ValueError("right-hand side length does not match matrix rows")
     return op, b

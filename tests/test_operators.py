@@ -7,11 +7,12 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.blas import dsymv
 
 from lslu import (LinearOperator, SolverConfig, add_noise, export_dense_matrix,
                   load_dense_problem, make_dense_operator, make_gravity_problem,
                   make_sparse_operator, make_tomo_problem, solve, trace_view)
-from lslu.operators import gravity_kernel_matrix
+from lslu.operators import _make_toeplitz_operator, gravity_kernel_matrix
 
 
 class TestLinearOperator:
@@ -227,69 +228,107 @@ class TestGravity:
 
 
 class TestSymmetricOperator:
+    # gravity64 is applied by dsymv; from n = 512 on, a prime n included,
+    # the gravity matrix is applied by FFT
     def test_forward_equals_adjoint_and_matrix_product(self, gravity64):
-        op = gravity64.op
+        ops = [gravity64.op] + [make_gravity_problem(n).op for n in (512, 521, 1000)]
         rng = np.random.default_rng(11)
-        for _ in range(5):
-            x = rng.standard_normal(64)
-            y = op.forward(x)
-            np.testing.assert_array_equal(op.adjoint(x), y)
-            exact = op.matrix @ x
-            assert np.linalg.norm(y - exact) <= 1e-13 * np.linalg.norm(exact)
+        for op in ops:
+            for _ in range(5):
+                x = rng.standard_normal(op.ncols)
+                y = op.forward(x)
+                np.testing.assert_array_equal(op.adjoint(x), y)
+                exact = op.matrix @ x
+                assert (np.linalg.norm(y - exact)
+                        <= 1e-13 * np.linalg.norm(exact)), op.ncols
+
+    def test_product_selected_by_order(self):
+        # below 512 the gravity operator's output is dsymv's bit for bit,
+        # from 512 on it is the FFT product's, which rounds differently
+        x = np.random.default_rng(15).standard_normal(512)
+        below = make_gravity_problem(511)
+        np.testing.assert_array_equal(below.op.forward(x[:511]),
+                                      dsymv(1.0, below.op.matrix.T, x[:511]))
+        at = make_gravity_problem(512)
+        fft = _make_toeplitz_operator(at.op.matrix).forward(x)
+        np.testing.assert_array_equal(at.op.forward(x), fft)
+        assert not np.array_equal(fft, dsymv(1.0, at.op.matrix.T, x))
 
     def test_product_does_not_copy_matrix(self):
-        # a copy of the 2 MB matrix on the way into BLAS would show here
-        op = make_gravity_problem(512).op
-        x = np.random.default_rng(12).standard_normal(512)
-        op.forward(x)
-        tracemalloc.start()
-        try:
+        # a copy of the 2 MB matrix on the way into BLAS, or an n-by-n
+        # temporary on the FFT path, would show here
+        for n in (511, 512):
+            op = make_gravity_problem(n).op
+            x = np.random.default_rng(12).standard_normal(n)
             op.forward(x)
-            op.adjoint(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < op.matrix.nbytes // 16
+            tracemalloc.start()
+            try:
+                op.forward(x)
+                op.adjoint(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < op.matrix.nbytes // 16, n
 
     def test_concurrent_products_share_nothing(self):
         # four threads apply one operator at once and keep every output:
-        # each output is its own array, with the bits of a product run alone
-        op = make_gravity_problem(200).op
-        xs = np.random.default_rng(13).standard_normal((6, 200))
-        alone = [op.forward(x).tobytes() for x in xs]
-        together = [None] * 4
+        # each output is its own array, with the bits of a product run
+        # alone, by dsymv (n = 200) and by FFT (n = 600)
+        for n in (200, 600):
+            op = make_gravity_problem(n).op
+            xs = np.random.default_rng(13).standard_normal((6, n))
+            alone = [op.forward(x).tobytes() for x in xs]
+            together = [None] * 4
 
-        def run(i):
-            outs = [f(x) for _ in range(5) for f in (op.forward, op.adjoint)
-                    for x in xs]
-            together[i] = outs
+            def run(i):
+                outs = [f(x) for _ in range(5) for f in (op.forward, op.adjoint)
+                        for x in xs]
+                together[i] = outs
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        outs = [y for run in together for y in run]
-        assert [y.tobytes() for y in outs] == alone * (len(outs) // len(alone))
-        assert len({y.ctypes.data for y in outs}) == len(outs)
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            outs = [y for run in together for y in run]
+            assert [y.tobytes() for y in outs] == alone * (len(outs) // len(alone))
+            assert len({y.ctypes.data for y in outs}) == len(outs)
 
     def test_symmetric_file_solves_as_in_memory(self, gravity64, tmp_path):
+        # a square, exactly symmetric and Toeplitz file takes the product
+        # the generator's operator takes: dsymv at n = 64, FFT at n = 512
         mpath, bpath = tmp_path / "A.txt", tmp_path / "b.txt"
-        export_dense_matrix(gravity64.op, mpath)
-        np.savetxt(bpath, gravity64.b)
-        op, b = load_dense_problem(mpath, bpath)
-        np.testing.assert_array_equal(op.matrix, gravity64.op.matrix)
-        np.testing.assert_array_equal(b, gravity64.b)
-        config = SolverConfig(method="hybrid_lslu", maxiter=12)
-        loaded, built = solve(op, b, config), solve(gravity64.op, gravity64.b, config)
-        for name in ("x_final", "lambdas", "ghats", "residual_norms"):
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(built, name))
+        for prob in (gravity64, make_gravity_problem(512)):
+            export_dense_matrix(prob.op, mpath)
+            np.savetxt(bpath, prob.b)
+            op, b = load_dense_problem(mpath, bpath)
+            np.testing.assert_array_equal(op.matrix, prob.op.matrix)
+            np.testing.assert_array_equal(b, prob.b)
+            config = SolverConfig(method="hybrid_lslu", maxiter=12)
+            loaded, built = solve(op, b, config), solve(prob.op, prob.b, config)
+            for name in ("x_final", "lambdas", "ghats", "residual_norms"):
+                np.testing.assert_array_equal(getattr(loaded, name),
+                                              getattr(built, name))
+
+    def test_symmetric_non_toeplitz_file_keeps_dsymv(self, tmp_path):
+        # one symmetric pair off the diagonals: the FFT would apply the
+        # Toeplitz matrix of the first column instead
+        matrix = gravity_kernel_matrix(512)
+        matrix[3, 5] = matrix[5, 3] = 2 * matrix[3, 5]
+        mpath, bpath = tmp_path / "A.txt", tmp_path / "b.txt"
+        np.savetxt(mpath, matrix)
+        np.savetxt(bpath, np.ones(512))
+        op, _ = load_dense_problem(mpath, bpath)
+        np.testing.assert_array_equal(op.matrix, matrix)
+        x = np.random.default_rng(16).standard_normal(512)
+        np.testing.assert_array_equal(op.forward(x), dsymv(1.0, matrix.T, x))
+        np.testing.assert_array_equal(op.adjoint(x), op.forward(x))
 
     # a square, exactly symmetric file with a NaN or inf, and one that is
     # not symmetric, are both rejected when read

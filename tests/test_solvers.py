@@ -148,6 +148,28 @@ def test_stopping_fixture_gravity64_wgcv():
     assert errs[res.k_stop - 1] <= 1.10 * min(errs)
 
 
+# the gravity operator applies its matrix by FFT from n = 512 on; the
+# rounding that moves must leave every auto-stopped solve where dsymv's
+# product on the same matrix leaves it
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fft_product_solves_as_dsymv(seed):
+    from lslu import make_gravity_problem
+    from lslu.operators import _make_symmetric_operator
+    prob = make_gravity_problem(1024, noise_level=1e-2, seed=seed)
+    dsymv_op = _make_symmetric_operator(prob.op.matrix)
+    for method, pivot, rule in (
+            ("hybrid_lslu", PivotStrategy.full(), LambdaRule.gcv()),
+            ("hybrid_lslu", PivotStrategy.full(), LambdaRule.wgcv()),
+            ("hybrid_lslu", PivotStrategy.sampled(50, seed=seed), LambdaRule.wgcv()),
+            ("hybrid_lsqr", PivotStrategy.full(), LambdaRule.wgcv())):
+        cfg = SolverConfig(method=method, maxiter=40, pivot=pivot, lambda_rule=rule,
+                           stop_tol=1e-4)
+        fft, ref = solve(prob.op, prob.b, cfg), solve(dsymv_op, prob.b, cfg)
+        assert fft.k_stop == ref.k_stop, (method, rule.kind)
+        assert (np.linalg.norm(fft.x_final - ref.x_final)
+                <= 1e-6 * np.linalg.norm(ref.x_final)), (method, rule.kind)
+
+
 def test_stopping_fixture_tomo32_wgcv(tomo32):
     cfg = SolverConfig(method="hybrid_lslu", maxiter=40,
                        lambda_rule=LambdaRule.wgcv(), stop_tol=1e-4,
