@@ -23,17 +23,27 @@ n = 448, 29.3 against 26.3 us at n = 512, 214 against 39 us at
 n = 1000, 4.85 against 0.135 ms at n = 4096).  The FFT rounds differently from dsymv, by about 1e-15
 relative per product; on solves of gravity n = 512 to 4096 that moves
 the iterates by up to about 2e-7 relative and leaves the stopping
-iteration unchanged.  `op.matrix` stays the full dense array on every
-path, and the generated problem data do not depend on the path.
+iteration unchanged.
+
+On the FFT path the matrix is not formed at all until `op.matrix` is
+first read; it then has the bits it has on every other path, and the
+operator keeps it.  The gravity generator therefore never forms its
+n-by-n matrix from n = 512 on: the exact data, the matrix's product
+with the truth, are computed bit for bit by one gemv per row block, each
+block copied from the n kernel values into one reused cache-sized
+buffer.  The generated problem data depend neither on the path nor on
+the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsymv
@@ -52,11 +62,13 @@ class LinearOperator:
         Maps a length-n vector to a length-m vector (y = A x).
     adjoint : callable
         Maps a length-m vector to a length-n vector (x = A^T y).
-    matrix : ndarray or sparse matrix, optional
+    matrix : ndarray, sparse matrix or _Deferred, optional
         The explicit matrix when one exists; retained for oracle use
-        and export, never touched by the iterative solvers.
+        and export, never touched by the iterative solvers.  A
+        _Deferred is formed on the first read of `matrix` and kept.
 
-    Instances are immutable after construction and safe to share
+    Apart from that one deferred formation, which a lock makes happen
+    once, instances are immutable after construction and safe to share
     between concurrently running solves.
     """
 
@@ -67,7 +79,12 @@ class LinearOperator:
         self.ncols = int(ncols)
         self._forward = forward
         self._adjoint = adjoint
-        self.matrix = matrix
+        self._matrix = matrix
+
+    @property
+    def matrix(self):
+        source = self._matrix
+        return source.get() if isinstance(source, _Deferred) else source
 
     @property
     def shape(self):
@@ -101,11 +118,34 @@ class LinearOperator:
         return np.column_stack([self.forward(cols[:, j]) for j in range(self.ncols)])
 
 
+class _Deferred:
+    """An array formed by form() on the first call of get(), then kept.
+
+    Concurrent first calls form it once, under a lock, and all return
+    that one array.  `value` is None until then.
+    """
+
+    def __init__(self, form):
+        self._form = form
+        self._lock = threading.Lock()
+        self.value = None
+
+    def get(self):
+        if self.value is None:
+            with self._lock:
+                if self.value is None:
+                    self.value = self._form()
+                    self._form = None
+        return self.value
+
+
 class CountingOperator(LinearOperator):
     """Wrapper that tallies forward/adjoint applications (test instrumentation)."""
 
     def __init__(self, op):
-        super().__init__(op.nrows, op.ncols, op._forward, op._adjoint, op.matrix)
+        # the wrapped operator's matrix source, so that a deferred matrix
+        # stays unformed, and is formed once for both, when first read
+        super().__init__(op.nrows, op.ncols, op._forward, op._adjoint, op._matrix)
         self.n_forward = 0
         self.n_adjoint = 0
 
@@ -136,15 +176,35 @@ class InverseProblem:
     image_shapes: dict = field(default_factory=dict)
 
 
-# entries per row block of the finiteness scan of a dense matrix (256 KB
-# of float64), so that the scan makes no m-by-n temporary
-_BLOCK_ENTRIES = 1 << 15
+# entries per row block of the scans and products over a dense matrix
+# (512 KB of float64), so that none makes an m-by-n temporary; at
+# n = 4096 (16 rows) the Toeplitz product below took about 10% less time
+# than with 8 or 64 rows
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _row_blocks(m, n):
-    """Slices of consecutive rows covering an m-by-n matrix in cache-sized blocks."""
-    step = max(1, _BLOCK_ENTRIES // max(n, 1))
-    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
+    """Slices of consecutive rows covering an m-by-n matrix in cache-sized blocks.
+
+    Each block has a multiple of 8 rows, at least 8, except the last,
+    and a last block of one row joins the one before it.  One gemv per
+    such block rounds every row as one gemv over the whole matrix does
+    on one thread: OpenBLAS's x86-64 kernel takes the rows 4 at a time
+    and then the rest (blocks of 2, 3, 5, 6 or 7 rows rounded
+    differently, blocks of 4, 8, 12, ..., 40 did not), and numpy
+    multiplies a single row by a dot product, which rounds differently
+    too.
+    """
+    step = max(8, _BLOCK_ENTRIES // max(n, 1) // 8 * 8)
+    bounds = list(range(0, m, step)) + [m]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(i, j) for i, j in zip(bounds, bounds[1:])]
+
+
+def _blocks_equal(a, b):
+    """np.array_equal(a, b) for two m-by-n arrays, compared by row blocks."""
+    return all(np.array_equal(a[rows], b[rows]) for rows in _row_blocks(*a.shape))
 
 
 def _checked_dense(matrix):
@@ -180,24 +240,26 @@ def _make_symmetric_operator(matrix):
     return LinearOperator(n, n, apply, apply, matrix=matrix)
 
 
-def _make_toeplitz_operator(matrix):
-    """Wrap a finite square float matrix the caller knows to be exactly
-    symmetric and exactly Toeplitz.
+def _make_toeplitz_operator(column, matrix):
+    """Wrap the matrix, which the caller knows to be exactly symmetric
+    and exactly Toeplitz with the given finite float first column.
 
-    The matrix is the leading n-by-n block of the symmetric circulant
-    whose first column is [c_0 ... c_{n-1}, 0 ..., c_{n-1} ... c_1], of a
-    fast FFT length N >= 2n - 1.  The DFT diagonalizes a circulant, and a
+    matrix (an array or a _Deferred) is only kept as `op.matrix`; the
+    products need the column alone.  The matrix is the leading n-by-n
+    block of the symmetric circulant whose first column is
+    [c_0 ... c_{n-1}, 0 ..., c_{n-1} ... c_1], of a fast FFT length
+    N >= 2n - 1.  The DFT diagonalizes a circulant, and a
     symmetric one has a real spectrum, so each product is one real FFT
     of x padded to N, a multiply by that spectrum, and one inverse real
     FFT cut back to n.  Both maps are that one function.  Calls share
     only the read-only spectrum.
     """
-    n = matrix.shape[0]
+    n = column.shape[0]
     size = next_fast_len(2 * n - 1, real=True)
-    column = np.zeros(size)
-    column[:n] = matrix[:, 0]
-    column[size - n + 1:] = matrix[n - 1:0:-1, 0]
-    spectrum = rfft(column).real.copy()
+    embedding = np.zeros(size)
+    embedding[:n] = column
+    embedding[size - n + 1:] = column[:0:-1]
+    spectrum = rfft(embedding).real.copy()
     spectrum.flags.writeable = False
 
     def apply(x):
@@ -215,16 +277,20 @@ def _make_toeplitz_operator(matrix):
 _FFT_MIN_N = 512
 
 
-def _select_operator(matrix, symmetric, toeplitz):
+def _select_operator(matrix, symmetric, column=None):
     """The operator with the fastest product for a finite float matrix.
 
-    symmetric and toeplitz say whether the caller knows the matrix to be
-    exactly so: a symmetric Toeplitz matrix of order at least _FFT_MIN_N
-    is applied by FFT, any other symmetric one by dsymv, and the rest by
-    gemv.
+    symmetric says whether the caller knows the matrix to be exactly
+    symmetric, and column, when given, that it is exactly symmetric
+    Toeplitz with that first column: such a matrix of order at least
+    _FFT_MIN_N is applied by FFT, any other symmetric one by dsymv, and
+    the rest by gemv.  matrix may be a _Deferred: the FFT operator leaves
+    it unformed until `op.matrix` is read, the other two form it now.
     """
-    if symmetric and toeplitz and matrix.shape[0] >= _FFT_MIN_N:
-        return _make_toeplitz_operator(matrix)
+    if column is not None and column.shape[0] >= _FFT_MIN_N:
+        return _make_toeplitz_operator(column, matrix)
+    if isinstance(matrix, _Deferred):
+        matrix = matrix.get()
     if symmetric:
         return _make_symmetric_operator(matrix)
     return make_dense_operator(matrix)
@@ -268,8 +334,8 @@ def add_noise(b_exact, noise_level, seed):
     return b_exact + e, e
 
 
-def gravity_kernel_matrix(n, depth=0.25):
-    """Midpoint-rule discretization of depth/(depth^2 + (s-t)^2)^{3/2} on [0,1]^2."""
+def gravity_kernel_column(n, depth=0.25):
+    """First column of gravity_kernel_matrix(n, depth), which it fixes."""
     check_maxiter(n, "n")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
@@ -282,7 +348,37 @@ def gravity_kernel_matrix(n, depth=0.25):
         kernel = depth * (np.float64(depth)**2 + (np.arange(n) / n)**2) ** -1.5 / n
     if not (np.isfinite(kernel).all() and kernel.all()):
         raise ValueError(f"depth {depth!r} over- or underflows the gravity kernel")
-    return toeplitz(kernel)
+    return kernel
+
+
+def gravity_kernel_matrix(n, depth=0.25):
+    """Midpoint-rule discretization of depth/(depth^2 + (s-t)^2)^{3/2} on [0,1]^2."""
+    return toeplitz(gravity_kernel_column(n, depth))
+
+
+def _toeplitz_product(column, x):
+    """toeplitz(column) @ x bit for bit, without forming the matrix.
+
+    Row i of the symmetric Toeplitz matrix is r[n-1-i : 2n-1-i] of
+    r = [column reversed, column[1:]].  Each block of _row_blocks is
+    copied from that strided view into one reused buffer and multiplied
+    by one gemv.  Up to n of about 30,000 a block is small enough for
+    OpenBLAS to run on one thread (with two threads, gemvs of up to
+    278,528 entries gave one thread's bits), so the product has one
+    thread's bits whatever the BLAS thread count; one gemv over the
+    whole matrix, split between two threads, rounded a row or two
+    differently at n = 2049 or 4097.
+    """
+    n = column.shape[0]
+    rows = sliding_window_view(np.concatenate((column[::-1], column[1:])), n)[::-1]
+    blocks = _row_blocks(n, n)
+    buffer = np.empty((max(b.stop - b.start for b in blocks), n))
+    out = np.empty(n)
+    for block in blocks:
+        part = buffer[:block.stop - block.start]
+        np.copyto(part, rows[block])
+        np.matmul(part, x, out=out[block])
+    return out
 
 
 def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
@@ -291,19 +387,26 @@ def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
     The matrix is symmetric Toeplitz, so its operator applies it by FFT
     from n = 512 on and by dsymv below (see the module docstring); the
     FFT moves a solve by up to about 2e-7 relative and leaves its
-    stopping iteration unchanged.  `op.matrix` is the full dense matrix
-    either way, and the exact data are its product with the truth, so
-    the problem data do not depend on the product.
+    stopping iteration unchanged.  From n = 512 on the matrix is formed
+    only when `op.matrix` is first read; below, dsymv needs it at once.
+    It is `gravity_kernel_matrix(n, depth)` bit for bit either way, and
+    the exact data are its product with the truth, bit for bit as one
+    gemv on one BLAS thread computes it, so the problem data depend
+    neither on the product nor on the BLAS thread count.
     """
     _check_noise_level(noise_level)
-    matrix = gravity_kernel_matrix(n, depth)
+    column = gravity_kernel_column(n, depth)
     # the kernel is symmetric in s and t, and so, bit for bit, is the
-    # matrix; `toeplitz` builds it from its first column
-    op = _select_operator(matrix, symmetric=True, toeplitz=True)
+    # matrix `toeplitz` builds from its first column
+    matrix = _Deferred(lambda: toeplitz(column))
+    op = _select_operator(matrix, symmetric=True, column=column)
     t = (np.arange(n) + 0.5) / n
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
     with np.errstate(over="ignore"):
-        b_exact = matrix @ x_true
+        # below 512 one gemv over the formed matrix (at most 261,121
+        # entries) gave the same bits on one and two OpenBLAS threads
+        b_exact = (_toeplitz_product(column, x_true) if matrix.value is None
+                   else matrix.value @ x_true)
         scale = np.linalg.norm(b_exact)
     if not 0 < scale < math.inf:
         raise ValueError(f"depth {depth!r} over- or underflows the exact data's norm")
@@ -423,9 +526,10 @@ def load_dense_problem(matrix_path, rhs_path):
     """Read a whitespace-separated dense matrix and right-hand side from disk."""
     matrix = _checked_dense(np.loadtxt(matrix_path, ndmin=2))
     b = np.loadtxt(rhs_path).ravel()
-    symmetric = matrix.shape[0] == matrix.shape[1] and np.array_equal(matrix, matrix.T)
-    op = _select_operator(matrix, symmetric, symmetric and np.array_equal(
-        matrix[1:, 1:], matrix[:-1, :-1]))
+    # both checks compare by row blocks, making no n-by-n temporary
+    symmetric = matrix.shape[0] == matrix.shape[1] and _blocks_equal(matrix, matrix.T)
+    is_toeplitz = symmetric and _blocks_equal(matrix[1:, 1:], matrix[:-1, :-1])
+    op = _select_operator(matrix, symmetric, matrix[:, 0] if is_toeplitz else None)
     if b.shape[0] != op.nrows:
         raise ValueError("right-hand side length does not match matrix rows")
     return op, b

@@ -1,4 +1,6 @@
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -9,10 +11,13 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg.blas import dsymv
 
-from lslu import (LinearOperator, SolverConfig, add_noise, export_dense_matrix,
-                  load_dense_problem, make_dense_operator, make_gravity_problem,
-                  make_sparse_operator, make_tomo_problem, solve, trace_view)
-from lslu.operators import _make_toeplitz_operator, gravity_kernel_matrix
+import lslu
+from lslu import (CountingOperator, LinearOperator, SolverConfig, add_noise,
+                  export_dense_matrix, load_dense_problem, make_dense_operator,
+                  make_gravity_problem, make_sparse_operator, make_tomo_problem,
+                  solve, trace_view)
+from lslu.operators import (_blocks_equal, _make_toeplitz_operator,
+                            gravity_kernel_matrix)
 
 
 class TestLinearOperator:
@@ -181,11 +186,12 @@ class TestGravity:
             np.testing.assert_array_equal(got, want)
 
     def test_build_allocates_only_the_matrix(self):
-        # an n-by-n temporary, even of bools, or an index array would show
-        make_gravity_problem(512)
+        # below 512 dsymv needs the matrix at once: an n-by-n temporary,
+        # even of bools, or an index array would show
+        make_gravity_problem(511)
         tracemalloc.start()
         try:
-            prob = make_gravity_problem(512)
+            prob = make_gravity_problem(511)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -250,7 +256,7 @@ class TestSymmetricOperator:
         np.testing.assert_array_equal(below.op.forward(x[:511]),
                                       dsymv(1.0, below.op.matrix.T, x[:511]))
         at = make_gravity_problem(512)
-        fft = _make_toeplitz_operator(at.op.matrix).forward(x)
+        fft = _make_toeplitz_operator(at.op.matrix[:, 0], at.op.matrix).forward(x)
         np.testing.assert_array_equal(at.op.forward(x), fft)
         assert not np.array_equal(fft, dsymv(1.0, at.op.matrix.T, x))
 
@@ -356,6 +362,154 @@ class TestSymmetricOperator:
         x = np.random.default_rng(14).standard_normal(16)
         np.testing.assert_array_equal(op.forward(x), matrix @ x)
         np.testing.assert_array_equal(op.adjoint(x), matrix.T @ x)
+
+
+def _traced_peak(fn):
+    """(fn(), peak bytes tracemalloc saw allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_DATA_SIZES = (2, 25, 41, 257, 511, 512, 513, 521, 777, 1025, 4095, 4096, 4097)
+_DATA_DEPTHS = (0.25, 0.0137)
+
+# the exact data of the dense reference: one gemv over the whole matrix,
+# run with one BLAS thread, since a multithreaded gemv splits the rows
+# between its threads and then rounds a row or two differently at some
+# n (4097 among these, with two threads)
+_REFERENCE_SCRIPT = """
+import sys
+import numpy as np
+from lslu.operators import gravity_kernel_matrix
+out = {}
+for n in map(int, sys.argv[2].split(",")):
+    for depth in map(float, sys.argv[3].split(",")):
+        t = (np.arange(n) + 0.5) / n
+        x_true = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
+        out[f"{n}_{depth}"] = gravity_kernel_matrix(n, depth) @ x_true
+np.savez(sys.argv[1], **out)
+"""
+
+
+@pytest.fixture(scope="module")
+def one_thread_b_exact(tmp_path_factory):
+    path = tmp_path_factory.mktemp("reference") / "b_exact.npz"
+    src = os.path.dirname(os.path.dirname(lslu.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", _REFERENCE_SCRIPT, str(path),
+                    ",".join(map(str, _DATA_SIZES)), ",".join(map(str, _DATA_DEPTHS))],
+                   env=env, check=True)
+    with np.load(path) as data:
+        return {key: data[key] for key in data.files}
+
+
+class TestDeferredMatrix:
+    # from n = 512 on the gravity problem keeps n kernel values, not its
+    # n-by-n matrix, which is formed on the first read of op.matrix
+
+    @pytest.mark.parametrize("n", _DATA_SIZES)
+    @pytest.mark.parametrize("depth", _DATA_DEPTHS)
+    def test_data_equal_dense_reference(self, n, depth, one_thread_b_exact):
+        # b_exact by row blocks has the bits of one gemv over the matrix,
+        # whatever the BLAS thread count of this process: a one-row
+        # block, or blocks out of step with the BLAS kernel's row groups,
+        # would round some rows differently
+        prob = make_gravity_problem(n, depth=depth, seed=4)
+        t = (np.arange(n) + 0.5) / n
+        x_true = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
+        b_exact = one_thread_b_exact[f"{n}_{depth}"]
+        b, e = add_noise(b_exact, 1e-2, seed=4)
+        for got, want in ((prob.x_true, x_true), (prob.b_exact, b_exact),
+                          (prob.b, b), (prob.e, e),
+                          (prob.op.matrix, gravity_kernel_matrix(n, depth))):
+            np.testing.assert_array_equal(got, want)
+
+    def test_build_keeps_no_matrix(self):
+        # the 128 MB matrix, or any n-by-n temporary, would show
+        make_gravity_problem(4096)
+        prob, peak = _traced_peak(lambda: make_gravity_problem(4096))
+        assert peak < 2 << 20
+        matrix = prob.op.matrix
+        np.testing.assert_array_equal(matrix, gravity_kernel_matrix(4096))
+        assert prob.op.matrix is matrix
+
+    def test_wrapping_forms_no_matrix(self):
+        op = make_gravity_problem(4096).op
+        wrapped, peak = _traced_peak(lambda: CountingOperator(op))
+        assert peak < 1 << 20
+        np.testing.assert_array_equal(wrapped.matrix, gravity_kernel_matrix(4096))
+        assert op.matrix is wrapped.matrix
+
+    def test_concurrent_first_reads_and_solves(self):
+        # two threads form the matrix at once while two solves run on the
+        # operator: the readers get one array, the solves their bits alone
+        prob = make_gravity_problem(4096)
+        config = SolverConfig(method="hybrid_lslu", maxiter=10)
+        alone = solve(prob.op, prob.b, config).x_final
+        assert prob.op._matrix.value is None
+        barrier = threading.Barrier(4)
+        out = [None] * 4
+
+        def read(i):
+            barrier.wait()
+            out[i] = prob.op.matrix
+
+        def run(i):
+            barrier.wait()
+            out[i] = solve(prob.op, prob.b, config).x_final
+
+        threads = [threading.Thread(target=f, args=(i,))
+                   for i, f in enumerate((read, read, run, run))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert out[0] is out[1]
+        np.testing.assert_array_equal(out[0], gravity_kernel_matrix(4096))
+        for x in out[2:]:
+            np.testing.assert_array_equal(x, alone)
+
+    def test_scale_beyond_dense_memory(self):
+        # the n = 8192 matrix would take 512 MB
+        prob, peak = _traced_peak(lambda: make_gravity_problem(8192))
+        assert peak < 2 << 20
+        result = solve(prob.op, prob.b,
+                       SolverConfig(method="hybrid_lslu", maxiter=10, pure=True))
+        assert result.state.k == 10
+        assert np.all(np.isfinite(result.x_final))
+        assert prob.op._matrix.value is None
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 600])
+    def test_block_comparison_equals_whole(self, n):
+        # the symmetry and Toeplitz checks of a read file, by row blocks,
+        # find one changed entry wherever it is
+        matrix = gravity_kernel_matrix(max(n, 2))[:n, :n]
+        assert _blocks_equal(matrix, matrix.T)
+        assert _blocks_equal(matrix[1:, 1:], matrix[:-1, :-1])
+        for i, j in {(0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, 3 % n)}:
+            changed = matrix.copy()
+            changed[i, j] *= 2
+            for a, b in ((changed, changed.T), (changed[1:, 1:], changed[:-1, :-1])):
+                assert _blocks_equal(a, b) == np.array_equal(a, b), (i, j)
+
+    def test_block_comparison_makes_no_square_temporary(self):
+        matrix = gravity_kernel_matrix(2048)
+        for a, b in ((matrix, matrix.T), (matrix[1:, 1:], matrix[:-1, :-1])):
+            equal, peak = _traced_peak(lambda: _blocks_equal(a, b))
+            assert equal
+            assert peak < matrix.size // 16
 
 
 def _reference_trace_ray(n, point, direction):
