@@ -25,14 +25,18 @@ relative per product; on solves of gravity n = 512 to 4096 that moves
 the iterates by up to about 2e-7 relative and leaves the stopping
 iteration unchanged.
 
-On the FFT path the matrix is not formed at all until `op.matrix` is
-first read; it then has the bits it has on every other path, and the
-operator keeps it.  The gravity generator therefore never forms its
-n-by-n matrix from n = 512 on: the exact data, the matrix's product
-with the truth, are computed bit for bit by one gemv per row block, each
-block copied from the n kernel values into one reused cache-sized
-buffer.  The generated problem data depend neither on the path nor on
-the BLAS thread count.
+The gravity generator's FFT operator (n >= 512) forms the matrix only
+when `op.matrix` is first read; it then has the bits it has on every
+other path, and the operator keeps it.  `load_dense_problem` holds the
+matrix read from its file from the start.  The gravity generator
+computes the exact data, the matrix's product with the truth, without
+the matrix: one gemv per row block, each block copied from the n kernel
+values into one reused cache-sized buffer.  With an OpenBLAS x86-64
+gemv kernel that takes rows 4 at a time (0.3.31's Haswell kernel), this
+gives one whole-matrix gemv's bits on one thread, and for n up to about
+30,000 the same bits whatever the BLAS thread count; so under those
+conditions the generated problem data do not depend on the path.
+Another BLAS may group rows otherwise and round the blocks differently.
 """
 
 from __future__ import annotations
@@ -122,21 +126,21 @@ class _Deferred:
     """An array formed by form() on the first call of get(), then kept.
 
     Concurrent first calls form it once, under a lock, and all return
-    that one array.  `value` is None until then.
+    that one array.
     """
 
     def __init__(self, form):
         self._form = form
         self._lock = threading.Lock()
-        self.value = None
+        self._value = None
 
     def get(self):
-        if self.value is None:
+        if self._value is None:
             with self._lock:
-                if self.value is None:
-                    self.value = self._form()
+                if self._value is None:
+                    self._value = self._form()
                     self._form = None
-        return self.value
+        return self._value
 
 
 class CountingOperator(LinearOperator):
@@ -189,11 +193,11 @@ def _row_blocks(m, n):
     Each block has a multiple of 8 rows, at least 8, except the last,
     and a last block of one row joins the one before it.  One gemv per
     such block rounds every row as one gemv over the whole matrix does
-    on one thread: OpenBLAS's x86-64 kernel takes the rows 4 at a time
-    and then the rest (blocks of 2, 3, 5, 6 or 7 rows rounded
-    differently, blocks of 4, 8, 12, ..., 40 did not), and numpy
-    multiplies a single row by a dot product, which rounds differently
-    too.
+    on one thread with OpenBLAS 0.3.31's x86-64 (Haswell) kernel, which
+    takes the rows 4 at a time and then the rest (blocks of 2, 3, 5, 6
+    or 7 rows rounded differently, blocks of 4, 8, 12, ..., 40 did not),
+    and numpy multiplies a single row by a dot product, which rounds
+    differently too.  A BLAS that groups rows otherwise may not.
     """
     step = max(8, _BLOCK_ENTRIES // max(n, 1) // 8 * 8)
     bounds = list(range(0, m, step)) + [m]
@@ -357,7 +361,11 @@ def gravity_kernel_matrix(n, depth=0.25):
 
 
 def _toeplitz_product(column, x):
-    """toeplitz(column) @ x bit for bit, without forming the matrix.
+    """toeplitz(column) @ x without forming the matrix.
+
+    With an OpenBLAS x86-64 gemv kernel that takes rows 4 at a time (see
+    _row_blocks) the result equals one whole-matrix gemv on one thread
+    bit for bit; another BLAS may round the blocks differently.
 
     Row i of the symmetric Toeplitz matrix is r[n-1-i : 2n-1-i] of
     r = [column reversed, column[1:]].  Each block of _row_blocks is
@@ -365,7 +373,8 @@ def _toeplitz_product(column, x):
     by one gemv.  Up to n of about 30,000 a block is small enough for
     OpenBLAS to run on one thread (with two threads, gemvs of up to
     278,528 entries gave one thread's bits), so the product has one
-    thread's bits whatever the BLAS thread count; one gemv over the
+    thread's bits whatever the BLAS thread count (past n of about
+    34,800 an 8-row block exceeds that size); one gemv over the
     whole matrix, split between two threads, rounded a row or two
     differently at n = 2049 or 4097.
     """
@@ -389,27 +398,29 @@ def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
     FFT moves a solve by up to about 2e-7 relative and leaves its
     stopping iteration unchanged.  From n = 512 on the matrix is formed
     only when `op.matrix` is first read; below, dsymv needs it at once.
-    It is `gravity_kernel_matrix(n, depth)` bit for bit either way, and
-    the exact data are its product with the truth, bit for bit as one
-    gemv on one BLAS thread computes it, so the problem data depend
-    neither on the product nor on the BLAS thread count.
+    It is `gravity_kernel_matrix(n, depth)` bit for bit either way.  The
+    exact data are its product with the truth, computed by row blocks
+    (`_toeplitz_product`); with an OpenBLAS x86-64 gemv kernel that takes
+    rows 4 at a time they have one whole-matrix gemv's bits on one BLAS
+    thread, and for n up to about 30,000 the same bits on any thread
+    count.  Under those conditions the problem data do not depend on
+    the product.
     """
     _check_noise_level(noise_level)
     column = gravity_kernel_column(n, depth)
+    t = (np.arange(n) + 0.5) / n
+    x_true = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
+    # before any matrix is formed, so that the product's block buffer
+    # is freed by then and adds nothing to the peak below 512
+    with np.errstate(over="ignore"):
+        b_exact = _toeplitz_product(column, x_true)
+        scale = np.linalg.norm(b_exact)
+    if not 0 < scale < math.inf:
+        raise ValueError(f"depth {depth!r} over- or underflows the exact data's norm")
     # the kernel is symmetric in s and t, and so, bit for bit, is the
     # matrix `toeplitz` builds from its first column
     matrix = _Deferred(lambda: toeplitz(column))
     op = _select_operator(matrix, symmetric=True, column=column)
-    t = (np.arange(n) + 0.5) / n
-    x_true = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
-    with np.errstate(over="ignore"):
-        # below 512 one gemv over the formed matrix (at most 261,121
-        # entries) gave the same bits on one and two OpenBLAS threads
-        b_exact = (_toeplitz_product(column, x_true) if matrix.value is None
-                   else matrix.value @ x_true)
-        scale = np.linalg.norm(b_exact)
-    if not 0 < scale < math.inf:
-        raise ValueError(f"depth {depth!r} over- or underflows the exact data's norm")
     b, e = add_noise(b_exact, noise_level, seed)
     return InverseProblem(op, x_true, b_exact, b, e, noise_level, seed)
 

@@ -419,7 +419,9 @@ class TestDeferredMatrix:
         # b_exact by row blocks has the bits of one gemv over the matrix,
         # whatever the BLAS thread count of this process: a one-row
         # block, or blocks out of step with the BLAS kernel's row groups,
-        # would round some rows differently
+        # would round some rows differently.  This holds for OpenBLAS's
+        # x86-64 gemv kernel, which takes rows 4 at a time; a BLAS that
+        # groups rows otherwise may round the blocks differently
         prob = make_gravity_problem(n, depth=depth, seed=4)
         t = (np.arange(n) + 0.5) / n
         x_true = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
@@ -452,7 +454,7 @@ class TestDeferredMatrix:
         prob = make_gravity_problem(4096)
         config = SolverConfig(method="hybrid_lslu", maxiter=10)
         alone = solve(prob.op, prob.b, config).x_final
-        assert prob.op._matrix.value is None
+        assert prob.op._matrix._value is None
         barrier = threading.Barrier(4)
         out = [None] * 4
 
@@ -489,7 +491,7 @@ class TestDeferredMatrix:
                        SolverConfig(method="hybrid_lslu", maxiter=10, pure=True))
         assert result.state.k == 10
         assert np.all(np.isfinite(result.x_final))
-        assert prob.op._matrix.value is None
+        assert prob.op._matrix._value is None
 
     @pytest.mark.parametrize("n", [1, 7, 9, 600])
     def test_block_comparison_equals_whole(self, n):
