@@ -4,11 +4,14 @@ Runs the Hessenberg-based and bidiagonalization-based methods side by
 side and verifies, iteration by iteration, the sandwich inequalities
 tying their residual norms together through the conditioning of the
 non-orthogonal basis, read off the R factor of one dense QR per LSLU
-basis (KrylovState.r_factor, shared with the UQ): fine at desk scale.
+basis (KrylovState.r_factor, shared with the UQ).  To maxiter = k, a
+report costs its two solves (k forward and k adjoint products each),
+one QR per LSLU basis, O(m k^2) for D, and k small SVDs, O(k^4) in all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,8 +83,8 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     two blocks together, read off the leading blocks of the state's R
     factor of each basis.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
     rule, pivot = LambdaRule.fixed(lam), pivot or PivotStrategy.full()
     res_lu = run_hybrid_lslu(op, b, SolverConfig("hybrid_lslu", maxiter, pivot=pivot,
                                                  lambda_rule=rule))

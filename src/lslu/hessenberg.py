@@ -19,7 +19,11 @@ pivot becomes final, so no step gathers them again.  KrylovState holds
 what this and the Golub-Kahan state share; L, D, H and W name its
 views.  begin_step and iterate are the step prologue and the step loop
 of both families.  The bases' metric, for the UQ and the bound reports,
-is the R factor of one QR per basis (qr_r), kept by KrylovState.r_factor.
+is the square R factor of one QR per basis (qr_r), kept by
+KrylovState.r_factor; condition_number reads it.  Both call LAPACK
+(dgeqrf, dgesdd) directly, with the workspace and the checks of
+scipy.linalg.qr and svdvals: the same bits without those wrappers'
+per-call cost, most of the time of a small call.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dtrsv
+from scipy.linalg.lapack import get_lapack_funcs
 
 BREAKDOWN_NONE = "none"
 BREAKDOWN_EXACT = "exact_solution"
@@ -90,16 +95,66 @@ class PivotStrategy:
         return cls(kind="sampled", sample_size=sample_size, seed=seed)
 
 
+# The LAPACK routines behind scipy.linalg.qr and svdvals, looked up as
+# those functions look them up; called directly they skip the wrappers'
+# per-call cost, and with the same arguments they return the same bits.
+_geqrf, _geqrf_lwork = get_lapack_funcs(("geqrf", "geqrf_lwork"), dtype=np.float64)
+_gesdd, _gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64,
+                                        ilp64="preferred")
+
+
+def finite_matrix(a, name):
+    """a as a float array, a ValueError naming it if an entry is not finite."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
+def check_lapack_info(info, routine):
+    """Raise the ValueError SciPy raises for an illegal LAPACK argument."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+
+
+def _workspace(query, routine):
+    work, info = query
+    check_lapack_info(info, routine)
+    return int(work.real)
+
+
 def qr_r(basis):
-    """R factor of a dense QR of basis.  Its leading j-by-j block is the
-    R factor of basis[:, :j], so one QR serves every leading column count."""
-    return scipy.linalg.qr(basis, mode="r")[0]
+    """Square R factor of a dense QR of a basis with at least as many rows
+    as columns: scipy.linalg.qr(basis, mode="economic")[1], bit for bit.
+    Its leading j-by-j block is the R factor of basis[:, :j], so one QR
+    serves every leading column count."""
+    basis = finite_matrix(basis, "basis")
+    m, n = basis.shape
+    if basis.size == 0:  # a state that broke down before its first column
+        return np.zeros((min(m, n), n))
+    lwork = _workspace(_geqrf_lwork(m, n), "dgeqrf")
+    qr, _, _, info = _geqrf(basis, lwork=lwork)
+    check_lapack_info(info, "dgeqrf")
+    return np.triu(qr[:n])
+
+
+def _singular_values(block):
+    # scipy.linalg.svdvals(block), bit for bit
+    block = finite_matrix(block, "block")
+    lwork = _workspace(_gesdd_lwork(*block.shape, compute_uv=0), "dgesdd")
+    _, sigma, _, info = _gesdd(block, compute_uv=0, lwork=lwork)
+    if info > 0:
+        raise LinAlgError("SVD did not converge")
+    check_lapack_info(info, "dgesdd")
+    return sigma
 
 
 def condition_number(*blocks):
     """2-norm condition number of blockdiag(*blocks), inf when singular."""
-    sigma = np.concatenate([scipy.linalg.svdvals(block) for block in blocks])
-    return float(sigma.max() / sigma.min()) if sigma.min() > 0 else np.inf
+    # dgesdd returns each block's singular values in descending order
+    sigma = [_singular_values(block) for block in blocks]
+    top, bottom = max(s[0] for s in sigma), min(s[-1] for s in sigma)
+    return float(top / bottom) if bottom > 0 else np.inf
 
 
 def check_maxiter(maxiter, name="maxiter", least=1):
@@ -242,6 +297,18 @@ class HessenbergState(KrylovState):
     W = coupling
 
 
+def _choose(live, strategy, rng):
+    """Index into live, the magnitudes over a nonempty window, of the pivot."""
+    if strategy.kind == "none":
+        return 0
+    if strategy.kind == "full":
+        return int(np.argmax(live))
+    size = min(strategy.sample_size, live.size)
+    sample = rng.choice(live.size, size=size, replace=False)
+    sample.sort()
+    return int(sample[np.argmax(live[sample])])
+
+
 def _pick_pivot(vec, perm, start, strategy, rng):
     """Index into perm (>= start) of the chosen pivot, or None if no window."""
     window = perm[start:]
@@ -249,12 +316,7 @@ def _pick_pivot(vec, perm, start, strategy, rng):
         return None
     if strategy.kind == "none":
         return start
-    if strategy.kind == "full":
-        return start + int(np.argmax(np.abs(vec[window])))
-    size = min(strategy.sample_size, window.size)
-    sample = rng.choice(window.size, size=size, replace=False)
-    sample.sort()
-    return start + int(sample[np.argmax(np.abs(vec[window[sample]]))])
+    return start + _choose(np.abs(vec[window]), strategy, rng)
 
 
 def _eliminate(vec, rows, piv, block):
@@ -338,7 +400,7 @@ def hess_init(op, b, x0=None, *, strategy=None, maxiter=50):
                   else "use full or sampled pivoting")
         raise BreakdownError(
             f"zero pivot entry in the initial residual; {advice}")
-    state.t[[0, pos]] = state.t[[pos, 0]]
+    state.t[0], state.t[pos] = state.t[pos], state.t[0]
     state.start(beta)
     return state
 
@@ -373,10 +435,10 @@ def hess_step(state, op):
     if pos is None or abs(q[g[pos]]) <= BREAKDOWN_TOL * q_scale:
         state.breakdown = BREAKDOWN_RANK
         return state
-    g[[kp - 1, pos]] = g[[pos, kp - 1]]
+    g[kp - 1], g[pos] = g[pos], g[kp - 1]
     w = q[g[kp - 1]]
     state._W[kp - 1, kp - 1] = w
-    L[kp - 1] = q / w
+    np.divide(q, w, out=L[kp - 1])
     P[:kp - 1, kp - 1] = L[:kp - 1, g[kp - 1]]
 
     # residual-space half: eliminate A l_k against d_1..d_k
@@ -385,28 +447,35 @@ def hess_step(state, op):
     check_image(u_scale, "forward", kp)
     state._proj[:kp, kp - 1] = _eliminate(u, D[:kp], t[:kp], P[:kp, :kp])
 
-    pos = _pick_pivot(u, t, kp, state.strategy, state._rng)
-    if pos is None:
+    window = t[kp:]
+    if window.size == 0:
         # all m rows already pivoted: u is exactly zero, so the new column
         # still satisfies the factorization relation with a zero H row
         state.k = kp
         state.breakdown = BREAKDOWN_RANK
         return state
-    if np.max(np.abs(u[t[kp:]])) <= BREAKDOWN_TOL * u_scale:
+    # one gather of |u| over the live rows serves the pivot choice and the
+    # exact-solution test, whose max under full pivoting is the pivot's
+    live = np.abs(u[window])
+    pos = _choose(live, state.strategy, state._rng)
+    pivot = live[pos]
+    top = pivot if state.strategy.kind == "full" else np.max(live)
+    if top <= BREAKDOWN_TOL * u_scale:
         state.k = kp
         state.breakdown = BREAKDOWN_EXACT
         return state
-    if abs(u[t[pos]]) <= BREAKDOWN_TOL * u_scale:
+    if pivot <= BREAKDOWN_TOL * u_scale:
         # the candidate missed the live entries (possible under none and
         # sampled only); dividing would poison the basis and keeping the
         # column would break the relation, so drop the half-built column
         state.breakdown = BREAKDOWN_RANK
         return state
+    pos += kp
     state.k = kp
-    t[[kp, pos]] = t[[pos, kp]]
+    t[kp], t[pos] = t[pos], t[kp]
     h = u[t[kp]]
     state._proj[kp, kp - 1] = h
-    D[kp] = u / h
+    np.divide(u, h, out=D[kp])
     P[kp, :kp] = D[:kp, t[kp]]
     state.residual_count = kp + 1
     return state

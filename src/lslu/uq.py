@@ -13,7 +13,9 @@ k-by-k) symmetric matrix.
 
 The residual basis D enters through R_k, the leading block of its R
 factor (KrylovState.r_factor); the rank is cut, with a warning, while
-cond(R_k)^2 = cond(D_k^T D_k) exceeds GRAM_COND_LIMIT.
+cond(R_k)^2 = cond(D_k^T D_k) exceeds GRAM_COND_LIMIT.  Delta comes
+from LAPACK's dpotrf and dpotrs, called directly with the arguments and
+checks of scipy.linalg.cho_factor and cho_solve, whose bits they give.
 """
 
 from __future__ import annotations
@@ -23,10 +25,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import get_lapack_funcs
 
-from .hessenberg import check_maxiter, condition_number
+from .hessenberg import check_lapack_info, check_maxiter, condition_number, finite_matrix
+
+# the routines behind scipy.linalg.cho_factor and cho_solve (see hessenberg)
+_potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 GRAM_COND_LIMIT = 1e12
 
@@ -47,8 +53,15 @@ def woodbury_delta(Z, spectrum, reg):
     """Core k-by-k matrix making I/reg - Z Delta Z^T the exact inverse
     of reg*I + Z diag(spectrum) Z^T (scaled Woodbury solve)."""
     M = Z.T @ Z + reg * np.diag(1.0 / spectrum)
-    factor = scipy.linalg.cho_factor((M + M.T) / 2.0)
-    Delta = scipy.linalg.cho_solve(factor, np.eye(M.shape[0])) / reg
+    # cho_factor then cho_solve against the identity, bit for bit
+    factor, info = _potrf(finite_matrix((M + M.T) / 2.0, "Woodbury matrix"), clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the Woodbury matrix "
+                          "is not positive definite")
+    check_lapack_info(info, "dpotrf")
+    Delta, info = _potrs(factor, np.eye(M.shape[0]))
+    check_lapack_info(info, "dpotrs")
+    Delta /= reg
     return (Delta + Delta.T) / 2.0
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,12 @@ class TestHybridBounds:
     def test_nonpositive_lambda_rejected(self, gravity32):
         with pytest.raises(ValueError):
             hybrid_bound_report(gravity32.op, gravity32.b, 0.0, 5)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+    def test_bad_lambda_named(self, gravity32, lam):
+        message = f"lam must be finite and positive, got {lam!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hybrid_bound_report(gravity32.op, gravity32.b, lam, 5)
 
 
 class TestRelationResiduals:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 from scipy.linalg.blas import dtrsv
 
 from lslu import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
@@ -363,6 +364,66 @@ def test_blocked_elimination_matches_column_reference(name, kind, request):
         assert got.shape == ref.shape, key
         scale = np.max(np.abs(ref)) if ref.size else 0.0
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale,
+                                   err_msg=key)
+
+
+def _sparse_problem(seed):
+    # a sparse integer matrix: images with exact zeros at the pivot
+    # candidates, so unpivoted and sampled runs break down early
+    rng = np.random.default_rng(seed)
+    matrix = (rng.random((10, 8)) < 0.25) * rng.integers(1, 4, (10, 8)).astype(float)
+    return make_dense_operator(matrix), (rng.random(10) < 0.5) * 1.0
+
+
+def _hadamard_problem():
+    # b lies in the span of 3 left singular vectors; Hadamard factors keep
+    # every step exact, so the run ends in exact_solution at k = 3
+    m, n = 16, 8
+    matrix = (hadamard(m)[:, :n] @ np.diag([8.0, 6, 4, 3, 2, 1.5, 1, 0.5])
+              @ hadamard(n).T)
+    return make_dense_operator(matrix), hadamard(m)[:, :3] @ np.array([3.0, -2.0, 1.0])
+
+
+def _dense_problem(shape):
+    rng = np.random.default_rng(shape[0])
+    return make_dense_operator(rng.standard_normal(shape)), rng.standard_normal(shape[0])
+
+
+# (problem, strategy, k, breakdown, whether the last step dropped its
+# half-built column): each ending of the residual half's pivot test
+_ENDINGS = {
+    "exact_full": (_hadamard_problem, PivotStrategy.full(), 3, BREAKDOWN_EXACT, False),
+    "exact_none": (lambda: _sparse_problem(82), PivotStrategy.none(), 8,
+                   BREAKDOWN_EXACT, False),
+    "exact_sampled": (lambda: _sparse_problem(204), PivotStrategy.sampled(2, seed=204),
+                      8, BREAKDOWN_EXACT, False),
+    "tall_full": (lambda: _dense_problem((12, 8)), PivotStrategy.full(), 8,
+                  BREAKDOWN_RANK, False),
+    "wide_full": (lambda: _dense_problem((8, 12)), PivotStrategy.full(), 8,
+                  BREAKDOWN_RANK, False),
+    "dropped_none": (lambda: _sparse_problem(12), PivotStrategy.none(), 6,
+                     BREAKDOWN_RANK, True),
+    "dropped_sampled": (lambda: _sparse_problem(3), PivotStrategy.sampled(2, seed=3), 5,
+                        BREAKDOWN_RANK, True),
+}
+
+
+@pytest.mark.parametrize("ending", list(_ENDINGS))
+def test_residual_pivot_endings_match_column_reference(ending):
+    # one gather of |u| serves the pivot choice and the exact-solution test
+    make, strategy, k, breakdown, dropped = _ENDINGS[ending]
+    op, b = make()
+    state = hess_run(op, b, strategy=strategy, maxiter=20)
+    assert (state.k, state.breakdown) == (k, breakdown)
+    assert (state.k < state.cap and state._W[state.k, state.k] != 0.0) == dropped
+    t, g, factors, ref_breakdown = _reference_run(op, b, strategy, 20)
+    np.testing.assert_array_equal(state.t, t)
+    np.testing.assert_array_equal(state.g, g)
+    assert state.breakdown == ref_breakdown
+    for key, ref in factors.items():
+        got = getattr(state, key)
+        assert got.shape == ref.shape, key
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)),
                                    err_msg=key)
 
 

@@ -245,10 +245,19 @@ def test_r_factor_recomputed_after_more_steps(gravity32):
         assert np.array_equal(getattr(late, field), getattr(straight, field))
     assert late.k == straight.k == 10
     assert np.array_equal(state.r_factor("residual"),
-                          scipy.linalg.qr(state.D, mode="r")[0])
+                          scipy.linalg.qr(state.D, mode="economic")[1])
     assert np.array_equal(state.r_factor("solution"),
-                          scipy.linalg.qr(state.L, mode="r")[0])
+                          scipy.linalg.qr(state.L, mode="economic")[1])
     assert state.r_factor("residual") is state.r_factor("residual")
+
+
+@pytest.mark.parametrize("family", ["hessenberg", "golub_kahan"])
+def test_r_factor_of_a_j_column_basis_is_j_by_j(gravity32, family):
+    run = hess_run if family == "hessenberg" else gk_run
+    for k in range(1, 8):
+        state = run(gravity32.op, gravity32.b, maxiter=k)
+        assert state.r_factor("solution").shape == (k, k)
+        assert state.r_factor("residual").shape == (k + 1, k + 1)
 
 
 class TestVarianceProperties:
