@@ -353,9 +353,14 @@ def test_blocked_elimination_matches_column_reference(name, kind, request):
     prob = request.getfixturevalue(name)
     m, n = prob.op.shape
     strategy = dict(zip(("none", "full", "sampled"), _strategies(m, n)))[kind]
-    maxiter = 3 if kind == "none" else 10
-    state = hess_run(prob.op, prob.b, strategy=strategy, maxiter=maxiter)
-    t, g, factors, breakdown = _reference_run(prob.op, prob.b, strategy, maxiter)
+    _run_matching_reference(prob.op, prob.b, strategy, 3 if kind == "none" else 10)
+
+
+def _run_matching_reference(op, b, strategy, maxiter):
+    """hess_run, checked against _reference_run: the same pivots and
+    breakdown, and the same factors to 1e-12 of their largest entry."""
+    state = hess_run(op, b, strategy=strategy, maxiter=maxiter)
+    t, g, factors, breakdown = _reference_run(op, b, strategy, maxiter)
     np.testing.assert_array_equal(state.t, t)
     np.testing.assert_array_equal(state.g, g)
     assert state.breakdown == breakdown
@@ -365,6 +370,7 @@ def test_blocked_elimination_matches_column_reference(name, kind, request):
         scale = np.max(np.abs(ref)) if ref.size else 0.0
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale,
                                    err_msg=key)
+    return state
 
 
 def _sparse_problem(seed):
@@ -412,19 +418,9 @@ _ENDINGS = {
 def test_residual_pivot_endings_match_column_reference(ending):
     # one gather of |u| serves the pivot choice and the exact-solution test
     make, strategy, k, breakdown, dropped = _ENDINGS[ending]
-    op, b = make()
-    state = hess_run(op, b, strategy=strategy, maxiter=20)
+    state = _run_matching_reference(*make(), strategy, 20)
     assert (state.k, state.breakdown) == (k, breakdown)
     assert (state.k < state.cap and state._W[state.k, state.k] != 0.0) == dropped
-    t, g, factors, ref_breakdown = _reference_run(op, b, strategy, 20)
-    np.testing.assert_array_equal(state.t, t)
-    np.testing.assert_array_equal(state.g, g)
-    assert state.breakdown == ref_breakdown
-    for key, ref in factors.items():
-        got = getattr(state, key)
-        assert got.shape == ref.shape, key
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)),
-                                   err_msg=key)
 
 
 @pytest.mark.parametrize("kind", ["full", "sampled"])
