@@ -3,10 +3,10 @@
 Reproduces the library's figure- and table-style pipelines at desk
 scale, emitting CSV histories, JSON summaries, and PGM images.  All
 outputs are byte-reproducible given the same config and seed.  RunConfig
-is the one schema: every field is a flag (kebab-case), and --config
-loads a flat JSON object with the same keys, whose values parse exactly
-like the flag text (command-line flags override them).  The library's
-constructors validate the resulting config objects.
+is the one schema.  COMMANDS lists the fields each command reads: its
+flags (kebab-case) and the keys its --config JSON object may set, whose
+values parse exactly like the flag text (flags override them; other
+fields are skipped with a warning).  Library constructors validate them.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
@@ -36,8 +36,7 @@ from .solvers import METHODS, SolverConfig, run_hybrid_lsqr, solve
 from .uq import build_uq, check_noise_model, covariance_sum, variance_diagonal
 
 PROBLEMS = ("gravity", "tomo", "dense_file")
-EMIT_CHOICES = ("history_csv", "summary_json", "recon_pgm", "basis_pgm",
-                "bounds_csv", "uq_csv")
+EMIT_CHOICES = ("history_csv", "summary_json", "recon_pgm", "basis_pgm")
 
 
 class UsageError(Exception):
@@ -193,19 +192,17 @@ def make_solver_config(config, x_true):
 
 
 def warn_unread_lambda_value(config, command):
-    """Say on stderr when command will not read the --lambda-value it was given."""
+    """Say on stderr when solve or compare will not read its --lambda-value."""
     if config.lambda_value is None:
         return
-    if command == "uq":
-        reason = "uq: its regularization comes from --reg or the stopped hybrid LSQR run"
-    elif not config.method.startswith("hybrid"):
-        reason = f"{command} with --method {config.method}: only the hybrid methods regularize"
+    if not config.method.startswith("hybrid"):
+        reason = f"--method {config.method}: only the hybrid methods regularize"
     elif config.lambda_rule != "fixed":
-        reason = (f"{command} with --lambda-rule {config.lambda_rule}: "
-                  "only the fixed rule takes a value")
+        reason = f"--lambda-rule {config.lambda_rule}: only the fixed rule takes a value"
     else:
         return
-    print(f"warning: --lambda-value is not read by {reason}", file=sys.stderr)
+    print(f"warning: --lambda-value is not read by {command} with {reason}",
+          file=sys.stderr)
 
 
 def _history_rows(result):
@@ -272,13 +269,10 @@ def cmd_solve(config):
 def cmd_compare(config):
     """error curves for pivot variants and the baseline"""
     with config_errors():
-        # compare sets the pivoting of each variant itself
-        if config.sample_size is not None:
-            raise ValueError("compare takes no --sample-size; "
-                             "list the sampled variants with --sample-sizes")
-        if config.pivot != "full":
-            raise ValueError(f"compare takes no --pivot (got {config.pivot!r}); it runs "
-                             "full pivoting and the --sample-sizes variants")
+        for i, size in enumerate(config.sample_sizes):
+            check_maxiter(size, flag("sample_sizes"))
+            if size in config.sample_sizes[:i]:
+                raise ValueError(f"{flag('sample_sizes')} repeats {size}")
     op, b, x_true, _, _ = build_problem(config)
     if x_true is None:
         raise UsageError("compare needs a problem with a known truth")
@@ -324,7 +318,6 @@ def cmd_uq(config):
     stop_tol = config.stop_tol if config.stop_tol is not None else 1e-4
     hybrid_config = make_solver_config(replace(
         config, method="hybrid_lsqr", lambda_rule="wgcv", stop_tol=stop_tol), x_true)
-    warn_unread_lambda_value(config, "uq")
     with config_errors():
         check_maxiter(config.k_max, flag("k_max"))
     m = op.nrows
@@ -367,13 +360,6 @@ def cmd_uq(config):
     return 0
 
 
-# the solver flags bounds does not read, and why
-_BOUNDS_IGNORES = {
-    "method": "it reports LSLU and LSQR side by side",
-    "lambda_rule": "it regularizes with --lambda-value if given, else not at all",
-    "stop_tol": "it reports every iteration up to --maxiter"}
-
-
 def cmd_bounds(config):
     """residual-bound report (fixed lambda: hybrid form)"""
     with config_errors():
@@ -382,13 +368,7 @@ def cmd_bounds(config):
             raise ValueError("the hybrid bound report needs a positive "
                              f"--lambda-value, got {config.lambda_value!r}")
     op, b, _, _, _ = build_problem(config)
-    # the reports run LSLU and LSQR themselves: of the solver flags they
-    # read only the pivoting, and name any other set off its default
     pivot = make_pivot(config)
-    for name, why in _BOUNDS_IGNORES.items():
-        if getattr(config, name) != getattr(RunConfig, name):
-            print(f"warning: {flag(name)} is not read by bounds: {why}",
-                  file=sys.stderr)
     if config.lambda_value is not None:
         report = hybrid_bound_report(op, b, config.lambda_value,
                                      config.maxiter, pivot=pivot)
@@ -403,8 +383,20 @@ def cmd_bounds(config):
     return 0
 
 
-_COMMANDS = {"solve": cmd_solve, "compare": cmd_compare,
-             "uq": cmd_uq, "bounds": cmd_bounds}
+_PROBLEM_FIELDS = {"problem", "n", "depth", "angles", "detectors", "matrix_file",
+                   "rhs_file", "noise_level", "seed", "output_dir"}
+_SOLVER_FIELDS = {"method", "maxiter", "lambda_rule", "lambda_value", "stop_tol"}
+_PIVOT_FIELDS = {"pivot", "sample_size", "pivot_seed"}
+# each command and the RunConfig fields it reads: its flags, and the
+# --config keys it applies
+COMMANDS = {
+    "solve": (cmd_solve, _PROBLEM_FIELDS | _SOLVER_FIELDS | _PIVOT_FIELDS | {"emit"}),
+    "compare": (cmd_compare, _PROBLEM_FIELDS | _SOLVER_FIELDS
+                | {"pivot_seed", "sample_sizes"}),
+    "uq": (cmd_uq, _PROBLEM_FIELDS | _PIVOT_FIELDS
+           | {"maxiter", "stop_tol", "k_max", "sigma2", "reg"}),
+    "bounds": (cmd_bounds, _PROBLEM_FIELDS | _PIVOT_FIELDS | {"maxiter", "lambda_value"}),
+}
 
 
 def build_parser():
@@ -412,17 +404,20 @@ def build_parser():
         prog="lslu", description="Inner-product-free Krylov solvers for "
         "ill-posed inverse problems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.__doc__)
+    for name, (command, reads) in COMMANDS.items():
+        # no abbreviations: compare would take --pivot as --pivot-seed
+        p = sub.add_parser(name, help=command.__doc__, allow_abbrev=False)
         p.add_argument("--config", help="JSON file with RunConfig fields")
         for f in fields(RunConfig):
             choices = f.metadata.get("choices")
-            p.add_argument(flag(f.name), help=f.type,
-                           metavar="{" + ",".join(choices) + "}" if choices else None)
+            if f.name in reads:
+                p.add_argument(flag(f.name), help=f.type,
+                               metavar="{" + ",".join(choices) + "}" if choices else None)
     return parser
 
 
 def resolve_config(args):
+    reads = COMMANDS[args.command][1]
     values = {}
     if args.config:
         try:
@@ -436,9 +431,13 @@ def resolve_config(args):
         for key, value in loaded.items():
             if key not in known:
                 raise UsageError(f"unknown config key {key!r}")
+            if key not in reads:
+                print(f"warning: {args.config}: {key} is not read by {args.command}",
+                      file=sys.stderr)
+                continue
             values[key] = parse_field(known[key], value, f"{args.config}: {key}")
     for f in fields(RunConfig):
-        text = getattr(args, f.name)
+        text = getattr(args, f.name) if f.name in reads else None
         if text is not None:
             values[f.name] = parse_field(f, text, flag(f.name))
     return RunConfig(**values)
@@ -460,7 +459,7 @@ def main(argv=None):
         config = resolve_config(args)
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return _COMMANDS[args.command](config)
+            return COMMANDS[args.command][0](config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

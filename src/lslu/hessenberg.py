@@ -386,7 +386,9 @@ def hess_init(op, b, x0=None, *, strategy=None, maxiter=50):
     'none' strategy raises BreakdownError, since pivoting would repair
     it.  KrylovState checks b and x0.
     """
-    strategy = strategy or PivotStrategy.full()
+    strategy = PivotStrategy.full() if strategy is None else strategy
+    if not isinstance(strategy, PivotStrategy):
+        raise ValueError(f"strategy must be a PivotStrategy, got {strategy!r}")
     if strategy.kind == "sampled" and strategy.sample_size > max(op.shape):
         raise ValueError("sample_size exceeds max(m, n)")
     state = HessenbergState(op, b, x0, strategy, maxiter)

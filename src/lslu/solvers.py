@@ -49,6 +49,10 @@ class SolverConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         check_maxiter(self.maxiter)
+        for name, kind in (("pivot", PivotStrategy), ("lambda_rule", LambdaRule)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, "
+                                 f"got {getattr(self, name)!r}")
         if self.stop_tol is not None and not (math.isfinite(self.stop_tol)
                                               and self.stop_tol > 0):
             raise ValueError(

@@ -1,11 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lslu.cli import main
+from lslu.cli import COMMANDS, RunConfig, flag, main
 
 
 def run_cli(*args):
@@ -43,7 +45,6 @@ def test_solve_deterministic_bytes(tmp_path):
             ("compare", "--method", "hybrid_lslu", "--sample-sizes", "25,50"),
             ("compare", *fixed, "--sample-sizes", "25,50"),
             ("uq", "--k-max", "6"),
-            ("uq", "--k-max", "6", *lam),
             ("bounds",),
             ("bounds", *lam)]
     for i, args in enumerate(runs):
@@ -139,8 +140,7 @@ def test_unread_lambda_value_warns(tmp_path, capsys):
     # a lambda value a command does not read is named on stderr, with why;
     # where it is read, or none is given, nothing is said
     lam = ("--lambda-value", "0.05")
-    cases = [(("uq", "--k-max", "3", *lam), "uq: its regularization comes from --reg"),
-             (("solve", "--method", "lslu", *lam), "solve with --method lslu"),
+    cases = [(("solve", "--method", "lslu", *lam), "solve with --method lslu"),
              (("solve", *lam), "solve with --lambda-rule wgcv"),
              (("compare", "--method", "lsqr", "--sample-sizes", "10", *lam),
               "compare with --method lsqr"),
@@ -188,50 +188,8 @@ def test_bounds_plain_and_hybrid(tmp_path):
     assert all(line.endswith("true,true") for line in lines[1:])
 
 
-_METHOD_WARNING = ("warning: --method is not read by bounds: it reports LSLU "
-                   "and LSQR side by side\n")
-
-
-@pytest.mark.parametrize("method", [(), ("--method", "lslu")])
-def test_bounds_does_not_read_stop_tol(tmp_path, capsys, method):
-    # bounds reads only the pivoting of the solver flags: a --stop-tol,
-    # with a hybrid or a plain --method, is named on stderr and changes
-    # nothing it writes (a --method off its default is named as well)
-    args = ("bounds", "--n", "16", "--maxiter", "4", *method)
-    warned = _METHOD_WARNING if method else ""
-    assert run_cli(*args, "--output-dir", str(tmp_path / "plain")) == 0
-    assert capsys.readouterr().err == warned
-    assert run_cli(*args, "--stop-tol", "1e-4",
-                   "--output-dir", str(tmp_path / "tol")) == 0
-    assert capsys.readouterr().err == warned + (
-        "warning: --stop-tol is not read by bounds: "
-        "it reports every iteration up to --maxiter\n")
-    assert ((tmp_path / "tol" / "bounds.csv").read_bytes()
-            == (tmp_path / "plain" / "bounds.csv").read_bytes())
-
-
-@pytest.mark.parametrize("args, warning", [
-    (("--lambda-rule", "fixed"),
-     "warning: --lambda-rule is not read by bounds: it regularizes with "
-     "--lambda-value if given, else not at all\n"),
-    (("--method", "hybrid_lsqr"), _METHOD_WARNING),
-], ids=["lambda-rule", "method"])
-def test_bounds_names_solver_flags_it_ignores(tmp_path, capsys, args, warning):
-    # neither flag changes what bounds writes; a --lambda-rule fixed with
-    # no --lambda-value is not an error here
-    common = ("bounds", "--n", "16", "--maxiter", "3")
-    assert run_cli(*common, "--output-dir", str(tmp_path / "plain")) == 0
-    capsys.readouterr()
-    assert run_cli(*common, *args, "--output-dir", str(tmp_path / "set")) == 0
-    assert capsys.readouterr().err == warning
-    assert ((tmp_path / "set" / "bounds.csv").read_bytes()
-            == (tmp_path / "plain" / "bounds.csv").read_bytes())
-
-
 def test_bounds_default_solver_flags_print_nothing(tmp_path, capsys):
-    # a flag given at its default cannot be told from one left out
-    assert run_cli("bounds", "--n", "16", "--maxiter", "3", "--method",
-                   "hybrid_lslu", "--lambda-rule", "wgcv",
+    assert run_cli("bounds", "--n", "16", "--maxiter", "3", "--pivot", "full",
                    "--output-dir", str(tmp_path)) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and captured.out == ""
@@ -305,8 +263,6 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run_cli("solve", "--no-such-flag") == 1
     assert run_cli("solve", "--problem", "dense_file",
                    "--output-dir", str(tmp_path)) == 1
-    assert run_cli("solve", "--emit", "bogus_target",
-                   "--output-dir", str(tmp_path)) == 1
     bad = tmp_path / "missing.json"
     assert run_cli("solve", "--config", str(bad)) == 1
 
@@ -325,6 +281,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
          "--lambda-value must be finite and nonnegative"),
         (("--lambda-rule", "fixed"), "fixed rule needs a --lambda-value"),
         (("--method", "bogus"), "--method"),
+        (("--emit", "bogus_target"), "'bogus_target' is not one of"),
+        (("--emit", "history_csv,uq_csv"), "'uq_csv' is not one of"),
+        (("--emit", "bounds_csv"), "'bounds_csv' is not one of"),
         (("--maxiter", "3.0"), "--maxiter"),
         (("--pivot", "full", "--sample-size", "25"),
          "--sample-size only applies to sampled pivoting"),
@@ -374,16 +333,80 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                    "--output-dir", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--lambda-value, got 0.0" in err
-    # compare chooses each variant's pivoting; it rejects the single-run flags
-    for args, named in ((("--sample-size", "25"), "--sample-size"),
-                        (("--pivot", "none"), "--pivot"),
-                        (("--pivot", "sampled", "--sample-size", "25"), "--sample-size")):
-        assert run_cli("compare", "--n", "16", "--maxiter", "3", *args,
-                       "--output-dir", str(tmp_path / "out")) == 1, args
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err and "--sample-sizes" in err, (
-            args, err)
+    # each sampled variant runs once, and the error names --sample-sizes
+    for sizes, message in (("5,5,0", "--sample-sizes repeats 5"),
+                           ("5,0", "--sample-sizes must be at least 1, got 0"),
+                           ("10,5,10", "--sample-sizes repeats 10")):
+        assert run_cli("compare", "--n", "16", "--maxiter", "3", "--sample-sizes", sizes,
+                       "--output-dir", str(tmp_path / "out")) == 1, sizes
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+# a valid value for each field outside the problem: its default, or one
+# the command that reads it would accept
+_SAMPLE_VALUES = {"lambda_value": "0.05", "stop_tol": "1e-4", "sample_size": "5",
+                  "pivot_seed": "3", "sigma2": "1", "reg": "2"}
+
+
+def _sample_value(name):
+    value = _SAMPLE_VALUES.get(name, getattr(RunConfig(), name))
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, f.name) for command, (_, reads) in COMMANDS.items()
+    for f in fields(RunConfig) if f.name not in reads])
+def test_command_rejects_unread_flag(tmp_path, capsys, command, name):
+    # a flag the command does not read exits 1 naming it, even at the
+    # field's default (bounds --method hybrid_lslu)
+    assert run_cli(command, "--n", "16", flag(name), _sample_value(name),
+                   "--output-dir", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {flag(name)} " in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_lists_the_fields_read(capsys, command):
+    assert run_cli(command, "--help") == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    assert listed == {flag(name) for name in COMMANDS[command][1]} | {
+        "--config", "--help"}
+
+
+def test_every_field_is_read_by_some_command():
+    read = set().union(*(reads for _, reads in COMMANDS.values()))
+    assert read == {f.name for f in fields(RunConfig)}
+
+
+def test_shared_config_file(tmp_path, capsys):
+    # one --config file serves every command: each skips the keys it does
+    # not read with one warning apiece, and writes the same files as with
+    # a file of only the keys it reads
+    shared = {"problem": "tomo", "n": 16, "seed": 7, "maxiter": 4, "method": "hybrid_lslu",
+              "lambda_rule": "fixed", "lambda_value": 0.05, "k_max": 3, "sigma2": 1e-4,
+              "emit": ["history_csv", "recon_pgm"], "sample_sizes": [10]}
+    shared_path = tmp_path / "shared.json"
+    shared_path.write_text(json.dumps(shared))
+    for command, (_, reads) in COMMANDS.items():
+        own_path = tmp_path / f"{command}.json"
+        own_path.write_text(json.dumps({k: v for k, v in shared.items() if k in reads}))
+        outs = [tmp_path / command / side for side in ("shared", "own")]
+        errs = []
+        for path, out in zip((shared_path, own_path), outs):
+            capsys.readouterr()
+            assert run_cli(command, "--config", str(path),
+                           "--output-dir", str(out)) == 0, command
+            errs.append(capsys.readouterr().err)
+        unread = "".join(f"warning: {shared_path}: {key} is not read by {command}\n"
+                         for key in shared if key not in reads)
+        assert unread and errs[0] == unread + errs[1], command
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (
+                command, name)
 
 
 def test_json_lists_and_comma_strings_agree(tmp_path):

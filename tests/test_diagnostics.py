@@ -98,6 +98,14 @@ class TestHybridBounds:
                 tol = 1e-12 * (np.linalg.norm(b) + a_fro * np.linalg.norm(x))
                 assert abs(value - direct) <= tol, (method, k)
 
+    def test_pivot_must_be_a_pivot_strategy(self, gravity32):
+        op, b = gravity32.op, gravity32.b
+        for report in (lambda: plain_bound_report(op, b, 4, pivot="full"),
+                       lambda: hybrid_bound_report(op, b, 0.1, 4, pivot="full")):
+            with pytest.raises(ValueError,
+                               match="^pivot must be a PivotStrategy, got 'full'$"):
+                report()
+
     def test_nonpositive_lambda_rejected(self, gravity32):
         with pytest.raises(ValueError):
             hybrid_bound_report(gravity32.op, gravity32.b, 0.0, 5)

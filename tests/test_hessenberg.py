@@ -253,6 +253,14 @@ def test_sample_size_validation():
         PivotStrategy(kind="diagonal")
 
 
+def test_strategy_must_be_a_pivot_strategy():
+    op = make_dense_operator(A22)
+    for run in (hess_init, hess_run):
+        with pytest.raises(ValueError,
+                           match="^strategy must be a PivotStrategy, got 'full'$"):
+            run(op, [1.0, 1.0], strategy="full")
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"sample_size": 2.5}, "sample_size must be an integer, got 2.5"),
     ({"sample_size": True}, "sample_size must be an integer, got True"),

@@ -651,6 +651,18 @@ def test_config_validation():
         SolverConfig(method="hybrid_lslu", stop_tol=0.0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pivot": "full"}, "pivot must be a PivotStrategy, got 'full'"),
+    ({"pivot": None}, "pivot must be a PivotStrategy, got None"),
+    ({"lambda_rule": "gcv"}, "lambda_rule must be a LambdaRule, got 'gcv'"),
+])
+def test_config_objects_checked_when_built(kwargs, message):
+    # a kind's name in place of its object would fail only inside the
+    # first step, on the missing .kind
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverConfig("hybrid_lslu", 5, **kwargs)
+
+
 @pytest.mark.parametrize("method", ["lslu", "lsqr"])
 def test_stop_tol_rejected_for_plain_methods(method):
     # a plain method has no automatic stop: the tolerance is rejected,
