@@ -188,6 +188,35 @@ def test_bounds_plain_and_hybrid(tmp_path):
     assert all(line.endswith("true,true") for line in lines[1:])
 
 
+@pytest.mark.parametrize("method", [(), ("--method", "lslu")])
+def test_bounds_does_not_read_stop_tol(tmp_path, capsys, method):
+    # bounds reports every iteration up to --maxiter: a --stop-tol, alone
+    # or after a --method it does not read either, exits 1 naming every
+    # unread flag with its value, and writes nothing
+    args = ("bounds", "--n", "16", "--maxiter", "4", *method, "--stop-tol", "1e-4")
+    assert run_cli(*args, "--output-dir", str(tmp_path / "tol")) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: unrecognized arguments: "
+                        + " ".join((*method, "--stop-tol", "1e-4")) + "\n"), err
+    assert not (tmp_path / "tol").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("--lambda-rule", "fixed"), ("--method", "hybrid_lsqr"),
+], ids=["lambda-rule", "method"])
+def test_bounds_names_solver_flags_it_ignores(tmp_path, capsys, args):
+    # a solver flag bounds does not read exits 1 off its default too,
+    # while the same run without it writes bounds.csv
+    common = ("bounds", "--n", "16", "--maxiter", "3")
+    assert run_cli(*common, "--output-dir", str(tmp_path / "plain")) == 0
+    assert (tmp_path / "plain" / "bounds.csv").exists()
+    capsys.readouterr()
+    assert run_cli(*common, *args, "--output-dir", str(tmp_path / "set")) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(args)}\n"), err
+    assert not (tmp_path / "set").exists()
+
+
 def test_bounds_default_solver_flags_print_nothing(tmp_path, capsys):
     assert run_cli("bounds", "--n", "16", "--maxiter", "3", "--pivot", "full",
                    "--output-dir", str(tmp_path)) == 0
