@@ -8,8 +8,8 @@ diagnostics, and low-rank posterior-covariance estimation round out the
 toolkit.
 """
 
-from .diagnostics import (BoundReport, hybrid_bound_report, plain_bound_report,
-                          relation_residuals)
+from .diagnostics import (BoundReport, bound_report, hybrid_bound_report,
+                          plain_bound_report, relation_residuals)
 from .golub_kahan import BidiagState, gk_init, gk_run, gk_step
 from .hessenberg import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
                          BreakdownError, HessenbergState, KrylovState,
@@ -22,8 +22,8 @@ from .projected import (LambdaRule, ProjectedSvd, gcv_value, ghat,
                         ls_projected, select_lambda, stop_check, svd_small,
                         tikhonov_projected, wgcv_value)
 from .solvers import (SolveResult, SolverConfig, compute_histories,
-                      run_hybrid_lslu, run_hybrid_lsqr, run_lslu, run_lsqr,
-                      solve)
+                      replay, run_hybrid_lslu, run_hybrid_lsqr, run_lslu,
+                      run_lsqr, solve)
 from .uq import (UqApprox, build_uq, build_uq_bidiag, covariance_sum,
                  oracle_posterior, variance_diagonal, woodbury_delta)
 

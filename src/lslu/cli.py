@@ -7,6 +7,9 @@ is the one schema.  COMMANDS lists the fields each command reads: its
 flags (kebab-case) and the keys its --config JSON object may set, whose
 values parse exactly like the flag text (flags override them; other
 fields are skipped with a warning).  Library constructors validate them.
+unread_reason says when a command does not read a field as set up (a
+parameter of another problem kind, an unread --lambda-value): such a
+flag exits 1 and such a key is skipped with a warning.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
@@ -25,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import plain_bound_report, hybrid_bound_report
+from .diagnostics import bound_report
 from .golub_kahan import gk_run
 from .hessenberg import PivotStrategy, check_maxiter, hess_run
 from .operators import (load_dense_problem, make_gravity_problem,
@@ -191,18 +194,35 @@ def make_solver_config(config, x_true):
                             track_truth=x_true)
 
 
-def warn_unread_lambda_value(config, command):
-    """Say on stderr when solve or compare will not read its --lambda-value."""
-    if config.lambda_value is None:
-        return
+# the parameters each problem kind reads
+_PROBLEM_READS = {"gravity": {"n", "depth", "noise_level", "seed"},
+                  "tomo": {"n", "angles", "detectors", "noise_level", "seed"},
+                  "dense_file": {"matrix_file", "rhs_file"}}
+
+
+def unread_reason(config, command, name):
+    """Why command, set up as config is, does not read a field it takes,
+    or None when it reads it: the one rule behind both check_unread and
+    resolve_config's skipped --config keys."""
+    if (name in set().union(*_PROBLEM_READS.values())
+            and name not in _PROBLEM_READS[config.problem]):
+        return f"--problem {config.problem}"
+    if name != "lambda_value" or command == "bounds":
+        return None
     if not config.method.startswith("hybrid"):
-        reason = f"--method {config.method}: only the hybrid methods regularize"
-    elif config.lambda_rule != "fixed":
-        reason = f"--lambda-rule {config.lambda_rule}: only the fixed rule takes a value"
-    else:
-        return
-    print(f"warning: --lambda-value is not read by {command} with {reason}",
-          file=sys.stderr)
+        return f"--method {config.method}: only the hybrid methods regularize"
+    if config.lambda_rule != "fixed":
+        return f"--lambda-rule {config.lambda_rule}: only the fixed rule takes a value"
+    return None
+
+
+def check_unread(config, command, flagged):
+    """Exit 1 on a flag that command, set up as config is, does not read.
+    Each command calls it once the library has checked its values."""
+    for name in flagged:
+        reason = unread_reason(config, command, name)
+        if reason is not None:
+            raise UsageError(f"{flag(name)} is not read by {command} with {reason}")
 
 
 def _history_rows(result):
@@ -213,11 +233,11 @@ def _history_rows(result):
         yield (i + 1, resid[i], relerr[i], result.lambdas[i], result.ghats[i])
 
 
-def cmd_solve(config):
+def cmd_solve(config, flagged):
     """run one solver, emit history/summary/images"""
     op, b, x_true, _, shapes = build_problem(config)
     solver_config = make_solver_config(config, x_true)
-    warn_unread_lambda_value(config, "solve")
+    check_unread(config, "solve", flagged)
     result = solve(op, b, solver_config)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -266,7 +286,7 @@ def cmd_solve(config):
     return 0
 
 
-def cmd_compare(config):
+def cmd_compare(config, flagged):
     """error curves for pivot variants and the baseline"""
     with config_errors():
         for i, size in enumerate(config.sample_sizes):
@@ -292,7 +312,7 @@ def cmd_compare(config):
             config, method=base_lu, pivot="sampled", sample_size=size)))
     variants.append((base_qr, replace(config, method=base_qr, pivot_seed=None)))
     configs = [(name, make_solver_config(cfg, x_true)) for name, cfg in variants]
-    warn_unread_lambda_value(config, "compare")
+    check_unread(config, "compare", flagged)
     curves = [(name, solve(op, b, cfg)) for name, cfg in configs]
 
     outdir = Path(config.output_dir)
@@ -310,9 +330,10 @@ def cmd_compare(config):
     return 0
 
 
-def cmd_uq(config):
+def cmd_uq(config, flagged):
     """posterior covariance sums from both factorizations"""
     op, b, x_true, e, shapes = build_problem(config)
+    check_unread(config, "uq", flagged)
     if e is None:
         raise UsageError("uq needs a generated problem (known noise)")
     stop_tol = config.stop_tol if config.stop_tol is not None else 1e-4
@@ -360,20 +381,19 @@ def cmd_uq(config):
     return 0
 
 
-def cmd_bounds(config):
-    """residual-bound report (fixed lambda: hybrid form)"""
+def cmd_bounds(config, flagged):
+    """residual-bound report (with --lambda-value: hybrid form)"""
     with config_errors():
         check_maxiter(config.maxiter, flag("maxiter"))
-        if config.lambda_value is not None and not config.lambda_value > 0:
-            raise ValueError("the hybrid bound report needs a positive "
+        if config.lambda_value is not None and not 0 < config.lambda_value < np.inf:
+            raise ValueError("the hybrid bound report needs a finite positive "
                              f"--lambda-value, got {config.lambda_value!r}")
     op, b, _, _, _ = build_problem(config)
     pivot = make_pivot(config)
-    if config.lambda_value is not None:
-        report = hybrid_bound_report(op, b, config.lambda_value,
-                                     config.maxiter, pivot=pivot)
-    else:
-        report = plain_bound_report(op, b, config.maxiter, pivot=pivot)
+    check_unread(config, "bounds", flagged)
+    report = bound_report(hess_run(op, b, strategy=pivot, maxiter=config.maxiter),
+                          gk_run(op, b, maxiter=config.maxiter),
+                          config.lambda_value or 0.0)
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = zip(report.iterations, report.r_lu, report.r_qr, report.kappa,
@@ -413,12 +433,15 @@ def build_parser():
             if f.name in reads:
                 p.add_argument(flag(f.name), help=f.type,
                                metavar="{" + ",".join(choices) + "}" if choices else None)
-    return parser
+    return parser, sub.choices
 
 
 def resolve_config(args):
+    """The RunConfig of parsed args, and the fields their flags set.  A
+    --config key the command does not read, or does not read as set
+    up, is skipped with a warning."""
     reads = COMMANDS[args.command][1]
-    values = {}
+    values, flagged = {}, []
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -440,7 +463,15 @@ def resolve_config(args):
         text = getattr(args, f.name) if f.name in reads else None
         if text is not None:
             values[f.name] = parse_field(f, text, flag(f.name))
-    return RunConfig(**values)
+            flagged.append(f.name)
+    config = RunConfig(**values)
+    for key in [key for key in values if key not in flagged]:
+        reason = unread_reason(config, args.command, key)
+        if reason is not None:
+            print(f"warning: {args.config}: {key} is not read by {args.command} "
+                  f"with {reason}", file=sys.stderr)
+            del values[key]
+    return RunConfig(**values), flagged
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -450,16 +481,18 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # reported with the command's own usage line
+            commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        config = resolve_config(args)
+        config, flagged = resolve_config(args)
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return COMMANDS[args.command][0](config)
+            return COMMANDS[args.command][0](config, flagged)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

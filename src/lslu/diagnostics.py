@@ -1,25 +1,28 @@
 """Residual-bound reports and factorization health checks.
 
-Runs the Hessenberg-based and bidiagonalization-based methods side by
-side and verifies, iteration by iteration, the sandwich inequalities
-tying their residual norms together through the conditioning of the
-non-orthogonal basis, read off the R factor of one dense QR per LSLU
-basis (KrylovState.r_factor, shared with the UQ).  To maxiter = k, a
-report costs its two solves (k forward and k adjoint products each),
-one QR per LSLU basis, O(m k^2) for D, and k small SVDs, O(k^4) in all.
+bound_report replays the methods of a Hessenberg and a Golub-Kahan
+state of one problem and checks, iteration by iteration, the sandwich
+inequalities tying their residual norms together through the
+conditioning of the LSLU bases, read off the R factor of one dense QR
+per basis (KrylovState.r_factor, shared with the UQ).  To k columns it
+costs those QRs, O(m k^2), and k small SVDs, O(k^4), with no operator
+product; plain_bound_report and hybrid_bound_report first grow the two
+states, k forward and k adjoint products each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .hessenberg import PivotStrategy, condition_number
+from .golub_kahan import BidiagState, gk_run
+from .hessenberg import HessenbergState, PivotStrategy, condition_number, hess_run
 from .projected import LambdaRule
-from .solvers import (SolverConfig, reconstruct, run_hybrid_lslu, run_hybrid_lsqr,
-                      run_lslu, run_lsqr)
+# the reports replay their states; the benchmark's tracer patches the run_* names
+from .solvers import (SolverConfig, reconstruct, replay, run_hybrid_lslu,  # noqa: F401
+                      run_hybrid_lsqr, run_lslu, run_lsqr)
 
 LOWER_SLACK = 1e-10
 UPPER_SLACK = 1e-8
@@ -48,58 +51,66 @@ class BoundReport:
         return all(self.lower_ok) and all(self.upper_ok)
 
 
-def _sandwich(res_lu, res_qr, residual, kappa):
-    # one report row per iteration both solves reached
+def bound_report(lu_state, qr_state, lam=0.0):
+    """Residual sandwich of a HessenbergState and a BidiagState of one
+    problem, at the fixed parameter lam, to the fewer of their columns.
+
+    At each k: ||r_k(orthonormal)|| <= ||r_k(Hessenberg)|| <= kappa *
+    ||r_k(orthonormal)||, with small slack factors absorbing rounding.
+    At lam = 0 (the plain methods) r_k = b - A x_k and kappa is that of
+    D_{k+1}; at lam > 0 (the hybrid methods) r_k is the stacked residual
+    of norm sqrt(||b - A x_k||^2 + lam^2 ||x_k||^2) and kappa that of
+    blockdiag(D_{k+1}, L_k), read off the leading blocks of the state's
+    R factors.  Swapped states, states of two problems, or a lam that
+    is not finite and >= 0 raise a ValueError.
+    """
+    if not (isinstance(lu_state, HessenbergState) and isinstance(qr_state, BidiagState)
+            and lu_state.m == qr_state.m and np.array_equal(lu_state.x0, qr_state.x0)):
+        raise ValueError("lu_state and qr_state must be a HessenbergState and a "
+                         "BidiagState of one problem")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
+    k_max = min(lu_state.k, qr_state.k)
+    config = SolverConfig("hybrid_lslu", max(k_max, 1), lambda_rule=LambdaRule.fixed(lam))
+    res_lu = replay(lu_state, config)
+    res_qr = replay(qr_state, replace(config, method="hybrid_lsqr"))
+    # at a terminal exact-solve iteration d_{k+1} never materializes; the
+    # k available residual-basis columns stand in (residuals are 0)
+    blocks = [(lu_state.r_factor("residual"), 1)]
+    blocks += [(lu_state.r_factor("solution"), 0)] if lam else []
+
+    def residual(res, k):
+        # ||b - A x_k|| of this same x_k, as the factorization gives it
+        if not lam:
+            return res.residual_norms[k - 1]
+        x = reconstruct(res.state, res.ys[k - 1])
+        return float(np.hypot(res.residual_norms[k - 1], lam * np.linalg.norm(x)))
+
     report = BoundReport()
-    for k in range(1, min(res_lu.k_reached, res_qr.k_reached) + 1):
-        report.append(k, residual(res_lu, k), residual(res_qr, k), kappa(k))
+    for k in range(1, k_max + 1):
+        report.append(k, residual(res_lu, k), residual(res_qr, k),
+                      condition_number(*(R[:k + d, :k + d] for R, d in blocks)))
     return report
 
 
 def plain_bound_report(op, b, maxiter, pivot=None):
-    """Residual sandwich for the plain methods, x0 = 0 on both sides.
-
-    At each k: ||r_k(orthonormal)|| <= ||r_k(Hessenberg)|| <=
-    kappa(R of D_{k+1}) * ||r_k(orthonormal)||, with small slack factors
-    absorbing floating-point noise.  The state's R factor of the final D
-    gives every R of D_{k+1} as its leading block.
-    """
-    pivot = pivot or PivotStrategy.full()
-    res_lu = run_lslu(op, b, SolverConfig("lslu", maxiter, pivot=pivot))
-    res_qr = run_lsqr(op, b, SolverConfig("lsqr", maxiter))
-    R = res_lu.state.r_factor("residual")
-    # at a terminal exact-solve iteration d_{k+1} never materializes;
-    # the k available residual-basis columns stand in (residuals are 0)
-    return _sandwich(res_lu, res_qr, lambda res, k: res.residual_norms[k - 1],
-                     lambda k: condition_number(R[:k + 1, :k + 1]))
+    """bound_report at lam = 0 of the two states grown from x0 = 0."""
+    return bound_report(*_grow(op, b, maxiter, pivot))
 
 
 def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
-    """Stacked-residual sandwich for the hybrid methods at fixed lam > 0.
-
-    The stacked residual of an iterate x is sqrt(||b - A x||^2 +
-    lam^2 ||x||^2); the condition number is that of the block-diagonal
-    assembly of D_{k+1} and L_k, whose singular values are those of the
-    two blocks together, read off the leading blocks of the state's R
-    factor of each basis.
-    """
+    """bound_report at a fixed lam > 0 of the two states grown from x0 = 0."""
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lam must be finite and positive, got {lam!r}")
-    rule, pivot = LambdaRule.fixed(lam), pivot or PivotStrategy.full()
-    res_lu = run_hybrid_lslu(op, b, SolverConfig("hybrid_lslu", maxiter, pivot=pivot,
-                                                 lambda_rule=rule))
-    res_qr = run_hybrid_lsqr(op, b, SolverConfig("hybrid_lsqr", maxiter,
-                                                 lambda_rule=rule))
+    return bound_report(*_grow(op, b, maxiter, pivot), lam)
 
-    def stacked(res, k):
-        # residual_norms[k - 1] is ||b - A x_k|| of this same x_k, as the
-        # factorization gives it
-        x = reconstruct(res.state, res.ys[k - 1])
-        return float(np.hypot(res.residual_norms[k - 1], lam * np.linalg.norm(x)))
 
-    R_D, R_L = res_lu.state.r_factor("residual"), res_lu.state.r_factor("solution")
-    return _sandwich(res_lu, res_qr, stacked,
-                     lambda k: condition_number(R_D[:k + 1, :k + 1], R_L[:k, :k]))
+def _grow(op, b, maxiter, pivot):
+    pivot = pivot or PivotStrategy.full()
+    if not isinstance(pivot, PivotStrategy):
+        raise ValueError(f"pivot must be a PivotStrategy, got {pivot!r}")
+    return (hess_run(op, b, strategy=pivot, maxiter=maxiter),
+            gk_run(op, b, maxiter=maxiter))
 
 
 def relation_residuals(state, op):

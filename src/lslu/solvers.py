@@ -1,12 +1,12 @@
 """End-to-end iterative solvers over either factorization.
 
-Four methods share one driver: per iteration, extend the factorization,
-SVD the small projected matrix, pick the regularization parameter,
-solve the projected problem, and evaluate the stopping function.  A
-plain method is its hybrid at the fixed parameter 0.  The LSLU
-family's hot path stays free of long-vector inner products; history
-reporting is the only place norms appear (one residual norm per
-iteration, read off the factorization without an operator product), and
+A solve grows a state (hess_init or gk_init, then iterate) and feeds
+each new k to the projected pass: SVD the small projected matrix, pick
+the regularization parameter, solve the projected problem, evaluate
+the stopping function.  replay runs the same pass over the columns a
+state already holds.  A plain method is its hybrid at the fixed
+parameter 0.  The LSLU family's hot path stays free of long-vector
+inner products; history reporting is the only place norms appear, and
 `pure=True` turns it off so tests can witness a zero reduction count.
 """
 
@@ -18,18 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import reductions
-from .golub_kahan import gk_init, gk_step
-from .hessenberg import (BREAKDOWN_NONE, KrylovState, PivotStrategy,
+from .golub_kahan import BidiagState, gk_init, gk_step
+from .hessenberg import (BREAKDOWN_NONE, HessenbergState, KrylovState, PivotStrategy,
                          check_maxiter, hess_init, hess_step, iterate)
 # ls_projected is not called here: the benchmark's tracer patches this name
 from .projected import (LambdaRule, check_truth, ghat, ls_projected,
                         select_lambda, stop_check, svd_small, tikhonov_projected)
 
 METHODS = ("lslu", "hybrid_lslu", "lsqr", "hybrid_lsqr")
-
-STOP_GHAT = "ghat_tol"
-STOP_MAXITER = "maxiter"
-STOP_BREAKDOWN = "breakdown"
 
 
 @dataclass
@@ -65,18 +61,15 @@ class SolverConfig:
 class SolveResult:
     """Final iterate plus per-iteration histories and the basis state.
 
-    Histories all have length k_reached (iterations completed); the
-    residual and error lists stay empty in pure mode, and the error
-    list also when no truth is tracked.  residual_norms[k - 1] is
-    ||b - A x_k|| as the factorization gives it (see compute_histories),
-    equal to a direct evaluation up to rounding.  x_final equals
-    x0 + (solution basis) @ y_{k_stop}.  ghats[k - 1] is the stopping
-    function ghat(svd, beta, lam_k, m, n) of iteration k (nan once k
-    reaches m); stop_tol compares the beta-free values ghat(svd, 1.0,
-    ...), which these are beta * beta times, so stopping works at scales
-    where beta * beta makes the reported values inf or 0.  state is the
-    HessenbergState or BidiagState the solve grew, both read through the
-    KrylovState names.
+    Histories all have length k_reached; the residual and error lists
+    stay empty in pure mode, the error list also when no truth is
+    tracked.  x_final is x0 + (solution basis) @ y_{k_stop}.
+    residual_norms[k - 1] is ||b - A x_k|| as the factorization gives
+    it (see compute_histories).  ghats[k - 1] is
+    ghat(svd, beta, lam_k, m, n) (nan once k reaches m); stop_tol reads
+    the beta-free values, so stopping works where beta * beta makes
+    these inf or 0.  state is the HessenbergState or BidiagState the
+    solve grew or replayed.
     """
 
     x_final: np.ndarray
@@ -95,21 +88,21 @@ class SolveResult:
 
 
 def reconstruct(state, y):
-    """x0 + (solution basis)[:, :k] @ y for the k coefficients y, or a
-    copy of x0 when y is None."""
-    if y is None:
-        return state.x0.copy()
+    """x0 + (solution basis)[:, :k] @ y for the k coefficients y."""
     return state.x0 + state.solution_basis[:, :y.shape[0]] @ y
 
 
-def _drive(op, b, config, method):
-    m, n = op.shape
-    # a bad truth fails here, before the first operator product
-    track_truth = config.track_truth
-    if track_truth is not None:
-        track_truth = check_truth(track_truth, n, "track_truth")
+def _check_truths(config, n):
+    # a bad truth fails here, before the first operator product or SVD
+    if config.track_truth is not None:
+        check_truth(config.track_truth, n, "track_truth")
     if config.lambda_rule.kind == "optimal":
         check_truth(config.lambda_rule.x_true, n, "x_true")
+
+
+def _drive(op, b, config, method):
+    """Grow the state with iterate, feeding each new k to the projected pass."""
+    _check_truths(config, op.shape[1])
     if method.endswith("lslu"):
         state = hess_init(op, b, config.x0, strategy=config.pivot,
                           maxiter=config.maxiter)
@@ -117,66 +110,83 @@ def _drive(op, b, config, method):
     else:
         state = gk_init(op, b, config.x0, maxiter=config.maxiter)
         step = gk_step
-    rule = (config.lambda_rule if method.startswith("hybrid_")
-            else LambdaRule.fixed(0.0))
+    return _project(state, config, method, iterate(state, step, op, config.maxiter))
 
+
+def replay(state, config):
+    """The SolveResult a fresh solve of config gives, bit for bit, read
+    off a grown state's columns: the projected pass over k =
+    1..config.maxiter, with no operator product.  config's x0 and pivot
+    are not read (the state fixed them).  A state that is not a
+    HessenbergState or BidiagState, a method of the other family, or a
+    maxiter past state.k on a state that has not broken down raises a
+    ValueError.
+    """
+    family = {HessenbergState: "lslu", BidiagState: "lsqr"}.get(type(state))
+    if family is None:
+        raise ValueError(f"state must be a HessenbergState or BidiagState, "
+                         f"got {type(state).__name__}")
+    if not config.method.endswith(family):
+        raise ValueError(f"method {config.method!r} is not of the {family} family")
+    if config.maxiter > state.k and state.breakdown == BREAKDOWN_NONE:
+        raise ValueError(f"maxiter {config.maxiter} exceeds state.k = {state.k}")
+    _check_truths(config, state.n)
+    return _project(state, config, config.method,
+                    range(1, min(config.maxiter, state.k) + 1))
+
+
+def _project(state, config, method, steps):
+    # the projected pass: at each k from steps it reads _proj[:k + 1, :k],
+    # _sol[:k], beta and x0 of the state, nothing else
+    m, n, beta = state.m, state.n, state.beta
+    rule = config.lambda_rule if method.startswith("hybrid_") else LambdaRule.fixed(0.0)
     ys, lambdas, ghats = [], [], []
-    stop_reason = None
-    svd = None
-    for k in iterate(state, step, op, config.maxiter):
+    stop_reason = svd = None
+    for k in steps:
         # the projected matrix grew by one column and row: extend its SVD
-        svd = svd_small(state.projected_matrix, svd)
-        lam = select_lambda(rule, svd, state.beta, m,
-                            basis=state.solution_basis, x0=state.x0)
-        y = tikhonov_projected(svd, state.beta, lam)
-        ys.append(y)
-        lambdas.append(lam)
+        svd = svd_small(state._proj[:k + 1, :k], svd)
+        lambdas.append(select_lambda(rule, svd, beta, m, basis=state._sol[:k].T,
+                                     x0=state.x0))
+        ys.append(tikhonov_projected(svd, beta, lambdas[-1]))
         # beta-free: stop_check reads only ratios, which a factor
         # beta * beta turns into inf/inf or 0/0 on a scaled problem
-        ghats.append(ghat(svd, 1.0, lam, m, n) if k < m else float("nan"))
-
+        ghats.append(ghat(svd, 1.0, lambdas[-1], m, n) if k < m else float("nan"))
         if (config.stop_tol is not None and len(ghats) >= 2
                 and stop_check(ghats, config.stop_tol)):
-            stop_reason = STOP_GHAT
+            stop_reason = "ghat_tol"
             break
-
-    if stop_reason is None:
-        stop_reason = (STOP_MAXITER if state.breakdown == BREAKDOWN_NONE
-                       else STOP_BREAKDOWN)
-    k_stop = len(ys)
-
-    x_final = reconstruct(state, ys[-1] if ys else None)
-    ghats = [state.beta * state.beta * g for g in ghats]
-    result = SolveResult(x_final, k_stop, stop_reason, [], [], lambdas, ghats,
-                         ys, state)
+    k = len(ys)
+    # otherwise a breakdown ended the pass if the pass reached state.k and maxiter
+    # lies past it, or the breakdown step added that column (residual_count == k)
+    broke = state.breakdown != BREAKDOWN_NONE and k == state.k and (
+        k < config.maxiter or state.residual_count == k)
+    result = SolveResult(reconstruct(state, ys[-1]) if ys else state.x0.copy(), k,
+                         stop_reason or ("breakdown" if broke else "maxiter"), [], [],
+                         lambdas, [beta * beta * g for g in ghats], ys, state)
     if not config.pure:
         result.residual_norms, result.relative_errors = compute_histories(
-            result, track_truth)
+            result, config.track_truth)
     return result
 
 
 def run_lslu(op, b, config=None):
     """Quasi-minimal residual iteration over the Hessenberg factorization."""
-    config = config or SolverConfig(method="lslu")
-    return _drive(op, b, config, "lslu")
+    return _drive(op, b, config or SolverConfig(method="lslu"), "lslu")
 
 
 def run_hybrid_lslu(op, b, config=None):
     """LSLU with per-iteration Tikhonov regularization of the projected problem."""
-    config = config or SolverConfig(method="hybrid_lslu")
-    return _drive(op, b, config, "hybrid_lslu")
+    return _drive(op, b, config or SolverConfig(method="hybrid_lslu"), "hybrid_lslu")
 
 
 def run_lsqr(op, b, config=None):
     """Least-squares iteration over the bidiagonalization (baseline)."""
-    config = config or SolverConfig(method="lsqr")
-    return _drive(op, b, config, "lsqr")
+    return _drive(op, b, config or SolverConfig(method="lsqr"), "lsqr")
 
 
 def run_hybrid_lsqr(op, b, config=None):
     """LSQR with per-iteration Tikhonov regularization (baseline)."""
-    config = config or SolverConfig(method="hybrid_lsqr")
-    return _drive(op, b, config, "hybrid_lsqr")
+    return _drive(op, b, config or SolverConfig(method="hybrid_lsqr"), "hybrid_lsqr")
 
 
 def solve(op, b, config):
@@ -185,21 +195,15 @@ def solve(op, b, config):
 
 
 def compute_histories(result, x_true=None):
-    """Residual (and error) histories of a finished solve.
+    """Residual (and error) histories of a finished solve, as
+    (residual_norms, relative_errors).
 
-    Returns (residual_norms, relative_errors).  Each residual comes from
-    the factorization rather than the operator: A (solution basis)_k =
-    (residual basis) M and r_0 = beta times the first residual basis
-    vector, so b - A x_k = (residual basis)[:, :d] (beta e_1 - M[:d, :k] y_k)
-    with M the projected matrix and d = min(k + 1, residual basis
-    columns); a terminal exact-solve iteration holds only k of them.
-    That is one gemv over the stored basis and one counted norm per
-    iteration, and no operator product.  Iterates are rebuilt only to
-    measure the error against x_true.  A reporting run fills its
-    histories with this after its loop; pure mode skips it to keep the
-    solve free of long-vector reductions, and a caller can apply it to
-    a pure-mode result afterwards.  An x_true that is not a finite
-    vector of length n raises a ValueError naming it.
+    b - A x_k = (residual basis)[:, :d] (beta e_1 - M[:d, :k] y_k), M the
+    projected matrix and d = min(k + 1, residual basis columns): one
+    gemv and one counted norm per iteration, no operator product.
+    Iterates are rebuilt only to measure the error against x_true, a
+    finite vector of length n (else a ValueError names it).  Pure mode
+    skips this; a caller can apply it to a pure-mode result afterwards.
     """
     state = result.state
     basis, projected = state.residual_basis, state.projected_matrix

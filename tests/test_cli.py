@@ -137,30 +137,106 @@ def test_library_warnings_without_source_paths(tmp_path, capsys):
 
 
 def test_unread_lambda_value_warns(tmp_path, capsys):
-    # a lambda value a command does not read is named on stderr, with why;
-    # where it is read, or none is given, nothing is said
+    # a lambda value a command does not read exits 1 as a flag, naming it
+    # with why, and is skipped with one warning as a --config key; where
+    # it is read, or none is given, nothing is said
     lam = ("--lambda-value", "0.05")
-    cases = [(("solve", "--method", "lslu", *lam), "solve with --method lslu"),
-             (("solve", *lam), "solve with --lambda-rule wgcv"),
-             (("compare", "--method", "lsqr", "--sample-sizes", "10", *lam),
+    cases = [(("solve", "--method", "lslu"), "solve with --method lslu"),
+             (("solve",), "solve with --lambda-rule wgcv"),
+             (("compare", "--method", "lsqr", "--sample-sizes", "10"),
               "compare with --method lsqr"),
-             (("compare", "--lambda-rule", "gcv", "--sample-sizes", "10", *lam),
+             (("compare", "--lambda-rule", "gcv", "--sample-sizes", "10"),
               "compare with --lambda-rule gcv"),
-             (("solve", "--lambda-rule", "fixed", *lam), None),
-             (("compare", "--lambda-rule", "fixed", "--sample-sizes", "10", *lam), None),
-             (("bounds", *lam), None),
-             (("solve", "--method", "lslu"), None),
-             (("uq", "--k-max", "3"), None)]
+             (("solve", "--lambda-rule", "fixed"), None),
+             (("compare", "--lambda-rule", "fixed", "--sample-sizes", "10"), None),
+             (("bounds",), None)]
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps({"lambda_value": 0.05}))
     for i, (args, reason) in enumerate(cases):
+        common = ("--n", "16", "--maxiter", "3")
+        out = tmp_path / str(i)
         capsys.readouterr()
-        assert run_cli(*args, "--n", "16", "--maxiter", "3",
-                       "--output-dir", str(tmp_path / str(i))) == 0, args
+        assert run_cli(*args, *lam, *common, "--output-dir", str(out / "flag")) == (
+            0 if reason is None else 1), args
         err = capsys.readouterr().err
         if reason is None:
             assert "lambda-value" not in err, (args, err)
         else:
-            assert err.startswith(f"warning: --lambda-value is not read by {reason}")
+            assert err.startswith(f"error: --lambda-value is not read by {reason}: only")
+            assert err.count("\n") == 1 and not (out / "flag").exists(), (args, err)
+        assert run_cli(*args, "--config", str(path), *common,
+                       "--output-dir", str(out / "key")) == 0, args
+        err = capsys.readouterr().err
+        if reason is None:
+            assert "lambda_value" not in err, (args, err)
+        else:
+            assert err.startswith(
+                f"warning: {path}: lambda_value is not read by {reason}"), err
             assert err.count("\n") == 1, (args, err)
+    for args in (("solve", "--method", "lslu"), ("uq", "--k-max", "3")):
+        assert run_cli(*args, "--n", "16", "--maxiter", "3",
+                       "--output-dir", str(tmp_path / "none")) == 0
+        assert "lambda" not in capsys.readouterr().err
+
+
+# per problem kind, a parameter it does not read, and a value another kind takes
+_UNREAD_BY_PROBLEM = [("gravity", "angles", "7"), ("gravity", "detectors", "9"),
+                      ("gravity", "matrix_file", "A.txt"), ("tomo", "depth", "5"),
+                      ("tomo", "rhs_file", "b.txt"), ("dense_file", "n", "16"),
+                      ("dense_file", "noise_level", "0.1"), ("dense_file", "seed", "2")]
+
+
+@pytest.mark.parametrize("problem, name, value, command", [
+    (*case, command) for case in _UNREAD_BY_PROBLEM for command in COMMANDS
+    # compare and uq first say that they need a generated problem
+    if case[0] != "dense_file" or command in ("solve", "bounds")])
+def test_problem_parameter_the_problem_does_not_read(tmp_path, capsys, command,
+                                                     problem, name, value):
+    # a flag the chosen problem does not read exits 1 naming it and the
+    # problem, and writes nothing
+    rng = np.random.default_rng(0)
+    mfile, rfile = tmp_path / "A.txt", tmp_path / "b.txt"
+    np.savetxt(mfile, rng.standard_normal((20, 16)))
+    np.savetxt(rfile, rng.standard_normal(20))
+    problem_args = {"gravity": ("--n", "16"), "tomo": ("--n", "16"),
+                    "dense_file": ("--matrix-file", str(mfile), "--rhs-file", str(rfile))}
+    command_args = {"compare": ("--sample-sizes", "10"), "uq": ("--k-max", "3")}
+    args = [command, "--problem", problem, *problem_args[problem], "--maxiter", "3",
+            *command_args.get(command, ()), "--output-dir", str(tmp_path / "out")]
+    if (name, value) in (("matrix_file", "A.txt"), ("rhs_file", "b.txt")):
+        value = str(tmp_path / value)
+    assert run_cli(*args, flag(name), value) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flag(name)} is not read by {command} with --problem {problem}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem, name, value", _UNREAD_BY_PROBLEM)
+def test_problem_config_key_the_problem_does_not_read(tmp_path, capsys, problem, name,
+                                                       value):
+    # as a --config key the same parameter is skipped with one warning,
+    # and the files are those of a run without it
+    rng = np.random.default_rng(0)
+    mfile, rfile = tmp_path / "A.txt", tmp_path / "b.txt"
+    np.savetxt(mfile, rng.standard_normal((20, 16)))
+    np.savetxt(rfile, rng.standard_normal(20))
+    base = {"problem": problem, "method": "lslu", "maxiter": 3}
+    base.update({"n": 16} if problem != "dense_file"
+                else {"matrix_file": str(mfile), "rhs_file": str(rfile)})
+    outs = []
+    for extra in ({name: value}, {}):
+        path = tmp_path / f"cfg{len(outs)}.json"
+        path.write_text(json.dumps({**base, **extra}))
+        outs.append(tmp_path / f"out{len(outs)}")
+        capsys.readouterr()
+        assert run_cli("solve", "--config", str(path), "--output-dir", str(outs[-1])) == 0
+        err = capsys.readouterr().err
+        assert err == (f"warning: {path}: {name} is not read by solve with "
+                       f"--problem {problem}\n" if extra else ""), err
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for file in names:
+        assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes(), file
 
 
 def test_uq_variance_images_for_2d_problem(tmp_path):
@@ -362,6 +438,10 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                    "--output-dir", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--lambda-value, got 0.0" in err
+    assert run_cli("bounds", "--n", "16", "--maxiter", "3", "--lambda-value", "inf",
+                   "--output-dir", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--lambda-value, got inf" in err
     # each sampled variant runs once, and the error names --sample-sizes
     for sizes, message in (("5,5,0", "--sample-sizes repeats 5"),
                            ("5,0", "--sample-sizes must be at least 1, got 0"),
@@ -392,7 +472,9 @@ def test_command_rejects_unread_flag(tmp_path, capsys, command, name):
     assert run_cli(command, "--n", "16", flag(name), _sample_value(name),
                    "--output-dir", str(tmp_path / "out")) == 1
     err = capsys.readouterr().err
-    assert f"error: unrecognized arguments: {flag(name)} " in err, err
+    # the command's own parser reports it, under the command's usage line
+    assert err.startswith(f"usage: lslu {command} [-h] [--config CONFIG]"), err
+    assert f"\nlslu {command}: error: unrecognized arguments: {flag(name)} " in err, err
     assert not (tmp_path / "out").exists()
 
 
