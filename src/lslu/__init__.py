@@ -12,7 +12,7 @@ from .diagnostics import (BoundReport, bound_report, hybrid_bound_report,
                           plain_bound_report, relation_residuals)
 from .golub_kahan import BidiagState, gk_init, gk_run, gk_step
 from .hessenberg import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
-                         BreakdownError, HessenbergState, KrylovState,
+                         BreakdownError, HessenbergState, InputError, KrylovState,
                          PivotStrategy, hess_init, hess_run, hess_step)
 from .operators import (CountingOperator, InverseProblem, LinearOperator,
                         add_noise, export_dense_matrix, load_dense_problem,

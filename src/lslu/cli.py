@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import typing
 import warnings
@@ -30,12 +29,12 @@ import numpy as np
 
 from .diagnostics import bound_report
 from .golub_kahan import gk_run
-from .hessenberg import PivotStrategy, check_maxiter, hess_run
+from .hessenberg import InputError, PivotStrategy, check_maxiter, hess_run
 from .operators import (load_dense_problem, make_gravity_problem,
                         make_tomo_problem)
 from .pgm import write_pgm
 from .projected import LambdaRule
-from .solvers import METHODS, SolverConfig, run_hybrid_lsqr, solve
+from .solvers import METHODS, SolverConfig, solve
 from .uq import build_uq, check_noise_model, covariance_sum, variance_diagonal
 
 PROBLEMS = ("gravity", "tomo", "dense_file")
@@ -78,15 +77,6 @@ class RunConfig:
 
 _HINTS = typing.get_type_hints(RunConfig)
 
-# per group of library checks: what its error messages call an input,
-# and the RunConfig field (so the flag) that input comes from
-_PIVOT_NAMES = {"seed": "pivot_seed", "sample_size": "sample_size"}
-_SOLVER_NAMES = {"lambda value": "lambda_value", "maxiter": "maxiter",
-                 "stop_tol": "stop_tol"}
-_PROBLEM_NAMES = {"n": "n", "depth": "depth", "noise_level": "noise_level",
-                  "n_angles": "angles", "n_detectors": "detectors"}
-_NOISE_MODEL_NAMES = {"sigma2": "sigma2", "reg": "reg"}
-
 
 def flag(name):
     """The command-line flag of a RunConfig field."""
@@ -127,20 +117,14 @@ def parse_field(f, value, source):
 
 
 @contextmanager
-def config_errors(names=None):
-    """Report a library config object's ValueError as a usage error.
-
-    names maps what the library calls an input in its messages to the
-    RunConfig field it came from, so that the message names the flag.
-    """
+def config_errors(**fields):
+    """Report a library InputError as a usage error naming the flag of
+    the RunConfig field the input came from: fields[its name], where
+    the library names it otherwise, else the field of its own name."""
     try:
         yield
-    except ValueError as exc:
-        message = str(exc)
-        for name, field_name in (names or {}).items():
-            message = re.sub(rf"(?<![\w-]){re.escape(name)}\b", flag(field_name),
-                             message)
-        raise UsageError(message) from exc
+    except InputError as exc:
+        raise UsageError(exc.message(flag(fields.get(exc.name, exc.name)))) from exc
 
 
 def _fmt(value):
@@ -169,7 +153,7 @@ def build_problem(config):
             raise UsageError("dense_file problem needs --matrix-file and --rhs-file")
         op, b = load_dense_problem(config.matrix_file, config.rhs_file)
         return op, b, None, None, {}
-    with config_errors(_PROBLEM_NAMES):
+    with config_errors(n_angles="angles", n_detectors="detectors"):
         if config.problem == "tomo":
             prob = make_tomo_problem(config.n, config.angles, config.detectors,
                                      config.noise_level, config.seed)
@@ -180,14 +164,16 @@ def build_problem(config):
 
 
 def make_pivot(config):
-    with config_errors(_PIVOT_NAMES):
+    with config_errors(seed="pivot_seed"):
         return PivotStrategy(kind=config.pivot, sample_size=config.sample_size,
                              seed=config.pivot_seed)
 
 
 def make_solver_config(config, x_true):
     pivot = make_pivot(config)
-    with config_errors(_SOLVER_NAMES):
+    if config.lambda_rule == "optimal" and x_true is None:
+        raise UsageError("--lambda-rule optimal needs a problem with a known truth")
+    with config_errors():
         rule = LambdaRule(config.lambda_rule, config.lambda_value, x_true=x_true)
         return SolverConfig(config.method, config.maxiter, pivot=pivot,
                             lambda_rule=rule, stop_tol=config.stop_tol,
@@ -288,11 +274,11 @@ def cmd_solve(config, flagged):
 
 def cmd_compare(config, flagged):
     """error curves for pivot variants and the baseline"""
-    with config_errors():
-        for i, size in enumerate(config.sample_sizes):
-            check_maxiter(size, flag("sample_sizes"))
-            if size in config.sample_sizes[:i]:
-                raise ValueError(f"{flag('sample_sizes')} repeats {size}")
+    for i, size in enumerate(config.sample_sizes):
+        with config_errors():
+            check_maxiter(size, "sample_sizes")
+        if size in config.sample_sizes[:i]:
+            raise UsageError(f"{flag('sample_sizes')} repeats {size}")
     op, b, x_true, _, _ = build_problem(config)
     if x_true is None:
         raise UsageError("compare needs a problem with a known truth")
@@ -340,23 +326,20 @@ def cmd_uq(config, flagged):
     hybrid_config = make_solver_config(replace(
         config, method="hybrid_lsqr", lambda_rule="wgcv", stop_tol=stop_tol), x_true)
     with config_errors():
-        check_maxiter(config.k_max, flag("k_max"))
-    m = op.nrows
-    sigma2 = config.sigma2
-    if sigma2 is None:
-        sigma2 = float(np.dot(e, e) / m)
+        check_maxiter(config.k_max, "k_max")
+    sigma2 = float(np.dot(e, e) / op.nrows) if config.sigma2 is None else config.sigma2
     reg = config.reg
     k_stop = None
     if reg is None or "solution" in shapes:
         # the automatically-stopped hybrid baseline supplies the default
         # regularization scale and the iteration for the variance images
-        hybrid = run_hybrid_lsqr(op, b, hybrid_config)
+        hybrid = solve(op, b, hybrid_config)
         k_stop = hybrid.k_stop
         if reg is None:
             if k_stop < 1:
                 raise UsageError("cannot derive reg: hybrid run produced no iterations")
             reg = float(hybrid.lambdas[k_stop - 1])
-    with config_errors(_NOISE_MODEL_NAMES):
+    with config_errors():
         check_noise_model(sigma2, reg)
 
     k_max = config.k_max
@@ -384,10 +367,10 @@ def cmd_uq(config, flagged):
 def cmd_bounds(config, flagged):
     """residual-bound report (with --lambda-value: hybrid form)"""
     with config_errors():
-        check_maxiter(config.maxiter, flag("maxiter"))
-        if config.lambda_value is not None and not 0 < config.lambda_value < np.inf:
-            raise ValueError("the hybrid bound report needs a finite positive "
-                             f"--lambda-value, got {config.lambda_value!r}")
+        check_maxiter(config.maxiter)
+    if config.lambda_value is not None and not 0 < config.lambda_value < np.inf:
+        raise UsageError("the hybrid bound report needs a finite positive "
+                         f"--lambda-value, got {config.lambda_value!r}")
     op, b, _, _, _ = build_problem(config)
     pivot = make_pivot(config)
     check_unread(config, "bounds", flagged)

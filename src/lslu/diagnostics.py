@@ -12,13 +12,13 @@ states, k forward and k adjoint products each.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .golub_kahan import BidiagState, gk_run
-from .hessenberg import HessenbergState, PivotStrategy, condition_number, hess_run
+from .hessenberg import (HessenbergState, PivotStrategy, check_real, condition_number,
+                         hess_run)
 from .projected import LambdaRule
 # the reports replay their states; the benchmark's tracer patches the run_* names
 from .solvers import (SolverConfig, reconstruct, replay, run_hybrid_lslu,  # noqa: F401
@@ -68,8 +68,7 @@ def bound_report(lu_state, qr_state, lam=0.0):
             and lu_state.m == qr_state.m and np.array_equal(lu_state.x0, qr_state.x0)):
         raise ValueError("lu_state and qr_state must be a HessenbergState and a "
                          "BidiagState of one problem")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
+    check_real(lam, "lam", positive=False)
     k_max = min(lu_state.k, qr_state.k)
     config = SolverConfig("hybrid_lslu", max(k_max, 1), lambda_rule=LambdaRule.fixed(lam))
     res_lu = replay(lu_state, config)
@@ -100,8 +99,7 @@ def plain_bound_report(op, b, maxiter, pivot=None):
 
 def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
     """bound_report at a fixed lam > 0 of the two states grown from x0 = 0."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be finite and positive, got {lam!r}")
+    check_real(lam, "lam", positive=True)
     return bound_report(*_grow(op, b, maxiter, pivot), lam)
 
 

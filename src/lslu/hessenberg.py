@@ -28,6 +28,7 @@ per-call cost, most of the time of a small call.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -72,15 +73,14 @@ class PivotStrategy:
             raise ValueError(f"unknown pivot strategy kind {self.kind!r}")
         if self.kind == "sampled":
             if self.sample_size is None:
-                raise ValueError("sampled pivoting needs sample_size >= 1")
+                raise InputError("sample_size", "sampled pivoting needs {name} >= 1")
             check_maxiter(self.sample_size, "sample_size")
-            if self.seed is None:
-                self.seed = 0
+            self.seed = 0 if self.seed is None else self.seed
             check_maxiter(self.seed, "seed", least=0)
         else:
             for name in ("sample_size", "seed"):
                 if getattr(self, name) is not None:
-                    raise ValueError(f"{name} only applies to sampled pivoting")
+                    raise InputError(name, "{name} only applies to sampled pivoting")
 
     @classmethod
     def none(cls):
@@ -157,12 +157,40 @@ def condition_number(*blocks):
     return float(top / bottom) if bottom > 0 else np.inf
 
 
+class InputError(ValueError):
+    """A bad input, named: .name is the parameter.  The message is
+    template with {name} filled in by it and the other fields by values;
+    message(label) fills in label instead (the CLI: the input's flag)."""
+
+    def __init__(self, name, template, **values):
+        self.name, self._template, self._values = name, template, values
+        super().__init__(self.message(name))
+
+    def message(self, label):
+        return self._template.format(name=label, **self._values)
+
+
 def check_maxiter(maxiter, name="maxiter", least=1):
     """Reject a count that is not an integer >= least (bools included), naming it."""
     if isinstance(maxiter, bool) or not isinstance(maxiter, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {maxiter!r}")
+        raise InputError(name, "{name} must be an integer, got {value!r}", value=maxiter)
     if maxiter < least:
-        raise ValueError(f"{name} must be at least {least}, got {maxiter}")
+        raise InputError(name, "{name} must be at least {least}, got {value}",
+                         least=least, value=maxiter)
+
+
+def check_real(value, name, *, positive):
+    """Reject a value that is not a finite real number > 0 (positive) or
+    >= 0 (bools and non-numbers included), naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(name, "{name} must be a real number, got {value!r}", value=value)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not (finite and (value > 0 if positive else value >= 0)):
+        raise InputError(name, "{name} must be finite and {sign}, got {value!r}",
+                         sign="positive" if positive else "nonnegative", value=value)
 
 
 class KrylovState:

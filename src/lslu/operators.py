@@ -52,7 +52,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsymv
 
-from .hessenberg import check_maxiter
+from .hessenberg import InputError, check_maxiter, check_real
 
 
 class LinearOperator:
@@ -311,12 +311,6 @@ def make_sparse_operator(matrix):
     return LinearOperator(m, n, lambda x: csr @ x, lambda y: csc_t @ y, matrix=csr)
 
 
-def _check_noise_level(noise_level):
-    if not (math.isfinite(noise_level) and noise_level >= 0):
-        raise ValueError(
-            f"noise_level must be finite and nonnegative, got {noise_level!r}")
-
-
 def add_noise(b_exact, noise_level, seed):
     """Perturb exact data with Gaussian-direction noise of exact relative size.
 
@@ -325,10 +319,10 @@ def add_noise(b_exact, noise_level, seed):
     equals noise_level by construction.
     """
     b_exact = np.asarray(b_exact, dtype=float)
-    _check_noise_level(noise_level)
+    check_real(noise_level, "noise_level", positive=False)
+    check_maxiter(seed, "seed", least=0)
     if noise_level == 0:
-        e = np.zeros_like(b_exact)
-        return b_exact.copy(), e
+        return b_exact.copy(), np.zeros_like(b_exact)
     with np.errstate(over="ignore"):
         scale = np.linalg.norm(b_exact)
     if not 0 < scale < math.inf:
@@ -340,18 +334,16 @@ def add_noise(b_exact, noise_level, seed):
 
 def gravity_kernel_column(n, depth=0.25):
     """First column of gravity_kernel_matrix(n, depth), which it fixes."""
-    check_maxiter(n, "n")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, got {n}")
-    if not (math.isfinite(depth) and depth > 0):
-        raise ValueError(f"depth must be finite and positive, got {depth!r}")
+    check_maxiter(n, "n", least=2)
+    check_real(depth, "depth", positive=True)
     # entry (i, j) is the kernel at the exact offset |i - j|/n (for n a power
     # of two, bit for bit the midpoints' difference); np.float64 squares a
     # huge depth to inf where a Python float raises, and the check rejects it
     with np.errstate(all="ignore"):
         kernel = depth * (np.float64(depth)**2 + (np.arange(n) / n)**2) ** -1.5 / n
     if not (np.isfinite(kernel).all() and kernel.all()):
-        raise ValueError(f"depth {depth!r} over- or underflows the gravity kernel")
+        raise InputError("depth", "{name} {value!r} over- or underflows the gravity "
+                         "kernel", value=depth)
     return kernel
 
 
@@ -406,8 +398,9 @@ def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
     count.  Under those conditions the problem data do not depend on
     the product.
     """
-    _check_noise_level(noise_level)
     column = gravity_kernel_column(n, depth)
+    check_real(noise_level, "noise_level", positive=False)
+    check_maxiter(seed, "seed", least=0)
     t = (np.arange(n) + 0.5) / n
     x_true = np.sin(np.pi * t) + 0.5 * np.sin(2 * np.pi * t)
     # before any matrix is formed, so that the product's block buffer
@@ -416,7 +409,8 @@ def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
         b_exact = _toeplitz_product(column, x_true)
         scale = np.linalg.norm(b_exact)
     if not 0 < scale < math.inf:
-        raise ValueError(f"depth {depth!r} over- or underflows the exact data's norm")
+        raise InputError("depth", "{name} {value!r} over- or underflows the exact "
+                         "data's norm", value=depth)
     # the kernel is symmetric in s and t, and so, bit for bit, is the
     # matrix `toeplitz` builds from its first column
     matrix = _Deferred(lambda: toeplitz(column))
@@ -491,16 +485,13 @@ def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed
     diagonal.  Row i*n_detectors + d holds the exact cell-intersection
     lengths of detector d at angle i.
     """
-    check_maxiter(n, "n")
-    if n < 4:
-        raise ValueError(f"n must be at least 4, got {n}")
-    if n_angles is None:
-        n_angles = n
-    if n_detectors is None:
-        n_detectors = int(round(np.sqrt(2.0) * n))
+    check_maxiter(n, "n", least=4)
+    n_angles = n if n_angles is None else n_angles
+    n_detectors = int(round(np.sqrt(2.0) * n)) if n_detectors is None else n_detectors
     check_maxiter(n_angles, "n_angles")
     check_maxiter(n_detectors, "n_detectors")
-    _check_noise_level(noise_level)
+    check_real(noise_level, "noise_level", positive=False)
+    check_maxiter(seed, "seed", least=0)
     m = n_angles * n_detectors
     center = np.array([n / 2.0, n / 2.0])
     spacing = n * np.sqrt(2.0) / n_detectors

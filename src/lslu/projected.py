@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import cython_lapack
 
 from . import reductions
+from .hessenberg import InputError, check_real
 
 
 @dataclass
@@ -335,8 +336,7 @@ def tikhonov_projected(svd, beta, lam):
     neither over- nor underflows when the projected problem is scaled;
     the filter factors of a zero matrix are all 0.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_real(lam, "lam", positive=False)
     s, u = svd.sigma, svd.ue1[:svd.k]
     if lam == 0:
         filt = np.where(s > _LS_RCOND * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
@@ -389,8 +389,7 @@ def _mu(svd, lam):
     # lam / sigma_1 for a finite lam >= 0, cut at 1e150 so that mu**2
     # stays finite: from about 1.3e8 on every filter complement
     # mu^2 / (s^2 + mu^2), s <= 1, rounds to 1, so the cut moves no value
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be finite and nonnegative, got lam={lam!r}")
+    check_real(lam, "lam", positive=False)
     return min(float(lam) / float(svd.sigma[0] or 1.0), 1e150)
 
 
@@ -407,8 +406,8 @@ def wgcv_value(svd, beta, lam, omega):
     mu = _mu(svd, lam)
     if not mu * mu > 0:
         # at a zero singular value the trace would be 0/0
-        raise ValueError(f"lam must be positive with (lam / sigma_1)**2 not "
-                         f"underflowing to 0, got lam={lam!r}")
+        raise InputError("lam", "{name} must be positive with ({name} / sigma_1)**2 "
+                         "not underflowing to 0, got {value!r}", value=lam)
     if not 0 <= omega <= 1:
         raise ValueError("omega must lie in [0, 1]")
     k = svd.k
@@ -495,12 +494,10 @@ class LambdaRule:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown lambda rule kind {self.kind!r}")
-        if self.value is not None and not (math.isfinite(self.value)
-                                           and self.value >= 0):
-            raise ValueError(
-                f"lambda value must be finite and nonnegative, got {self.value!r}")
+        if self.value is not None:
+            check_real(self.value, "lambda_value", positive=False)
         if self.kind == "fixed" and self.value is None:
-            raise ValueError("fixed rule needs a lambda value")
+            raise InputError("lambda_value", "fixed rule needs a {name}")
         if self.kind == "optimal" and self.x_true is None:
             raise ValueError("optimal rule needs x_true")
         if self.x_true is not None:

@@ -12,15 +12,15 @@ inner products; history reporting is the only place norms appear, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import reductions
 from .golub_kahan import BidiagState, gk_init, gk_step
-from .hessenberg import (BREAKDOWN_NONE, HessenbergState, KrylovState, PivotStrategy,
-                         check_maxiter, hess_init, hess_step, iterate)
+from .hessenberg import (BREAKDOWN_NONE, HessenbergState, InputError, KrylovState,
+                         PivotStrategy, check_maxiter, check_real, hess_init,
+                         hess_step, iterate)
 # ls_projected is not called here: the benchmark's tracer patches this name
 from .projected import (LambdaRule, check_truth, ghat, ls_projected,
                         select_lambda, stop_check, svd_small, tikhonov_projected)
@@ -49,12 +49,10 @@ class SolverConfig:
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, "
                                  f"got {getattr(self, name)!r}")
-        if self.stop_tol is not None and not (math.isfinite(self.stop_tol)
-                                              and self.stop_tol > 0):
-            raise ValueError(
-                f"stop_tol must be finite and positive when set, got {self.stop_tol!r}")
-        if self.stop_tol is not None and not self.method.startswith("hybrid_"):
-            raise ValueError("stop_tol only applies to the hybrid methods")
+        if self.stop_tol is not None:
+            check_real(self.stop_tol, "stop_tol", positive=True)
+            if not self.method.startswith("hybrid_"):
+                raise InputError("stop_tol", "{name} only applies to the hybrid methods")
 
 
 @dataclass
@@ -100,17 +98,17 @@ def _check_truths(config, n):
         check_truth(config.lambda_rule.x_true, n, "x_true")
 
 
-def _drive(op, b, config, method):
+def _drive(op, b, config):
     """Grow the state with iterate, feeding each new k to the projected pass."""
     _check_truths(config, op.shape[1])
-    if method.endswith("lslu"):
+    if config.method.endswith("lslu"):
         state = hess_init(op, b, config.x0, strategy=config.pivot,
                           maxiter=config.maxiter)
         step = hess_step
     else:
         state = gk_init(op, b, config.x0, maxiter=config.maxiter)
         step = gk_step
-    return _project(state, config, method, iterate(state, step, op, config.maxiter))
+    return _project(state, config, iterate(state, step, op, config.maxiter))
 
 
 def replay(state, config):
@@ -131,22 +129,22 @@ def replay(state, config):
     if config.maxiter > state.k and state.breakdown == BREAKDOWN_NONE:
         raise ValueError(f"maxiter {config.maxiter} exceeds state.k = {state.k}")
     _check_truths(config, state.n)
-    return _project(state, config, config.method,
-                    range(1, min(config.maxiter, state.k) + 1))
+    return _project(state, config, range(1, min(config.maxiter, state.k) + 1))
 
 
-def _project(state, config, method, steps):
-    # the projected pass: at each k from steps it reads _proj[:k + 1, :k],
-    # _sol[:k], beta and x0 of the state, nothing else
+def _project(state, config, steps):
+    # the projected pass: at each k from steps it reads the first k
+    # columns of the projected matrix and solution basis, beta and x0
     m, n, beta = state.m, state.n, state.beta
-    rule = config.lambda_rule if method.startswith("hybrid_") else LambdaRule.fixed(0.0)
+    rule = (config.lambda_rule if config.method.startswith("hybrid_")
+            else LambdaRule.fixed(0.0))
     ys, lambdas, ghats = [], [], []
     stop_reason = svd = None
     for k in steps:
         # the projected matrix grew by one column and row: extend its SVD
-        svd = svd_small(state._proj[:k + 1, :k], svd)
-        lambdas.append(select_lambda(rule, svd, beta, m, basis=state._sol[:k].T,
-                                     x0=state.x0))
+        svd = svd_small(state.projected_matrix[:k + 1, :k], svd)
+        lambdas.append(select_lambda(rule, svd, beta, m,
+                                     basis=state.solution_basis[:, :k], x0=state.x0))
         ys.append(tikhonov_projected(svd, beta, lambdas[-1]))
         # beta-free: stop_check reads only ratios, which a factor
         # beta * beta turns into inf/inf or 0/0 on a scaled problem
@@ -169,29 +167,38 @@ def _project(state, config, method, steps):
     return result
 
 
+def _run(op, b, config, method):
+    # a run_* wrapper solves its own method: a config of another is rejected
+    config = config or SolverConfig(method=method)
+    if config.method != method:
+        raise InputError("method", "{name} must be {want!r} for run_{want}, got "
+                         "{value!r}", want=method, value=config.method)
+    return _drive(op, b, config)
+
+
 def run_lslu(op, b, config=None):
     """Quasi-minimal residual iteration over the Hessenberg factorization."""
-    return _drive(op, b, config or SolverConfig(method="lslu"), "lslu")
+    return _run(op, b, config, "lslu")
 
 
 def run_hybrid_lslu(op, b, config=None):
     """LSLU with per-iteration Tikhonov regularization of the projected problem."""
-    return _drive(op, b, config or SolverConfig(method="hybrid_lslu"), "hybrid_lslu")
+    return _run(op, b, config, "hybrid_lslu")
 
 
 def run_lsqr(op, b, config=None):
     """Least-squares iteration over the bidiagonalization (baseline)."""
-    return _drive(op, b, config or SolverConfig(method="lsqr"), "lsqr")
+    return _run(op, b, config, "lsqr")
 
 
 def run_hybrid_lsqr(op, b, config=None):
     """LSQR with per-iteration Tikhonov regularization (baseline)."""
-    return _drive(op, b, config or SolverConfig(method="hybrid_lsqr"), "hybrid_lsqr")
+    return _run(op, b, config, "hybrid_lsqr")
 
 
 def solve(op, b, config):
     """Run config.method."""
-    return _drive(op, b, config, config.method)
+    return _drive(op, b, config)
 
 
 def compute_histories(result, x_true=None):

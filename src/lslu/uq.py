@@ -20,7 +20,6 @@ checks of scipy.linalg.cho_factor and cho_solve, whose bits they give.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +28,8 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .hessenberg import check_lapack_info, check_maxiter, condition_number, finite_matrix
+from .hessenberg import (check_lapack_info, check_maxiter, check_real, condition_number,
+                         finite_matrix)
 
 # the routines behind scipy.linalg.cho_factor and cho_solve (see hessenberg)
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
@@ -94,13 +94,8 @@ def _assemble(L_mat, R, W_mat, sigma2, reg):
 def check_noise_model(sigma2, reg):
     """Reject a noise variance sigma2 that is not finite and >= 0, or a
     regularization reg that is not finite and > 0, naming the input."""
-    for name, value in (("sigma2", sigma2), ("reg", reg)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if sigma2 < 0:
-        raise ValueError(f"sigma2 must be nonnegative, got {sigma2!r}")
-    if reg <= 0:
-        raise ValueError("reg must be positive")
+    check_real(sigma2, "sigma2", positive=False)
+    check_real(reg, "reg", positive=True)
 
 
 def build_uq(state, sigma2, reg, k=None):

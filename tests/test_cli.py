@@ -430,7 +430,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "--k-max must be at least 1, got 0" in capsys.readouterr().err
     assert run_cli("uq", "--n", "16", "--k-max", "3", "--reg", "-1",
                    "--output-dir", str(tmp_path / "out")) == 1
-    assert "--reg must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --reg must be finite and positive, got -1.0\n"
     assert run_cli("bounds", "--n", "16", "--maxiter", "0",
                    "--output-dir", str(tmp_path / "out")) == 1
     assert "--maxiter must be at least 1, got 0" in capsys.readouterr().err
@@ -450,6 +450,67 @@ def test_usage_errors_exit_1(tmp_path, capsys):
                        "--output-dir", str(tmp_path / "out")) == 1, sizes
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out" / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("problem", ["gravity", "tomo"])
+def test_negative_seed_exits_1(tmp_path, capsys, problem):
+    assert run_cli("solve", "--problem", problem, "--n", "16", "--seed", "-1",
+                   "--output-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == "error: --seed must be at least 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_optimal_rule_needs_a_truth(tmp_path, capsys):
+    mfile, rfile = tmp_path / "A.txt", tmp_path / "b.txt"
+    np.savetxt(mfile, np.eye(3))
+    np.savetxt(rfile, np.ones(3))
+    assert run_cli("solve", "--problem", "dense_file", "--matrix-file", str(mfile),
+                   "--rhs-file", str(rfile), "--lambda-rule", "optimal",
+                   "--output-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "error: --lambda-rule optimal needs a problem with a known truth\n")
+
+
+# one rejected value per RunConfig field, with the fields that make a
+# command read it (each applied only where the command takes it); a
+# path (matrix_file, rhs_file, output_dir) that cannot be used is a
+# runtime error instead
+_REJECTED = {
+    "problem": ("bogus", {}), "n": ("1", {}), "depth": ("-1", {}),
+    "angles": ("0", {"problem": "tomo"}), "detectors": ("0", {"problem": "tomo"}),
+    "noise_level": ("nan", {}), "seed": ("-1", {}), "method": ("bogus", {}),
+    "maxiter": ("0", {}), "lambda_rule": ("bogus", {}), "lambda_value": ("nan", {}),
+    "stop_tol": ("-1", {}), "pivot": ("bogus", {}),
+    "sample_size": ("0", {"pivot": "sampled"}),
+    "pivot_seed": ("-1", {"pivot": "sampled", "sample_size": "5", "sample_sizes": "5"}),
+    "sample_sizes": ("0", {}), "k_max": ("0", {}), "sigma2": ("nan", {}),
+    "reg": ("-1", {}), "emit": ("bogus", {}),
+}
+
+
+def test_every_checked_field_has_a_rejected_value():
+    paths = {"matrix_file", "rhs_file", "output_dir"}
+    assert set(_REJECTED) == {f.name for f in fields(RunConfig)} - paths
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name) for command, (_, reads) in COMMANDS.items()
+    for name in _REJECTED if name in reads])
+def test_rejected_value_names_its_flag(tmp_path, capsys, command, name):
+    # whichever check rejects the value, the CLI's or the library's, the
+    # error line names the field's flag, so a library input the CLI
+    # does not map to its field fails here
+    value, context = _REJECTED[name]
+    args = [arg for key, text in context.items() if key in COMMANDS[command][1]
+            for arg in (flag(key), text)]
+    if name != "n":
+        args += ["--n", "16"]
+    assert run_cli(command, *args, flag(name), value,
+                   "--output-dir", str(tmp_path / "out")) == 1
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert "error: " in line and re.search(
+        rf"(?<![\w-]){re.escape(flag(name))}(?![\w-])", line), line
+    assert not (tmp_path / "out").exists()
 
 
 # a valid value for each field outside the problem: its default, or one

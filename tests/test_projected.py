@@ -674,7 +674,7 @@ class TestGridSearch:
 class TestLambdaRuleConstructor:
     @pytest.mark.parametrize("kwargs,match", [
         ({"kind": "bogus"}, "unknown lambda rule kind"),
-        ({"kind": "fixed"}, "fixed rule needs a lambda value"),
+        ({"kind": "fixed"}, "fixed rule needs a lambda_value"),
         ({"kind": "fixed", "value": -0.5}, "finite and nonnegative"),
         ({"kind": "fixed", "value": float("nan")}, "finite and nonnegative"),
         ({"kind": "fixed", "value": float("inf")}, "finite and nonnegative"),

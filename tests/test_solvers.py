@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from lslu import (CountingOperator, LambdaRule, LinearOperator, PivotStrategy,
-                  SolverConfig, build_uq, gk_init, gk_run, hess_init, hess_run,
+from lslu import (CountingOperator, InputError, LambdaRule, LinearOperator,
+                  PivotStrategy, SolverConfig, build_uq, gk_init, gk_run, hess_init, hess_run,
                   compute_histories, ghat, make_dense_operator, run_hybrid_lslu,
                   run_hybrid_lsqr, run_lslu, run_lsqr, solve, svd_small)
 from lslu import reductions
@@ -592,6 +592,50 @@ def test_solve_dispatch(gravity32):
     cfg = SolverConfig(method="lsqr", maxiter=5)
     res = solve(gravity32.op, gravity32.b, cfg)
     assert res.k_reached == 5
+
+
+@pytest.mark.parametrize("run, method", [
+    (run_lslu, "lslu"), (run_hybrid_lslu, "hybrid_lslu"), (run_lsqr, "lsqr"),
+    (run_hybrid_lsqr, "hybrid_lsqr")])
+def test_run_wrappers_take_only_their_method(gravity32, run, method):
+    # a wrapper solves its own method, with or without a config, and
+    # rejects a config of another method rather than run it as its own
+    op, b = gravity32.op, gravity32.b
+    for config in (SolverConfig(method, maxiter=5), None):
+        ran = run(op, b, config)
+        fresh = solve(op, b, config or SolverConfig(method))
+        assert ran.x_final.tobytes() == fresh.x_final.tobytes()
+        assert ran.stop_reason == fresh.stop_reason
+    cop = CountingOperator(op)
+    for other in METHODS:
+        if other != method:
+            message = f"^method must be '{method}' for run_{method}, got '{other}'$"
+            with pytest.raises(InputError, match=message) as info:
+                run(cop, b, SolverConfig(other, maxiter=5))
+            assert info.value.name == "method"
+    assert (cop.n_forward, cop.n_adjoint) == (0, 0)
+
+
+def test_projected_pass_goes_through_the_module_names(gravity32, monkeypatch):
+    # a tracer outside the package wraps these names too; solve and
+    # replay must look them up when they call, once per iteration
+    import lslu.solvers
+    calls = []
+    names = ("svd_small", "select_lambda", "tikhonov_projected", "ghat", "stop_check")
+    for name in names:
+        def wrapped(*args, _inner=getattr(lslu.solvers, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(lslu.solvers, name, wrapped)
+    config = SolverConfig("hybrid_lslu", maxiter=4, stop_tol=1e-12)
+    res = solve(gravity32.op, gravity32.b, config)
+    assert res.k_stop == 4
+    # stop_check from the second ghat on
+    expected = [name for k in range(1, 5) for name in names[:4 + (k > 1)]]
+    assert calls == expected
+    calls.clear()
+    lslu.solvers.replay(res.state, config)
+    assert calls == expected
 
 
 @pytest.mark.parametrize("method", METHODS)
