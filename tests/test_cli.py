@@ -430,7 +430,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "--k-max must be at least 1, got 0" in capsys.readouterr().err
     assert run_cli("uq", "--n", "16", "--k-max", "3", "--reg", "-1",
                    "--output-dir", str(tmp_path / "out")) == 1
-    assert capsys.readouterr().err == "error: --reg must be finite and positive, got -1.0\n"
+    assert capsys.readouterr().err == (
+        "error: --reg must be finite and positive, got -1.0\n")
     assert run_cli("bounds", "--n", "16", "--maxiter", "0",
                    "--output-dir", str(tmp_path / "out")) == 1
     assert "--maxiter must be at least 1, got 0" in capsys.readouterr().err

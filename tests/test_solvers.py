@@ -6,8 +6,8 @@ import pytest
 from scipy.linalg import hadamard
 
 from lslu import (CountingOperator, InputError, LambdaRule, LinearOperator,
-                  PivotStrategy, SolverConfig, build_uq, gk_init, gk_run, hess_init, hess_run,
-                  compute_histories, ghat, make_dense_operator, run_hybrid_lslu,
+                  PivotStrategy, SolverConfig, build_uq, gk_init, gk_run, hess_init,
+                  hess_run, compute_histories, ghat, make_dense_operator, run_hybrid_lslu,
                   run_hybrid_lsqr, run_lslu, run_lsqr, solve, svd_small)
 from lslu import reductions
 from lslu.hessenberg import condition_number
