@@ -118,13 +118,16 @@ def parse_field(f, value, source):
 
 @contextmanager
 def config_errors(**fields):
-    """Report a library InputError as a usage error naming the flag of
-    the RunConfig field the input came from: fields[its name], where
-    the library names it otherwise, else the field of its own name."""
+    """Report a library InputError that names a RunConfig field as a usage
+    error naming its flag; fields maps the names the library gives some
+    fields.  One that names no field (an input the library made) passes."""
     try:
         yield
     except InputError as exc:
-        raise UsageError(exc.message(flag(fields.get(exc.name, exc.name)))) from exc
+        name = fields.get(exc.name, exc.name)
+        if name not in _HINTS:
+            raise
+        raise UsageError(exc.message(flag(name))) from exc
 
 
 def _fmt(value):
@@ -153,13 +156,12 @@ def build_problem(config):
             raise UsageError("dense_file problem needs --matrix-file and --rhs-file")
         op, b = load_dense_problem(config.matrix_file, config.rhs_file)
         return op, b, None, None, {}
-    with config_errors(n_angles="angles", n_detectors="detectors"):
-        if config.problem == "tomo":
-            prob = make_tomo_problem(config.n, config.angles, config.detectors,
-                                     config.noise_level, config.seed)
-        else:
-            prob = make_gravity_problem(config.n, config.depth,
-                                        config.noise_level, config.seed)
+    if config.problem == "tomo":
+        prob = make_tomo_problem(config.n, config.angles, config.detectors,
+                                 config.noise_level, config.seed)
+    else:
+        prob = make_gravity_problem(config.n, config.depth, config.noise_level,
+                                    config.seed)
     return prob.op, prob.b, prob.x_true, prob.e, prob.image_shapes
 
 
@@ -173,11 +175,9 @@ def make_solver_config(config, x_true):
     pivot = make_pivot(config)
     if config.lambda_rule == "optimal" and x_true is None:
         raise UsageError("--lambda-rule optimal needs a problem with a known truth")
-    with config_errors():
-        rule = LambdaRule(config.lambda_rule, config.lambda_value, x_true=x_true)
-        return SolverConfig(config.method, config.maxiter, pivot=pivot,
-                            lambda_rule=rule, stop_tol=config.stop_tol,
-                            track_truth=x_true)
+    rule = LambdaRule(config.lambda_rule, config.lambda_value, x_true=x_true)
+    return SolverConfig(config.method, config.maxiter, pivot=pivot, lambda_rule=rule,
+                        stop_tol=config.stop_tol, track_truth=x_true)
 
 
 # the parameters each problem kind reads
@@ -275,8 +275,7 @@ def cmd_solve(config, flagged):
 def cmd_compare(config, flagged):
     """error curves for pivot variants and the baseline"""
     for i, size in enumerate(config.sample_sizes):
-        with config_errors():
-            check_maxiter(size, "sample_sizes")
+        check_maxiter(size, "sample_sizes")
         if size in config.sample_sizes[:i]:
             raise UsageError(f"{flag('sample_sizes')} repeats {size}")
     op, b, x_true, _, _ = build_problem(config)
@@ -325,8 +324,7 @@ def cmd_uq(config, flagged):
     stop_tol = config.stop_tol if config.stop_tol is not None else 1e-4
     hybrid_config = make_solver_config(replace(
         config, method="hybrid_lsqr", lambda_rule="wgcv", stop_tol=stop_tol), x_true)
-    with config_errors():
-        check_maxiter(config.k_max, "k_max")
+    check_maxiter(config.k_max, "k_max")  # hess_run would name it --maxiter
     sigma2 = float(np.dot(e, e) / op.nrows) if config.sigma2 is None else config.sigma2
     reg = config.reg
     k_stop = None
@@ -339,8 +337,7 @@ def cmd_uq(config, flagged):
             if k_stop < 1:
                 raise UsageError("cannot derive reg: hybrid run produced no iterations")
             reg = float(hybrid.lambdas[k_stop - 1])
-    with config_errors():
-        check_noise_model(sigma2, reg)
+    check_noise_model(sigma2, reg)
 
     k_max = config.k_max
     states = (("lslu", hess_run(op, b, strategy=hybrid_config.pivot, maxiter=k_max)),
@@ -366,8 +363,6 @@ def cmd_uq(config, flagged):
 
 def cmd_bounds(config, flagged):
     """residual-bound report (with --lambda-value: hybrid form)"""
-    with config_errors():
-        check_maxiter(config.maxiter)
     if config.lambda_value is not None and not 0 < config.lambda_value < np.inf:
         raise UsageError("the hybrid bound report needs a finite positive "
                          f"--lambda-value, got {config.lambda_value!r}")
@@ -473,7 +468,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         config, flagged = resolve_config(args)
-        with warnings.catch_warnings():
+        renamed = dict(n_angles="angles", n_detectors="detectors",
+                       matrix_path="matrix_file", rhs_path="rhs_file")
+        with warnings.catch_warnings(), config_errors(**renamed):
             warnings.showwarning = _show_warning
             return COMMANDS[args.command][0](config, flagged)
     except UsageError as exc:

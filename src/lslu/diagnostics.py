@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .golub_kahan import BidiagState, gk_run
-from .hessenberg import (HessenbergState, PivotStrategy, check_real, condition_number,
-                         hess_run)
+from .hessenberg import (HessenbergState, InputError, PivotStrategy, check_grown,
+                         check_real, check_type, condition_number, hess_run)
 from .projected import LambdaRule
 # the reports replay their states; the benchmark's tracer patches the run_* names
 from .solvers import (SolverConfig, reconstruct, replay, run_hybrid_lslu,  # noqa: F401
@@ -62,12 +62,13 @@ def bound_report(lu_state, qr_state, lam=0.0):
     of norm sqrt(||b - A x_k||^2 + lam^2 ||x_k||^2) and kappa that of
     blockdiag(D_{k+1}, L_k), read off the leading blocks of the state's
     R factors.  Swapped states, states of two problems, or a lam that
-    is not finite and >= 0 raise a ValueError.
+    is not finite and >= 0 raise an InputError naming the input.
     """
     if not (isinstance(lu_state, HessenbergState) and isinstance(qr_state, BidiagState)
             and lu_state.m == qr_state.m and np.array_equal(lu_state.x0, qr_state.x0)):
-        raise ValueError("lu_state and qr_state must be a HessenbergState and a "
-                         "BidiagState of one problem")
+        raise InputError("qr_state" if isinstance(lu_state, HessenbergState) else
+                         "lu_state", "lu_state and qr_state must be a HessenbergState "
+                         "and a BidiagState of one problem")
     check_real(lam, "lam", positive=False)
     k_max = min(lu_state.k, qr_state.k)
     config = SolverConfig("hybrid_lslu", max(k_max, 1), lambda_rule=LambdaRule.fixed(lam))
@@ -104,9 +105,8 @@ def hybrid_bound_report(op, b, lam, maxiter, pivot=None):
 
 
 def _grow(op, b, maxiter, pivot):
-    pivot = pivot or PivotStrategy.full()
-    if not isinstance(pivot, PivotStrategy):
-        raise ValueError(f"pivot must be a PivotStrategy, got {pivot!r}")
+    pivot = PivotStrategy.full() if pivot is None else pivot
+    check_type(pivot, "pivot", PivotStrategy)
     return (hess_run(op, b, strategy=pivot, maxiter=maxiter),
             gk_run(op, b, maxiter=maxiter))
 
@@ -118,8 +118,7 @@ def relation_residuals(state, op):
     KrylovState names (S solution basis, R residual basis, M projected
     matrix, C coupling), the second over the first k columns of R.
     """
-    if state.k < 1:
-        raise ValueError("state has no completed iterations")
+    check_grown(state)
     S, R = state.solution_basis, state.residual_basis
     AS = np.column_stack([op.forward(S[:, j]) for j in range(state.k)])
     AtR = np.column_stack([op.adjoint(R[:, j]) for j in range(state.k)])

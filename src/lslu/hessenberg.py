@@ -69,8 +69,7 @@ class PivotStrategy:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown pivot strategy kind {self.kind!r}")
+        check_kind(self.kind, "kind", self.KINDS, "pivot strategy ")
         if self.kind == "sampled":
             if self.sample_size is None:
                 raise InputError("sample_size", "sampled pivoting needs {name} >= 1")
@@ -101,14 +100,6 @@ class PivotStrategy:
 _geqrf, _geqrf_lwork = get_lapack_funcs(("geqrf", "geqrf_lwork"), dtype=np.float64)
 _gesdd, _gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64,
                                         ilp64="preferred")
-
-
-def finite_matrix(a, name):
-    """a as a float array, a ValueError naming it if an entry is not finite."""
-    a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return a
 
 
 def check_lapack_info(info, routine):
@@ -193,6 +184,59 @@ def check_real(value, name, *, positive):
                          sign="positive" if positive else "nonnegative", value=value)
 
 
+def _as_float(value, name):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(name, "{name} must be an array of real numbers, got {kind}",
+                         kind=type(value).__name__) from None
+
+
+def check_vector(value, name, length=None, axis="columns"):
+    """value as a float vector; an InputError naming it unless 1-D, finite
+    and, when given, of length `length` (the operator's rows or columns)."""
+    vec = _as_float(value, name)
+    if vec.ndim != 1 or length not in (None, vec.shape[0]):
+        want = ("a 1-D vector" if length is None
+                else f"a vector of length {length} (the operator's {axis})")
+        raise InputError(name, f"{{name}} must be {want}, got shape {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise InputError(name, "{name} has non-finite entries")
+    return vec
+
+
+def finite_matrix(a, name):
+    """a as a 2-D float array; an InputError naming it unless finite.  The
+    scan takes row blocks of about 64K entries: no temporary is as large."""
+    a = _as_float(a, name)
+    if a.ndim != 2:
+        raise InputError(name, "{name} must be two-dimensional")
+    rows = max(1, (1 << 16) // max(a.shape[1], 1))
+    if not all(np.isfinite(a[i:i + rows]).all() for i in range(0, a.shape[0], rows)):
+        raise InputError(name, "{name} has non-finite entries")
+    return a
+
+
+def check_kind(value, name, kinds, what=""):
+    """Reject a value that is none of kinds, naming it ("unknown {what}{name}")."""
+    if not (isinstance(value, str) and value in kinds):
+        raise InputError(name, "unknown {what}{name} {value!r}", what=what, value=value)
+
+
+def check_type(value, name, kind):
+    """Reject a value that is not an instance of the class kind, naming it."""
+    if not isinstance(value, kind):
+        raise InputError(name, "{name} must be a {kind}, got {value!r}",
+                         kind=kind.__name__, value=value)
+
+
+def check_grown(state, name="state"):
+    """Reject a state that is no KrylovState or has no completed iteration."""
+    check_type(state, name, KrylovState)
+    if state.k < 1:
+        raise InputError(name, "{name} has no completed iterations")
+
+
 class KrylovState:
     """Factorization state of either family, owned by one solve.
 
@@ -216,26 +260,19 @@ class KrylovState:
     structural zeros and are zeroed.  See begin_step for what a full
     state does.
 
-    The init is the start both families share: it checks maxiter and
-    the shapes of b and x0 (zeros when None), writes r0 into the first
+    The init is the start both families share: it checks maxiter, b and
+    x0 (check_vector; x0 zeros when None), writes r0 into the first
     residual row and takes the family's `scale` of it, a ValueError
-    naming b, x0 or the forward map if not finite, exact_solution if 0.
+    naming the forward map if not finite, exact_solution if 0.
     Otherwise the family's init picks beta and calls start(beta).
     """
 
     def __init__(self, op, b, x0, maxiter):
         check_maxiter(maxiter)
         self.m, self.n = m, n = op.shape
-        b = np.asarray(b, dtype=float)
-        if b.shape != (m,):
-            raise ValueError(f"b must be a vector of length {m} (the operator's rows), "
-                             f"got shape {b.shape}")
-        x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-        if x0.shape != (n,):
-            raise ValueError(f"x0 must be a vector of length {n} (the operator's "
-                             f"columns), got shape {x0.shape}")
+        b = check_vector(b, "b", m, "rows")
+        self.x0 = x0 = np.zeros(n) if x0 is None else check_vector(x0, "x0", n)
         self.cap = min(maxiter, m, n)
-        self.x0 = x0
         self.k = 0
         self.residual_count = 0
         self.beta = 0.0
@@ -249,9 +286,6 @@ class KrylovState:
         np.subtract(b, op.forward(x0) if np.any(x0) else 0.0, out=r0)
         self._r0_scale = self.scale(r0)
         if not np.isfinite(self._r0_scale):
-            for name, vec in (("b", b), ("x0", x0)):
-                if not np.all(np.isfinite(vec)):
-                    raise ValueError(f"{name} has non-finite entries")
             if not np.all(np.isfinite(r0)):
                 raise ValueError("the forward map returned non-finite values at x0")
             raise ValueError("the scale of the initial residual b - A x0 overflows")
@@ -415,10 +449,10 @@ def hess_init(op, b, x0=None, *, strategy=None, maxiter=50):
     it.  KrylovState checks b and x0.
     """
     strategy = PivotStrategy.full() if strategy is None else strategy
-    if not isinstance(strategy, PivotStrategy):
-        raise ValueError(f"strategy must be a PivotStrategy, got {strategy!r}")
+    check_type(strategy, "strategy", PivotStrategy)
     if strategy.kind == "sampled" and strategy.sample_size > max(op.shape):
-        raise ValueError("sample_size exceeds max(m, n)")
+        raise InputError("sample_size", f"{{name}} must be at most max(m, n) = "
+                         f"{max(op.shape)}, got {strategy.sample_size}")
     state = HessenbergState(op, b, x0, strategy, maxiter)
     if state.breakdown != BREAKDOWN_NONE:
         return state

@@ -52,7 +52,8 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsymv
 
-from .hessenberg import InputError, check_maxiter, check_real
+from .hessenberg import (InputError, check_maxiter, check_real, check_vector,
+                         finite_matrix)
 
 
 class LinearOperator:
@@ -211,20 +212,9 @@ def _blocks_equal(a, b):
     return all(np.array_equal(a[rows], b[rows]) for rows in _row_blocks(*a.shape))
 
 
-def _checked_dense(matrix):
-    """The matrix as a 2-D float array, rejected if any entry is NaN or inf."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    m, n = matrix.shape
-    if not all(np.isfinite(matrix[rows]).all() for rows in _row_blocks(m, n)):
-        raise ValueError("matrix has non-finite entries")
-    return matrix
-
-
 def make_dense_operator(matrix):
     """Wrap an explicit dense matrix as a LinearOperator."""
-    matrix = _checked_dense(matrix)
+    matrix = finite_matrix(matrix, "matrix")
     m, n = matrix.shape
     return LinearOperator(m, n, lambda x: matrix @ x, lambda y: matrix.T @ y,
                           matrix=matrix)
@@ -303,9 +293,7 @@ def _select_operator(matrix, symmetric, column=None):
 def make_sparse_operator(matrix):
     """Wrap a scipy sparse matrix as a LinearOperator."""
     csr = sp.csr_matrix(matrix)
-    # the stored values, duplicates of a COO input already summed
-    if not np.isfinite(csr.data).all():
-        raise ValueError("matrix has non-finite entries")
+    check_vector(csr.data, "matrix")  # the stored values, a COO's duplicates summed
     csc_t = sp.csr_matrix(csr.T)
     m, n = csr.shape
     return LinearOperator(m, n, lambda x: csr @ x, lambda y: csc_t @ y, matrix=csr)
@@ -525,15 +513,14 @@ def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed
 
 
 def load_dense_problem(matrix_path, rhs_path):
-    """Read a whitespace-separated dense matrix and right-hand side from disk."""
-    matrix = _checked_dense(np.loadtxt(matrix_path, ndmin=2))
-    b = np.loadtxt(rhs_path).ravel()
-    # both checks compare by row blocks, making no n-by-n temporary
+    """Read a whitespace-separated dense matrix and a right-hand side of
+    one row or column from disk; an InputError names a file of bad contents."""
+    matrix = finite_matrix(np.loadtxt(matrix_path, ndmin=2), "matrix_path")
+    b = check_vector(np.loadtxt(rhs_path, ndmin=1), "rhs_path", matrix.shape[0], "rows")
+    # both structure tests compare by row blocks, making no n-by-n temporary
     symmetric = matrix.shape[0] == matrix.shape[1] and _blocks_equal(matrix, matrix.T)
     is_toeplitz = symmetric and _blocks_equal(matrix[1:, 1:], matrix[:-1, :-1])
     op = _select_operator(matrix, symmetric, matrix[:, 0] if is_toeplitz else None)
-    if b.shape[0] != op.nrows:
-        raise ValueError("right-hand side length does not match matrix rows")
     return op, b
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cython_lapack
 
 from . import reductions
-from .hessenberg import InputError, check_real
+from .hessenberg import InputError, check_kind, check_real, check_vector, finite_matrix
 
 
 @dataclass
@@ -135,11 +135,9 @@ def svd_small(H, prev=None):
     if the extension's secular solver fails, LAPACK computes it afresh
     in O(k^3).  The two routes agree to rounding, not bitwise.
     """
-    H = np.asarray(H, dtype=float)
-    if H.ndim != 2 or H.shape[1] < 1 or H.shape[0] != H.shape[1] + 1:
-        raise ValueError("expected a (k+1)-by-k matrix with k >= 1")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("projected matrix has non-finite entries")
+    H = finite_matrix(H, "H")
+    if H.shape[1] < 1 or H.shape[0] != H.shape[1] + 1:
+        raise InputError("H", "expected a (k+1)-by-k {name} with k >= 1")
     k = H.shape[1]
     if (prev is not None and k > _EXTEND_MIN_K and prev.k == k - 1
             and not np.any(H[-1, :-1])):
@@ -401,15 +399,17 @@ def wgcv_value(svd, beta, lam, omega):
     is the search's function of mu = lam / sigma_1 times k beta^2, so
     scaling the problem and lam by c scales the value by c^2 to
     rounding, and a value out of range reads inf or 0.  lam must be
-    finite and positive, and large enough that mu**2 does not underflow.
+    finite and positive, and large enough that mu**2 does not underflow;
+    omega a real number in [0, 1].
     """
     mu = _mu(svd, lam)
     if not mu * mu > 0:
         # at a zero singular value the trace would be 0/0
         raise InputError("lam", "{name} must be positive with ({name} / sigma_1)**2 "
                          "not underflowing to 0, got {value!r}", value=lam)
-    if not 0 <= omega <= 1:
-        raise ValueError("omega must lie in [0, 1]")
+    check_real(omega, "omega", positive=False)
+    if omega > 1:
+        raise InputError("omega", "{name} must lie in [0, 1], got {value!r}", value=omega)
     k = svd.k
     f = _gcv_family(svd, omega, 1.0 + k * (1.0 - omega))(np.array([mu]))
     return float(beta) * float(beta) * float(k * f[0])
@@ -459,19 +459,6 @@ def stop_check(ghat_history, tol):
     return abs(last - prev) / first < tol
 
 
-def check_truth(x_true, n=None, name="x_true"):
-    """x_true as a float vector; a ValueError naming it unless finite and
-    1-D, of length n (the operator's columns) when n is given."""
-    x_true = np.asarray(x_true, dtype=float)
-    if x_true.ndim != 1 or n not in (None, x_true.shape[0]):
-        want = ("a 1-D vector" if n is None
-                else f"a vector of length {n} (the operator's columns)")
-        raise ValueError(f"{name} must be {want}, got shape {x_true.shape}")
-    if not np.all(np.isfinite(x_true)):
-        raise ValueError(f"{name} has non-finite entries")
-    return x_true
-
-
 @dataclass
 class LambdaRule:
     """Regularization-parameter selection rule for the projected problem.
@@ -492,16 +479,15 @@ class LambdaRule:
     x_true: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown lambda rule kind {self.kind!r}")
+        check_kind(self.kind, "kind", self.KINDS, "lambda rule ")
         if self.value is not None:
             check_real(self.value, "lambda_value", positive=False)
         if self.kind == "fixed" and self.value is None:
             raise InputError("lambda_value", "fixed rule needs a {name}")
         if self.kind == "optimal" and self.x_true is None:
-            raise ValueError("optimal rule needs x_true")
+            raise InputError("x_true", "optimal rule needs {name}")
         if self.x_true is not None:
-            self.x_true = check_truth(self.x_true)
+            self.x_true = check_vector(self.x_true, "x_true")
 
     @classmethod
     def fixed(cls, value):
@@ -580,9 +566,10 @@ def select_lambda(rule, svd, beta, m, *, basis=None, x0=None):
         func = _gcv_family(svd, omega, 1.0 + svd.k * (1.0 - omega))
     else:
         if basis is None:
-            raise ValueError("optimal rule needs the solution basis")
-        x_true = check_truth(rule.x_true, basis.shape[0])
-        base = ((x0 if x0 is not None else 0.0) - x_true)[:, None]
+            raise InputError("basis", "optimal rule needs the solution {name}")
+        if rule.x_true.shape[0] != basis.shape[0]:  # LambdaRule checked the rest
+            check_vector(rule.x_true, "x_true", basis.shape[0])
+        base = ((x0 if x0 is not None else 0.0) - rule.x_true)[:, None]
         s = svd.sigma[:, None] / sigma1
         coeff = ((beta / sigma1) * svd.ue1[:svd.k])[:, None]
         mapped = basis @ svd.V  # (n, k): one basis product, reused per pass

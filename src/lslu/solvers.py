@@ -19,11 +19,11 @@ import numpy as np
 from . import reductions
 from .golub_kahan import BidiagState, gk_init, gk_step
 from .hessenberg import (BREAKDOWN_NONE, HessenbergState, InputError, KrylovState,
-                         PivotStrategy, check_maxiter, check_real, hess_init,
-                         hess_step, iterate)
+                         PivotStrategy, check_kind, check_maxiter, check_real,
+                         check_type, check_vector, hess_init, hess_step, iterate)
 # ls_projected is not called here: the benchmark's tracer patches this name
-from .projected import (LambdaRule, check_truth, ghat, ls_projected,
-                        select_lambda, stop_check, svd_small, tikhonov_projected)
+from .projected import (LambdaRule, ghat, ls_projected, select_lambda, stop_check,
+                        svd_small, tikhonov_projected)
 
 METHODS = ("lslu", "hybrid_lslu", "lsqr", "hybrid_lsqr")
 
@@ -42,13 +42,10 @@ class SolverConfig:
     pure: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        check_kind(self.method, "method", METHODS)
         check_maxiter(self.maxiter)
-        for name, kind in (("pivot", PivotStrategy), ("lambda_rule", LambdaRule)):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, "
-                                 f"got {getattr(self, name)!r}")
+        check_type(self.pivot, "pivot", PivotStrategy)
+        check_type(self.lambda_rule, "lambda_rule", LambdaRule)
         if self.stop_tol is not None:
             check_real(self.stop_tol, "stop_tol", positive=True)
             if not self.method.startswith("hybrid_"):
@@ -93,9 +90,9 @@ def reconstruct(state, y):
 def _check_truths(config, n):
     # a bad truth fails here, before the first operator product or SVD
     if config.track_truth is not None:
-        check_truth(config.track_truth, n, "track_truth")
+        check_vector(config.track_truth, "track_truth", n)
     if config.lambda_rule.kind == "optimal":
-        check_truth(config.lambda_rule.x_true, n, "x_true")
+        check_vector(config.lambda_rule.x_true, "x_true", n)
 
 
 def _drive(op, b, config):
@@ -118,12 +115,12 @@ def replay(state, config):
     are not read (the state fixed them).  A state that is not a
     HessenbergState or BidiagState, a method of the other family, or a
     maxiter past state.k on a state that has not broken down raises a
-    ValueError.
+    ValueError (an InputError naming the state).
     """
     family = {HessenbergState: "lslu", BidiagState: "lsqr"}.get(type(state))
     if family is None:
-        raise ValueError(f"state must be a HessenbergState or BidiagState, "
-                         f"got {type(state).__name__}")
+        raise InputError("state", "{name} must be a HessenbergState or BidiagState, "
+                         "got {kind}", kind=type(state).__name__)
     if not config.method.endswith(family):
         raise ValueError(f"method {config.method!r} is not of the {family} family")
     if config.maxiter > state.k and state.breakdown == BREAKDOWN_NONE:
@@ -209,14 +206,14 @@ def compute_histories(result, x_true=None):
     projected matrix and d = min(k + 1, residual basis columns): one
     gemv and one counted norm per iteration, no operator product.
     Iterates are rebuilt only to measure the error against x_true, a
-    finite vector of length n (else a ValueError names it).  Pure mode
+    finite vector of length n (else an InputError names it).  Pure mode
     skips this; a caller can apply it to a pure-mode result afterwards.
     """
     state = result.state
     basis, projected = state.residual_basis, state.projected_matrix
     truth_norm = None
     if x_true is not None:
-        x_true = check_truth(x_true, state.n, "x_true")
+        x_true = check_vector(x_true, "x_true", state.n)
         truth_norm = reductions.norm2(x_true)
     residual_norms, relative_errors = [], []
     for y in result.ys:

@@ -28,8 +28,8 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .hessenberg import (check_lapack_info, check_maxiter, check_real, condition_number,
-                         finite_matrix)
+from .hessenberg import (check_grown, check_lapack_info, check_maxiter, check_real,
+                         condition_number, finite_matrix)
 
 # the routines behind scipy.linalg.cho_factor and cho_solve (see hessenberg)
 _potrf, _potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
@@ -107,8 +107,7 @@ def build_uq(state, sigma2, reg, k=None):
     check_noise_model(sigma2, reg)
     if k is not None:
         check_maxiter(k, "k")
-    if state.k < 1:
-        raise ValueError("state has no completed iterations")
+    check_grown(state)
     k = state.k if k is None else min(k, state.k)
     return _assemble(state.solution_basis[:, :k], state.r_factor("residual"),
                      state.coupling[:k, :k], sigma2, reg)
@@ -133,7 +132,7 @@ def covariance_sum(uq):
 
 def oracle_posterior(matrix, sigma2, reg):
     """Dense posterior covariance sigma2 * (reg*I + A^T A)^{-1} (test oracle)."""
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = finite_matrix(matrix, "matrix")
     n = matrix.shape[1]
     if n > 200:
         raise ValueError("dense oracle limited to n <= 200")

@@ -7,7 +7,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lslu.cli import COMMANDS, RunConfig, flag, main
+from lslu import InputError
+from lslu.cli import COMMANDS, RunConfig, UsageError, config_errors, flag, main
 
 
 def run_cli(*args):
@@ -472,10 +473,23 @@ def test_optimal_rule_needs_a_truth(tmp_path, capsys):
         "error: --lambda-rule optimal needs a problem with a known truth\n")
 
 
+def _dense_files(tmp_path):
+    # a 6-by-5 matrix and right-hand side as files, and bad variants of each
+    rng = np.random.default_rng(3)
+    matrix, rhs = rng.standard_normal((6, 5)), rng.standard_normal(6)
+    nan_matrix, nan_rhs = matrix.copy(), rhs.copy()
+    nan_matrix[2, 3] = nan_rhs[4] = np.nan
+    arrays = {"matrix": matrix, "rhs": rhs, "nan_matrix": nan_matrix, "nan_rhs": nan_rhs,
+              "short_rhs": rhs[:5], "rhs_2x3": rhs.reshape(2, 3)}
+    for name, array in arrays.items():
+        np.savetxt(tmp_path / f"{name}.txt", array)
+    return {name: str(tmp_path / f"{name}.txt") for name in arrays}
+
+
 # one rejected value per RunConfig field, with the fields that make a
-# command read it (each applied only where the command takes it); a
-# path (matrix_file, rhs_file, output_dir) that cannot be used is a
-# runtime error instead
+# command read it (each applied only where the command takes it); the
+# file fields name files of _dense_files, whose contents are rejected.
+# An output_dir that cannot be used is a runtime error instead
 _REJECTED = {
     "problem": ("bogus", {}), "n": ("1", {}), "depth": ("-1", {}),
     "angles": ("0", {"problem": "tomo"}), "detectors": ("0", {"problem": "tomo"}),
@@ -486,12 +500,13 @@ _REJECTED = {
     "pivot_seed": ("-1", {"pivot": "sampled", "sample_size": "5", "sample_sizes": "5"}),
     "sample_sizes": ("0", {}), "k_max": ("0", {}), "sigma2": ("nan", {}),
     "reg": ("-1", {}), "emit": ("bogus", {}),
+    "matrix_file": ("{nan_matrix}", {"problem": "dense_file", "rhs_file": "{rhs}"}),
+    "rhs_file": ("{short_rhs}", {"problem": "dense_file", "matrix_file": "{matrix}"}),
 }
 
 
 def test_every_checked_field_has_a_rejected_value():
-    paths = {"matrix_file", "rhs_file", "output_dir"}
-    assert set(_REJECTED) == {f.name for f in fields(RunConfig)} - paths
+    assert set(_REJECTED) == {f.name for f in fields(RunConfig)} - {"output_dir"}
 
 
 @pytest.mark.parametrize("command, name", [
@@ -502,11 +517,12 @@ def test_rejected_value_names_its_flag(tmp_path, capsys, command, name):
     # error line names the field's flag, so a library input the CLI
     # does not map to its field fails here
     value, context = _REJECTED[name]
+    files = _dense_files(tmp_path)
     args = [arg for key, text in context.items() if key in COMMANDS[command][1]
-            for arg in (flag(key), text)]
-    if name != "n":
+            for arg in (flag(key), text.format(**files))]
+    if name not in ("n", "matrix_file", "rhs_file"):
         args += ["--n", "16"]
-    assert run_cli(command, *args, flag(name), value,
+    assert run_cli(command, *args, flag(name), value.format(**files),
                    "--output-dir", str(tmp_path / "out")) == 1
     line = capsys.readouterr().err.splitlines()[-1]
     assert "error: " in line and re.search(
@@ -607,6 +623,67 @@ def test_runtime_errors_exit_2(tmp_path):
     assert run_cli("solve", "--problem", "dense_file", "--matrix-file",
                    str(mfile), "--rhs-file", str(rfile),
                    "--output-dir", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("matrix, rhs, message", [
+    ("nan_matrix", "rhs", "--matrix-file has non-finite entries"),
+    ("matrix", "nan_rhs", "--rhs-file has non-finite entries"),
+    ("matrix", "short_rhs", "--rhs-file must be a vector of length 6 (the operator's "
+     "rows), got shape (5,)"),
+    ("matrix", "rhs_2x3", "--rhs-file must be a vector of length 6 (the operator's "
+     "rows), got shape (2, 3)"),
+])
+def test_bad_dense_file_contents_exit_1(tmp_path, capsys, command, matrix, rhs,
+                                        message):
+    files = _dense_files(tmp_path)
+    assert run_cli(command, "--problem", "dense_file", "--matrix-file", files[matrix],
+                   "--rhs-file", files[rhs], "--output-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("missing", ["matrix", "rhs"])
+def test_unreadable_dense_file_exits_2(tmp_path, capsys, missing):
+    files = _dense_files(tmp_path)
+    files[missing] = str(tmp_path / "missing.txt")
+    assert run_cli("solve", "--problem", "dense_file", "--matrix-file", files["matrix"],
+                   "--rhs-file", files["rhs"], "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "missing.txt" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "uq", "bounds"])
+def test_sample_size_past_the_problem_exits_1(tmp_path, capsys, command):
+    # the library checks it against the problem's shape; the CLI names the flag
+    assert run_cli(command, "--n", "16", "--maxiter", "3", "--pivot", "sampled",
+                   "--sample-size", "100", "--output-dir", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        "error: --sample-size must be at most max(m, n) = 16, got 100\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_skips_sample_sizes_past_the_problem(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("compare", "--n", "16", "--maxiter", "3", "--sample-sizes", "5,100",
+                   "--output-dir", str(out)) == 0
+    assert capsys.readouterr().err == (
+        "skipping sample size 100: exceeds max(m, n) = 16\n")
+    header = (out / "compare.csv").read_text().splitlines()[0]
+    assert header == ("k,rel_error_hybrid_lslu_full,rel_error_hybrid_lslu_s5,"
+                      "rel_error_hybrid_lsqr")
+
+
+def test_config_errors_map_only_inputs_that_name_a_field():
+    # a library name is renamed to its field; an input the library made
+    # itself (a basis, a Woodbury matrix) stays the library's error
+    with pytest.raises(UsageError, match="^--angles must be at least 1, got 0$"):
+        with config_errors(n_angles="angles"):
+            raise InputError("n_angles", "{name} must be at least 1, got 0")
+    with pytest.raises(InputError, match="^basis has non-finite entries$"):
+        with config_errors(n_angles="angles"):
+            raise InputError("basis", "{name} has non-finite entries")
 
 
 def test_module_entry_point(tmp_path):

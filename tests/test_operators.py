@@ -68,6 +68,13 @@ class TestDenseOperator:
         with pytest.raises(ValueError, match="non-finite"):
             make_dense_operator(matrix)
 
+    def test_check_makes_no_matrix_sized_temporary(self):
+        # one isfinite over a 1000-by-1000 matrix would allocate 1 MB of
+        # bools; the scan's row blocks take 64 KB
+        matrix = np.ones((1000, 1000))
+        _, peak = _traced_peak(lambda: make_dense_operator(matrix))
+        assert peak < 256 * 1024
+
     def test_shape_validation(self):
         op = make_dense_operator([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         with pytest.raises(ValueError):
@@ -348,7 +355,7 @@ class TestSymmetricOperator:
         mpath, bpath = tmp_path / "A.txt", tmp_path / "b.txt"
         np.savetxt(mpath, matrix)
         np.savetxt(bpath, np.ones(16))
-        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        with pytest.raises(ValueError, match="^matrix_path has non-finite entries$"):
             load_dense_problem(mpath, bpath)
 
     def test_nonsymmetric_file_keeps_gemv(self, tmp_path):
