@@ -263,7 +263,8 @@ class KrylovState:
     The init is the start both families share: it checks maxiter, b and
     x0 (check_vector; x0 zeros when None), writes r0 into the first
     residual row and takes the family's `scale` of it, a ValueError
-    naming the forward map if not finite, exact_solution if 0.
+    naming the forward map or the residual if not finite, exact_solution
+    if 0.
     Otherwise the family's init picks beta and calls start(beta).
     """
 
@@ -283,11 +284,15 @@ class KrylovState:
         self._r_factors = {}
 
         r0 = self._res[0]  # at x0 = 0, b - 0.0: b bit for bit, without a product
-        np.subtract(b, op.forward(x0) if np.any(x0) else 0.0, out=r0)
+        ax0 = op.forward(x0) if np.any(x0) else 0.0
+        with np.errstate(over="ignore"):  # a finite A x0 may still overflow b - A x0
+            np.subtract(b, ax0, out=r0)
         self._r0_scale = self.scale(r0)
         if not np.isfinite(self._r0_scale):
-            if not np.all(np.isfinite(r0)):
+            if not np.all(np.isfinite(ax0)):
                 raise ValueError("the forward map returned non-finite values at x0")
+            if not np.all(np.isfinite(r0)):
+                raise ValueError("the initial residual b - A x0 overflows")
             raise ValueError("the scale of the initial residual b - A x0 overflows")
         if self._r0_scale == 0.0:
             self.breakdown = BREAKDOWN_EXACT

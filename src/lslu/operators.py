@@ -292,7 +292,11 @@ def _select_operator(matrix, symmetric, column=None):
 
 def make_sparse_operator(matrix):
     """Wrap a scipy sparse matrix as a LinearOperator."""
-    csr = sp.csr_matrix(matrix)
+    try:
+        csr = sp.csr_matrix(matrix)
+    except (TypeError, ValueError):  # scipy names the dtype, not the input
+        raise InputError("matrix", "{name} must be a matrix of real numbers, got "
+                         "{kind}", kind=type(matrix).__name__) from None
     check_vector(csr.data, "matrix")  # the stored values, a COO's duplicates summed
     csc_t = sp.csr_matrix(csr.T)
     m, n = csr.shape
@@ -306,7 +310,7 @@ def add_noise(b_exact, noise_level, seed):
     standard normal from the seeded generator, so ||e|| / ||b_exact||
     equals noise_level by construction.
     """
-    b_exact = np.asarray(b_exact, dtype=float)
+    b_exact = check_vector(b_exact, "b_exact")
     check_real(noise_level, "noise_level", positive=False)
     check_maxiter(seed, "seed", least=0)
     if noise_level == 0:

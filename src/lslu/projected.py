@@ -10,8 +10,12 @@ lam-free factor (k or n times beta * beta) last, so none of them
 squares an unscaled sigma, beta or lam.  The matrix grows by one
 column and one row per iteration, so past a measured crossover
 its SVD is extended from the previous one (extend_svd: one LAPACK
-dlasd8 call for the secular equation, O(k^2) NumPy work and two k-by-k
-products) rather than recomputed in O(k^3).
+dlasd8 call for the secular equation, O(k^2) NumPy work and one k-by-k
+product for V, plus one for U when the new column is dense) rather than
+recomputed in O(k^3).  The pass reads U only through U^T e_1 and U's
+product with the new column; Golub-Kahan's lower bidiagonal B adds a
+column that is zero above its diagonal, so its extended SVD keeps only
+U's first and last rows.
 """
 
 from __future__ import annotations
@@ -30,7 +34,13 @@ from .hessenberg import InputError, check_kind, check_real, check_vector, finite
 
 @dataclass
 class ProjectedSvd:
-    """Full SVD of a (k+1)-by-k projected matrix, with U^T e_1 cached."""
+    """SVD of a (k+1)-by-k projected matrix, with U^T e_1 cached.
+
+    sigma and V are full.  U is the full (k+1)-by-(k+1) left factor, or,
+    once the SVD has been extended by a column zero above its diagonal,
+    only U's first and last rows (2-by-(k+1)): the first is ue1, the last
+    is all a later such extension reads.  At k = 1 the two are the same.
+    """
 
     U: np.ndarray
     sigma: np.ndarray
@@ -125,15 +135,18 @@ def _dlasd8(d, z):
 
 
 def svd_small(H, prev=None):
-    """Full SVD of the (k+1)-by-k projected matrix.
+    """SVD of the (k+1)-by-k projected matrix (ProjectedSvd).
 
     prev, when given, must be the SVD of H[:-1, :-1], the previous
     iteration's projected matrix.  If H only appends a column and a row
     to it (H[-1, :-1] == 0, true of the Hessenberg H and the bidiagonal
     B alike) and k is past the crossover, the SVD is extended from prev
-    in O(k^2) work plus two k-by-k products (extend_svd); otherwise, or
-    if the extension's secular solver fails, LAPACK computes it afresh
-    in O(k^3).  The two routes agree to rounding, not bitwise.
+    in O(k^2) work plus one k-by-k product for V and, for a column
+    nonzero above its diagonal (H's, not B's), one for U (extend_svd).
+    Otherwise, or if extend_svd cannot extend it (the secular solver
+    fails, or prev keeps two rows of U and the new column reaches
+    others), LAPACK computes it afresh in O(k^3), with a full U.  The
+    two routes agree to rounding, not bitwise.
     """
     H = finite_matrix(H, "H")
     if H.shape[1] < 1 or H.shape[0] != H.shape[1] + 1:
@@ -162,12 +175,27 @@ def extend_svd(prev, H):
     working precision.  Tiny z_j and close singular values deflate as in
     LAPACK dlasd2, with tolerances relative to max(sigma_1, |z|).  The new U and V are
     written a block of columns at a time, with no k-by-k temporary.
-    Raises LinAlgError when the secular solver fails; svd_small then
-    falls back to LAPACK.
+
+    When h is nonzero above its last entry (the Hessenberg H), the new U
+    is formed whole from prev's, by one k-by-k product.  When it is zero
+    there (the bidiagonal B, h = alpha e_k), c is alpha times U's last
+    row and only the new U's first and last rows are formed (see
+    ProjectedSvd), so V's is the one k-by-k product.  Raises
+    LinAlgError when the secular solver fails, or when h needs a full U
+    and prev keeps two rows; svd_small then falls back to LAPACK.
     """
     k = prev.k
     n = k + 1
-    c = prev.U.T @ H[:n, k]
+    h = H[:n, k]
+    if np.any(h[:k]):
+        if prev.U.shape[0] != n:
+            raise np.linalg.LinAlgError("prev keeps two rows of U; the new "
+                                        "column reaches others")
+        c = prev.U.T @ h
+        rows = prev.U  # the rows of the new U built from prev's
+    else:
+        c = h[k] * prev.U[-1]
+        rows = prev.U[:1]
     eta = float(H[n, k])
     rho = math.hypot(c[k], eta)
     gc, gs = (c[k] / rho, eta / rho) if rho > 0 else (1.0, 0.0)
@@ -187,22 +215,22 @@ def extend_svd(prev, H):
     z /= scale
     core = _SecularCore(d, z, 8.0 * _EPS * top / scale)
 
-    U = np.empty((n + 1, n + 1))
+    U = np.empty((rows.shape[0] + 1, n + 1))
     V = np.empty((n, n))
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for p0 in range(0, n, rows):
-        out = slice(p0, min(n, p0 + rows))
+    block = max(1, _BLOCK_ENTRIES // n)
+    for p0 in range(0, n, block):
+        out = slice(p0, min(n, p0 + block))
         idx = core.order[out]
         vec, norms = core.left_vectors(idx)
-        U[n, out] = gs * vec[:, k]
+        U[-1, out] = gs * vec[:, k]
         vec[:, k] *= gc
-        np.matmul(prev.U, vec.T, out=U[:n, out])
+        np.matmul(rows, vec.T, out=U[:-1, out])
         core.left_to_right(vec, idx, norms)
         np.matmul(prev.V, vec[:, :k].T, out=V[:k, out])
         V[k, out] = vec[:, k]
         del vec  # before the next block's is made
-    U[:n, n] = -gs * prev.U[:, k]
-    U[n, n] = gc
+    U[:-1, n] = -gs * rows[:, k]
+    U[-1, n] = gc
     return ProjectedSvd(U=U, sigma=core.values[core.order] * scale, V=V,
                         ue1=U[0, :].copy())
 

@@ -93,6 +93,13 @@ class TestSparseOperator:
         with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
             make_sparse_operator(matrix.asformat(fmt))
 
+    @pytest.mark.parametrize("bad", ["abc", None, [[1.0, "a"]]])
+    def test_non_numeric_matrix_named(self, bad):
+        with pytest.raises(lslu.InputError, match="^matrix must be a matrix of real "
+                           "numbers, got (str|NoneType|list)$") as info:
+            make_sparse_operator(bad)
+        assert info.value.name == "matrix"
+
     def test_finite_matrix_matches_dense(self):
         matrix = sp.random(30, 20, density=0.2, random_state=3, format="csc")
         op = make_sparse_operator(matrix)
@@ -735,14 +742,22 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(np.zeros(4), 0.1, seed=0)
 
-    # data whose norm overflows would make the noise, and so b, infinite
+    # data whose norm overflows would make the noise, and so b, infinite;
+    # an infinite entry is named as non-finite data
     @pytest.mark.parametrize("value", [1e200, np.inf])
     def test_data_of_infinite_norm_rejected(self, value):
+        message = ("b_exact has non-finite entries" if value == np.inf
+                   else "cannot scale noise against exact data of norm inf")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^cannot scale noise against "
-                               "exact data of norm inf$"):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 add_noise(np.array([1.0, value]), 0.1, seed=0)
+
+    @pytest.mark.parametrize("bad", [[1.0, np.nan], "abc", np.ones((2, 2))])
+    def test_bad_data_named(self, bad):
+        with pytest.raises(lslu.InputError) as info:
+            add_noise(bad, 0.1, seed=0)
+        assert info.value.name == "b_exact"
 
     @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf, -1e-3])
     def test_bad_level_named(self, level):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+import lslu.projected as projected
 from lslu import (BidiagState, CountingOperator, HessenbergState,
                   LambdaRule, PivotStrategy, SolverConfig, bound_report, gk_init, gk_run,
                   hess_init, hess_run, hybrid_bound_report, make_dense_operator,
@@ -99,6 +100,18 @@ def test_replay_of_a_plain_method(request, problem, method, maxiter):
     state = grow(prob.op, prob.b, config, maxiter=20)
     assert state.k == 20
     assert_same_result(replay(state, config), solve(prob.op, prob.b, config))
+
+
+@pytest.mark.parametrize("method", ["hybrid_lslu", "hybrid_lsqr"])
+def test_replay_past_the_svd_extension_crossover(tomo16, method):
+    # past _EXTEND_MIN_K both passes extend the projected SVD: LSLU's
+    # with a full U, LSQR's with U's first and last rows
+    maxiter = projected._EXTEND_MIN_K + 10
+    config = SolverConfig(method, maxiter, track_truth=tomo16.x_true)
+    state = grow(tomo16.op, tomo16.b, config)
+    fresh = solve(tomo16.op, tomo16.b, config)
+    assert state.k == fresh.k_reached == maxiter
+    assert_same_result(replay(state, config), fresh)
 
 
 def test_replay_of_a_pure_solve_without_histories(gravity32):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -517,6 +518,15 @@ class TestInputsCheckedAtInit:
         with pytest.raises(ValueError, match="forward map returned non-finite "
                                              "values at x0"):
             init(op, [1.0, 2.0], x0=[1.0, 0.0])
+
+    def test_initial_residual_overflow(self, init):
+        # A x0 is finite and b - A x0 is not: named as such, with no warning
+        op = make_dense_operator([[1e308, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^the initial residual b - A x0 "
+                                                 "overflows$"):
+                init(op, [-1e308, 1.0], x0=[1.0, 0.0])
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -3,9 +3,10 @@
 Each extension is checked against LAPACK's SVD of the same matrix:
 singular values within c k eps sigma_1, the factorization within
 c k eps ||H||, orthonormal factors, and the Tikhonov solution and GCV
-values that the solvers read off the SVD.  The secular step, one call
-of LAPACK dlasd8 bound through ctypes, is checked against a loop of
-scipy's dlasd4, one call per root.
+values that the solvers read off the SVD.  A bidiagonal extension keeps
+only U's first and last rows; its factorization is checked on those.
+The secular step, one call of LAPACK dlasd8 bound through ctypes, is
+checked against a loop of scipy's dlasd4, one call per root.
 """
 
 import ctypes
@@ -54,10 +55,14 @@ def projected_matrix(kind, k, seed, spectrum, terminal):
 
 
 def extended(H):
-    """H's SVD grown from LAPACK's SVD of its first column."""
+    """H's SVD grown from LAPACK's SVD of its first column.  A column
+    nonzero above its diagonal after one that is zero there (so U was
+    kept to two rows) restarts the chain from LAPACK, as svd_small does."""
     svd = svd_small(H[:2, :1])
     for j in range(2, H.shape[1] + 1):
-        svd = extend_svd(svd, H[:j + 1, :j])
+        G = H[:j + 1, :j]
+        full = svd.U.shape[0] == j or not np.any(G[:-2, -1])
+        svd = extend_svd(svd, G) if full else svd_small(G)
     return svd
 
 
@@ -66,13 +71,21 @@ def assert_matches_lapack(svd, H, beta=1.3):
     ref = svd_small(H)  # below the crossover: LAPACK
     sigma1 = ref.sigma[0]
     tol = C * (k + 1) * EPS
-    assert svd.U.shape == (k + 1, k + 1) and svd.V.shape == (k, k)
+    assert svd.V.shape == (k, k)
     assert np.all(np.diff(svd.sigma) <= 0)
     assert np.max(np.abs(svd.sigma - ref.sigma)) <= tol * sigma1
-    S = np.zeros((k + 1, k))
-    S[:k, :k] = np.diag(svd.sigma)
-    assert np.linalg.norm(svd.U @ S @ svd.V.T - H) <= tol * np.linalg.norm(H)
-    assert np.linalg.norm(svd.U.T @ svd.U - np.eye(k + 1)) <= tol
+    if svd.U.shape[0] == k + 1:
+        S = np.zeros((k + 1, k))
+        S[:k, :k] = np.diag(svd.sigma)
+        assert np.linalg.norm(svd.U @ S @ svd.V.T - H) <= tol * np.linalg.norm(H)
+        assert np.linalg.norm(svd.U.T @ svd.U - np.eye(k + 1)) <= tol
+    else:
+        # U's first and last rows e_r^T U, r = 0, k: e_r^T H V = e_r^T U Sigma,
+        # and the rows of an orthogonal U are orthonormal
+        assert svd.U.shape == (2, k + 1)
+        assert (np.linalg.norm(H[[0, k]] @ svd.V - svd.U[:, :k] * svd.sigma)
+                <= tol * np.linalg.norm(H))
+        assert np.linalg.norm(svd.U @ svd.U.T - np.eye(2)) <= tol
     assert np.linalg.norm(svd.V.T @ svd.V - np.eye(k)) <= tol
     np.testing.assert_array_equal(svd.ue1, svd.U[0, :])
     for lam in (1e-2 * sigma1, 1e-1 * sigma1, sigma1):
@@ -98,6 +111,14 @@ def test_extension_matches_lapack(kind, k, seed, spectrum, terminal):
 def test_long_chain_matches_lapack(spectrum):
     H = projected_matrix("hessenberg", 120, 3, spectrum, False)
     assert_matches_lapack(extended(H), H)
+
+
+@pytest.mark.parametrize("spectrum", ["random", "graded", "repeated", "zero"])
+def test_bidiagonal_long_chain_matches_lapack(spectrum):
+    H = projected_matrix("bidiagonal", 120, 3, spectrum, False)
+    svd = extended(H)
+    assert svd.U.shape == (2, 121)
+    assert_matches_lapack(svd, H)
 
 
 def test_identity_deflates_exactly():
@@ -289,6 +310,16 @@ class TestSvdSmallRoute:
         svd = svd_small(H, svd_small(H[:-1, :-1]))
         np.testing.assert_array_equal(svd.U, np.linalg.svd(H)[0])
 
+    def test_dense_column_after_bidiagonal_is_lapack(self):
+        H = projected_matrix("bidiagonal", self.K, 11, "random", False)
+        H[:-1, -1] = np.random.default_rng(11).standard_normal(self.K)
+        prev = svd_small(H[:-1, :-1], svd_small(H[:-2, :-2]))
+        assert prev.U.shape == (2, self.K)  # extended from a bidiagonal column
+        with pytest.raises(np.linalg.LinAlgError, match="^prev keeps two rows of U"):
+            extend_svd(prev, H)
+        svd = svd_small(H, prev)
+        np.testing.assert_array_equal(svd.U, np.linalg.svd(H)[0])
+
     def test_secular_failure_falls_back_to_lapack(self, monkeypatch):
         H = self._matrix()
 
@@ -311,17 +342,20 @@ class TestSvdSmallRoute:
         assert calls == list(range(projected._EXTEND_MIN_K + 1, maxiter + 1))
 
     def test_no_k_by_k_temporary(self):
-        H = projected_matrix("hessenberg", 200, 5, "random", False)
-        prev = svd_small(H[:-1, :-1])
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            svd = extend_svd(prev, H)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        result = svd.U.nbytes + svd.V.nbytes
-        assert peak - result <= 0.45 * result  # one k-by-k array is half of it
+        for kind in ("hessenberg", "bidiagonal"):
+            H = projected_matrix(kind, 200, 5, "random", False)
+            prev = svd_small(H[:-1, :-1])
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                svd = extend_svd(prev, H)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            # the bidiagonal U keeps two rows: no (k+1)-by-(k+1) U is made
+            assert svd.U.shape == ((201, 201) if kind == "hessenberg" else (2, 201))
+            result = svd.U.nbytes + svd.V.nbytes
+            assert peak - result <= 0.9 * svd.V.nbytes  # one k-by-k array is V's size
 
 
 @settings(max_examples=25, deadline=None)
