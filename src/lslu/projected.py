@@ -37,9 +37,10 @@ class ProjectedSvd:
     """SVD of a (k+1)-by-k projected matrix, with U^T e_1 cached.
 
     sigma and V are full.  U is the full (k+1)-by-(k+1) left factor, or,
-    once the SVD has been extended by a column zero above its diagonal,
-    only U's first and last rows (2-by-(k+1)): the first is ue1, the last
-    is all a later such extension reads.  At k = 1 the two are the same.
+    once the SVD has been extended by a column zero above its diagonal
+    and nonzero on it (extend_svd), only U's first and last rows
+    (2-by-(k+1)): the first is ue1, the last is all a later such
+    extension reads.  At k = 1 the two are the same.
     """
 
     U: np.ndarray
@@ -178,17 +179,20 @@ def extend_svd(prev, H):
 
     When h is nonzero above its last entry (the Hessenberg H), the new U
     is formed whole from prev's, by one k-by-k product.  When it is zero
-    there (the bidiagonal B, h = alpha e_k), c is alpha times U's last
-    row and only the new U's first and last rows are formed (see
-    ProjectedSvd), so V's is the one k-by-k product.  Raises
-    LinAlgError when the secular solver fails, or when h needs a full U
-    and prev keeps two rows; svd_small then falls back to LAPACK.
+    there and not on the diagonal (the bidiagonal B, h = alpha e_k), c
+    is alpha times U's last row and only the new U's first and last rows
+    are formed (see ProjectedSvd), so V's is the one k-by-k product.  A
+    zero h extends U as prev keeps it: a full U stays full, so a later
+    dense column can still be extended from it.  Raises LinAlgError when
+    the secular solver fails, or when h needs a full U and prev keeps
+    two rows; svd_small then falls back to LAPACK.
     """
     k = prev.k
     n = k + 1
     h = H[:n, k]
-    if np.any(h[:k]):
-        if prev.U.shape[0] != n:
+    full = prev.U.shape[0] == n
+    if np.any(h[:k]) or (full and h[k] == 0):
+        if not full:
             raise np.linalg.LinAlgError("prev keeps two rows of U; the new "
                                         "column reaches others")
         c = prev.U.T @ h

@@ -43,10 +43,12 @@ def projected_matrix(kind, k, seed, spectrum, terminal):
     if spectrum == "graded":
         H *= 10.0 ** -np.arange(k)
     elif spectrum == "repeated":
-        # a run of unit columns: the prefix's singular values are all 1
+        # a run of unit columns on the subdiagonal, zero above it, so a
+        # Hessenberg chain keeps a full U: the prefix's singular values
+        # are all 1
         r = (k + 1) // 2
         H[:, :r] = 0.0
-        H[np.arange(r), np.arange(r)] = 1.0
+        H[np.arange(1, r + 1), np.arange(r)] = 1.0
     elif spectrum == "zero":
         H[:, 1::3] = 0.0  # exact zero singular values
     if terminal:
@@ -55,14 +57,11 @@ def projected_matrix(kind, k, seed, spectrum, terminal):
 
 
 def extended(H):
-    """H's SVD grown from LAPACK's SVD of its first column.  A column
-    nonzero above its diagonal after one that is zero there (so U was
-    kept to two rows) restarts the chain from LAPACK, as svd_small does."""
+    """H's SVD grown from LAPACK's SVD of its first column by one
+    extend_svd call per further column, none of them LAPACK."""
     svd = svd_small(H[:2, :1])
     for j in range(2, H.shape[1] + 1):
-        G = H[:j + 1, :j]
-        full = svd.U.shape[0] == j or not np.any(G[:-2, -1])
-        svd = extend_svd(svd, G) if full else svd_small(G)
+        svd = extend_svd(svd, H[:j + 1, :j])
     return svd
 
 
@@ -104,13 +103,18 @@ def assert_matches_lapack(svd, H, beta=1.3):
        terminal=st.booleans())
 def test_extension_matches_lapack(kind, k, seed, spectrum, terminal):
     H = projected_matrix(kind, k, seed, spectrum, terminal)
-    assert_matches_lapack(extended(H), H)
+    svd = extended(H)
+    if kind == "hessenberg":
+        assert svd.U.shape == (k + 1, k + 1)
+    assert_matches_lapack(svd, H)
 
 
 @pytest.mark.parametrize("spectrum", ["random", "graded", "repeated", "zero"])
 def test_long_chain_matches_lapack(spectrum):
     H = projected_matrix("hessenberg", 120, 3, spectrum, False)
-    assert_matches_lapack(extended(H), H)
+    svd = extended(H)
+    assert svd.U.shape == (121, 121)
+    assert_matches_lapack(svd, H)
 
 
 @pytest.mark.parametrize("spectrum", ["random", "graded", "repeated", "zero"])
@@ -319,6 +323,22 @@ class TestSvdSmallRoute:
             extend_svd(prev, H)
         svd = svd_small(H, prev)
         np.testing.assert_array_equal(svd.U, np.linalg.svd(H)[0])
+
+    def test_zero_column_keeps_a_full_u(self, monkeypatch):
+        # a Hessenberg column that is zero throughout extends the full U,
+        # so the dense column after it is extended too, not LAPACK's
+        H = self._matrix()
+        H[:, -2] = 0.0
+        calls = []
+        original = projected.extend_svd
+        monkeypatch.setattr(projected, "extend_svd",
+                            lambda prev, H: calls.append(H.shape) or original(prev, H))
+        prev = svd_small(H[:-1, :-1], svd_small(H[:-2, :-2]))
+        assert prev.U.shape == (self.K, self.K)
+        svd = svd_small(H, prev)
+        assert calls == [H[:-1, :-1].shape, H.shape]
+        assert svd.U.shape == (self.K + 1, self.K + 1)
+        assert_matches_lapack(svd, H)
 
     def test_secular_failure_falls_back_to_lapack(self, monkeypatch):
         H = self._matrix()
