@@ -10,14 +10,16 @@ H_{k+1,k} (upper Hessenberg) and W_k (upper triangular) satisfying
 
 Both bases are unit lower triangular up to the row permutations t (for
 D) and g (for L), and every pivot decision is a coordinate maximum, so
-the whole recurrence is free of inner products.  Each half-step
-eliminates a new vector against a whole basis at once: a unit
-triangular solve with the basis's pivot block (its entries at the
-pivot coordinates) gives the coefficients, and one gemv applies them.
-The state keeps both pivot blocks and adds a row or column as each
-pivot becomes final, so no step gathers them again.  KrylovState holds
-what this and the Golub-Kahan state share; L, D, H and W name its
-views.  begin_step and iterate are the step prologue and the step loop
+the whole recurrence is free of inner products.  Both half-steps
+eliminate, pivot and append.  _eliminate removes a whole basis from
+the new vector at once: a unit triangular solve with the basis's pivot
+block (its entries at the pivot coordinates) gives the coefficients,
+and one gemv applies them.  _pivot's one gather of the vector's live
+magnitudes serves the pivot choice (hess_init's too) and every
+breakdown test.  _append normalizes the vector into the basis and adds
+the pivot block's new row or column, so no step gathers a block again.
+KrylovState holds what this and the Golub-Kahan state share; L, D, H
+and W name its views.  begin_step and iterate are the step prologue and the step loop
 of both families.  The bases' metric, for the UQ and the bound reports,
 is the square R factor of one QR per basis (qr_r), kept by
 KrylovState.r_factor; condition_number reads it.  Both call LAPACK
@@ -186,10 +188,14 @@ def check_real(value, name, *, positive):
 
 def _as_float(value, name):
     try:
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value)
+        if array.dtype.kind != "c":  # a float cast would drop the imaginary part
+            return np.asarray(array, dtype=float)
+        kind = f"{array.dtype} values"
     except (TypeError, ValueError):
-        raise InputError(name, "{name} must be an array of real numbers, got {kind}",
-                         kind=type(value).__name__) from None
+        kind = type(value).__name__
+    raise InputError(name, "{name} must be an array of real numbers, got {kind}",
+                     kind=kind)
 
 
 def check_vector(value, name, length=None, axis="columns"):
@@ -364,26 +370,34 @@ class HessenbergState(KrylovState):
     W = coupling
 
 
-def _choose(live, strategy, rng):
-    """Index into live, the magnitudes over a nonempty window, of the pivot."""
+def _pivot(vec, perm, start, strategy, rng):
+    """The pivot of vec over its live rows perm[start:]: its index into
+    perm (None when no row is live) and the live magnitudes, one gather
+    of |vec| that serves the choice and every breakdown test."""
+    live = np.abs(vec[perm[start:]])
+    if live.size == 0:
+        return None, live
     if strategy.kind == "none":
-        return 0
-    if strategy.kind == "full":
-        return int(np.argmax(live))
-    size = min(strategy.sample_size, live.size)
-    sample = rng.choice(live.size, size=size, replace=False)
-    sample.sort()
-    return int(sample[np.argmax(live[sample])])
+        pos = 0
+    elif strategy.kind == "full":
+        pos = np.argmax(live)
+    else:
+        sample = rng.choice(live.size, size=min(strategy.sample_size, live.size),
+                            replace=False)
+        sample.sort()
+        pos = sample[np.argmax(live[sample])]
+    return start + int(pos), live
 
 
-def _pick_pivot(vec, perm, start, strategy, rng):
-    """Index into perm (>= start) of the chosen pivot, or None if no window."""
-    window = perm[start:]
-    if window.size == 0:
-        return None
-    if strategy.kind == "none":
-        return start
-    return start + _choose(np.abs(vec[window]), strategy, rng)
+def _append(vec, rows, perm, j, pos, block):
+    """Swap the pivot perm[pos] into perm[j], divide vec by its entry into
+    rows[j], and copy the earlier rows' entries at it into the pivot
+    block's row j (L's block is passed transposed); return the entry."""
+    perm[j], perm[pos] = perm[pos], perm[j]
+    pivot = vec[perm[j]]
+    np.divide(vec, pivot, out=rows[j])
+    block[j, :j] = rows[:j, perm[j]]
+    return pivot
 
 
 def _eliminate(vec, rows, piv, block):
@@ -461,92 +475,71 @@ def hess_init(op, b, x0=None, *, strategy=None, maxiter=50):
     state = HessenbergState(op, b, x0, strategy, maxiter)
     if state.breakdown != BREAKDOWN_NONE:
         return state
-    r0 = state._res[0]
-    pos = _pick_pivot(r0, state.t, 0, strategy, state._rng)
-    beta = r0[state.t[pos]]
-    if beta == 0.0:
+    r0, t = state._res[0], state.t
+    pos, live = _pivot(r0, t, 0, strategy, state._rng)
+    if live[pos] == 0.0:
         advice = ("enlarge the pivot sample" if strategy.kind == "sampled"
                   else "use full or sampled pivoting")
         raise BreakdownError(
             f"zero pivot entry in the initial residual; {advice}")
-    state.t[0], state.t[pos] = state.t[pos], state.t[0]
-    state.start(beta)
+    t[0], t[pos] = t[pos], t[0]
+    state.start(r0[t[0]])
     return state
 
 
 def hess_step(state, op):
     """Run one iteration: new l_k (with W column), then new d_{k+1} (with H column).
 
-    Terminal conditions set state.breakdown instead of raising:
-    rank_deficient when k = min(m, n) already (see begin_step) or no
-    solution-space pivot survives elimination (or the residual-space
-    window is exhausted), exact_solution when the eliminated forward
-    image vanishes.  Completed columns are kept.  An operator image
-    with non-finite entries raises a ValueError.
+    Each half eliminates, pivots, tests the pivot and appends.  Terminal
+    conditions set state.breakdown instead of raising: rank_deficient
+    when k = min(m, n) already (see begin_step), no solution-space pivot
+    survives elimination, the residual-space window is exhausted or its
+    candidate misses the live entries (the half-built column is
+    dropped); exact_solution when the eliminated forward image vanishes.
+    Completed columns are kept.  An operator image with non-finite
+    entries raises a ValueError.
     """
     if not begin_step(state):
         return state
-    kp = state.k + 1
-    t, g = state.t, state.g
-    L, D, P = state._sol, state._res, state._piv
+    k, t, g, P = state.k, state.t, state.g, state._piv
+    L, D, strategy, rng = state._sol, state._res, state.strategy, state._rng
 
-    # solution-space half: eliminate A^T d_k against l_1..l_{k-1}
-    q = op.adjoint(D[kp - 1])
+    # solution-space half: eliminate A^T d_{k+1} against l_1..l_k; n - k
+    # >= 1 rows are live, and any negligible pivot is rank_deficient
+    q = op.adjoint(D[k])
     q_scale = np.max(np.abs(q))
-    check_image(q_scale, "adjoint", kp)
-    if kp > 1:
-        state._W[:kp - 1, kp - 1] = _eliminate(q, L[:kp - 1], g[:kp - 1],
-                                               P[:kp - 1, :kp - 1].T)
-
-    pos = _pick_pivot(q, g, kp - 1, state.strategy, state._rng)
-    # no live entry left, or (under none/sampled) the candidate misses
-    # them; the pivot lies in the window, so a dead window fails here too
-    if pos is None or abs(q[g[pos]]) <= BREAKDOWN_TOL * q_scale:
+    check_image(q_scale, "adjoint", k + 1)
+    if k:
+        state._W[:k, k] = _eliminate(q, L[:k], g[:k], P[:k, :k].T)
+    pos, live = _pivot(q, g, k, strategy, rng)
+    if live[pos - k] <= BREAKDOWN_TOL * q_scale:
         state.breakdown = BREAKDOWN_RANK
         return state
-    g[kp - 1], g[pos] = g[pos], g[kp - 1]
-    w = q[g[kp - 1]]
-    state._W[kp - 1, kp - 1] = w
-    np.divide(q, w, out=L[kp - 1])
-    P[:kp - 1, kp - 1] = L[:kp - 1, g[kp - 1]]
+    del live  # before the residual half's temporaries are made
+    state._W[k, k] = _append(q, L, g, k, pos, P.T)
 
-    # residual-space half: eliminate A l_k against d_1..d_k
-    u = op.forward(L[kp - 1])
+    # residual-space half: eliminate A l_{k+1} against d_1..d_{k+1}
+    u = op.forward(L[k])
     u_scale = np.max(np.abs(u))
-    check_image(u_scale, "forward", kp)
-    state._proj[:kp, kp - 1] = _eliminate(u, D[:kp], t[:kp], P[:kp, :kp])
-
-    window = t[kp:]
-    if window.size == 0:
-        # all m rows already pivoted: u is exactly zero, so the new column
-        # still satisfies the factorization relation with a zero H row
-        state.k = kp
-        state.breakdown = BREAKDOWN_RANK
+    check_image(u_scale, "forward", k + 1)
+    state._proj[:k + 1, k] = _eliminate(u, D[:k + 1], t[:k + 1], P[:k + 1, :k + 1])
+    pos, live = _pivot(u, t, k + 1, strategy, rng)
+    if pos is None or (live[pos - k - 1] if strategy.kind == "full"
+                       else np.max(live)) <= BREAKDOWN_TOL * u_scale:
+        # every live entry of u is negligible (the pivot is the largest under
+        # full pivoting; u is exactly zero once all m rows are pivoted): the
+        # new column satisfies the relation with a zero H row
+        state.k = k + 1
+        state.breakdown = BREAKDOWN_EXACT if live.size else BREAKDOWN_RANK
         return state
-    # one gather of |u| over the live rows serves the pivot choice and the
-    # exact-solution test, whose max under full pivoting is the pivot's
-    live = np.abs(u[window])
-    pos = _choose(live, state.strategy, state._rng)
-    pivot = live[pos]
-    top = pivot if state.strategy.kind == "full" else np.max(live)
-    if top <= BREAKDOWN_TOL * u_scale:
-        state.k = kp
-        state.breakdown = BREAKDOWN_EXACT
-        return state
+    pivot = live[pos - k - 1]
     if pivot <= BREAKDOWN_TOL * u_scale:
-        # the candidate missed the live entries (possible under none and
-        # sampled only); dividing would poison the basis and keeping the
-        # column would break the relation, so drop the half-built column
+        # the candidate missed the live entries; dividing would poison the
+        # basis and keeping the column would break the relation, so drop it
         state.breakdown = BREAKDOWN_RANK
         return state
-    pos += kp
-    state.k = kp
-    t[kp], t[pos] = t[pos], t[kp]
-    h = u[t[kp]]
-    state._proj[kp, kp - 1] = h
-    np.divide(u, h, out=D[kp])
-    P[kp, :kp] = D[:kp, t[kp]]
-    state.residual_count = kp + 1
+    state._proj[k + 1, k] = _append(u, D, t, k + 1, pos, P)
+    state.k, state.residual_count = k + 1, k + 2
     return state
 
 

@@ -24,6 +24,7 @@ import ctypes
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cython_lapack
@@ -34,7 +35,7 @@ from .hessenberg import InputError, check_kind, check_real, check_vector, finite
 
 @dataclass
 class ProjectedSvd:
-    """SVD of a (k+1)-by-k projected matrix, with U^T e_1 cached.
+    """SVD of a (k+1)-by-k projected matrix.
 
     sigma and V are full.  U is the full (k+1)-by-(k+1) left factor, or,
     once the SVD has been extended by a column zero above its diagonal
@@ -46,11 +47,17 @@ class ProjectedSvd:
     U: np.ndarray
     sigma: np.ndarray
     V: np.ndarray
-    ue1: np.ndarray
 
     @property
     def k(self):
         return self.sigma.shape[0]
+
+    @cached_property
+    def ue1(self):
+        """U^T e_1, U's first row: a read-only view, made on first use."""
+        row = self.U[0]
+        row.setflags(write=False)
+        return row
 
 
 #: Below this many columns a fresh LAPACK SVD costs less than extending
@@ -160,7 +167,7 @@ def svd_small(H, prev=None):
         except np.linalg.LinAlgError:
             pass
     U, s, Vh = np.linalg.svd(H, full_matrices=True)
-    return ProjectedSvd(U=U, sigma=s, V=Vh.T, ue1=U[0, :].copy())
+    return ProjectedSvd(U=U, sigma=s, V=Vh.T)
 
 
 def extend_svd(prev, H):
@@ -235,8 +242,7 @@ def extend_svd(prev, H):
         del vec  # before the next block's is made
     U[:-1, n] = -gs * rows[:, k]
     U[-1, n] = gc
-    return ProjectedSvd(U=U, sigma=core.values[core.order] * scale, V=V,
-                        ue1=U[0, :].copy())
+    return ProjectedSvd(U=U, sigma=core.values[core.order] * scale, V=V)
 
 
 class _SecularCore:

@@ -12,6 +12,7 @@ the latter is the whole point of the Hessenberg-based methods.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -57,7 +58,32 @@ def dot(x, y):
     return float(np.dot(x, y))
 
 
+#: Below this sum of squares (2^53 times the smallest normal number) the
+#: squares of small entries may round to subnormals at more than an ulp
+#: of the sum, so norm2 rescales
+_SQUARE_MIN = 2.0 ** -969
+
+
 def norm2(x):
-    """Counted Euclidean norm of a vector."""
+    """Counted Euclidean norm of a vector: np.linalg.norm(x), bit for bit,
+    wherever its sum of squares lies in [2^-969, inf), a norm from about
+    1e-146 to 1.3e154.  Outside, where that sum under- or overflows, x is
+    rescaled by a power of two and the norm taken again (the norm of a
+    finite nonzero vector is then 0 or inf only if the true norm
+    rounds so).  Neither path emits a floating-point warning.
+    """
     _record(len(x))
-    return float(np.linalg.norm(x))
+    x = np.ravel(x, order="K")  # np.linalg.norm's copy of a strided vector
+    # np.vdot is x.dot(x) bit for bit, without the overflow warning
+    square = float(np.vdot(x, x))
+    if _SQUARE_MIN <= square < math.inf:
+        return math.sqrt(square)
+    top = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < top < math.inf:  # zero, or entries that are not finite
+        return math.sqrt(square)
+    exponent = math.frexp(top)[1]
+    x = np.ldexp(x, -exponent)  # exact, but for entries negligible against top
+    try:
+        return math.ldexp(math.sqrt(float(np.vdot(x, x))), exponent)
+    except OverflowError:  # the norm itself exceeds the float range
+        return math.inf

@@ -6,7 +6,7 @@ from scipy.linalg.blas import dtrsv
 from lslu import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
                   BreakdownError, PivotStrategy, hess_init, hess_run,
                   hess_step, make_dense_operator)
-from lslu.hessenberg import BREAKDOWN_TOL, _pick_pivot, begin_step, check_image
+from lslu.hessenberg import BREAKDOWN_TOL, _pivot, begin_step, check_image
 
 A22 = np.array([[1.0, 2.0], [3.0, 4.0]])
 
@@ -309,7 +309,7 @@ def _reference_run(op, b, strategy, maxiter):
     L, D = np.zeros((n, maxiter)), np.zeros((m, maxiter + 1))
     H, W = np.zeros((maxiter + 1, maxiter)), np.zeros((maxiter, maxiter))
     b = np.asarray(b, dtype=float)
-    pos = _pick_pivot(b, t, 0, strategy, rng)
+    pos, _ = _pivot(b, t, 0, strategy, rng)
     t[[0, pos]] = t[[pos, 0]]
     D[:, 0] = b / b[t[0]]
     k, d_count, breakdown = 0, 1, BREAKDOWN_NONE
@@ -319,7 +319,7 @@ def _reference_run(op, b, strategy, maxiter):
         for j in range(kp - 1):
             W[j, kp - 1] = w = q[g[j]]
             q -= w * L[:, j]
-        pos = _pick_pivot(q, g, kp - 1, strategy, rng)
+        pos, _ = _pivot(q, g, kp - 1, strategy, rng)
         if pos is None or abs(q[g[pos]]) <= q_tol:
             breakdown = BREAKDOWN_RANK
             break
@@ -332,7 +332,7 @@ def _reference_run(op, b, strategy, maxiter):
         for j in range(kp):
             H[j, kp - 1] = h = u[t[j]]
             u -= h * D[:, j]
-        pos = _pick_pivot(u, t, kp, strategy, rng)
+        pos, _ = _pivot(u, t, kp, strategy, rng)
         if pos is None:
             k, breakdown = kp, BREAKDOWN_RANK
             break
@@ -477,7 +477,7 @@ def _gathering_step(state, op):
     check_image(q_scale, "adjoint", kp)
     if kp > 1:
         state._W[:kp - 1, kp - 1] = _gathering_eliminate(q, L[:kp - 1], g[:kp - 1])
-    pos = _pick_pivot(q, g, kp - 1, state.strategy, state._rng)
+    pos, _ = _pivot(q, g, kp - 1, state.strategy, state._rng)
     if pos is None or abs(q[g[pos]]) <= BREAKDOWN_TOL * q_scale:
         state.breakdown = BREAKDOWN_RANK
         return state
@@ -489,7 +489,7 @@ def _gathering_step(state, op):
     u_scale = np.max(np.abs(u))
     check_image(u_scale, "forward", kp)
     state._proj[:kp, kp - 1] = _gathering_eliminate(u, D[:kp], t[:kp])
-    pos = _pick_pivot(u, t, kp, state.strategy, state._rng)
+    pos, _ = _pivot(u, t, kp, state.strategy, state._rng)
     if pos is None:
         state.k = kp
         state.breakdown = BREAKDOWN_RANK

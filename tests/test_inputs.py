@@ -161,15 +161,22 @@ def _dense_files(c, **contents):
     return load_dense_problem(*(c["tmp"] / f"{name}.txt" for name in arrays))
 
 
-def _sparse_nan(c, op, v):
-    matrix = sp.random(30, 20, density=0.2, random_state=3, format="coo")
-    matrix.data[7] = np.nan
-    return make_sparse_operator(matrix)
+def _sparse_with(value):
+    # a sparse matrix, one of whose stored entries is value
+    def make(c):
+        matrix = sp.random(30, 20, density=0.2, random_state=3, format="coo")
+        matrix = matrix.astype(np.result_type(matrix.dtype, value))
+        matrix.data[7] = value
+        return matrix
+    return make
 
 
-# vectors of the operator's 32 rows or columns a check must reject
-BAD_VECTORS = ["abc", {}, np.ones(31), np.ones((32, 1)), 2.0, _nan(32)]
-BAD_MATRICES = ["abc", np.ones(4), np.ones((2, 2, 2)), _nan(4, 3)]
+# vectors of the operator's 32 rows or columns a check must reject; a
+# complex one is rejected by its dtype, even with a zero imaginary part
+BAD_VECTORS = ["abc", {}, np.ones(31), np.ones((32, 1)), 2.0, _nan(32),
+               np.full(32, 1 + 2j), np.ones(32, dtype=complex)]
+BAD_MATRICES = ["abc", np.ones(4), np.ones((2, 2, 2)), _nan(4, 3),
+                np.full((4, 3), 1 + 2j)]
 # each non-scalar input: the callable or config class whose parameter or
 # field names it, a call (of the fixture's pieces, an operator whose
 # products are counted, and the value) that takes it, and values it must
@@ -199,7 +206,9 @@ NON_SCALARS = {
         c["res"], v), BAD_VECTORS),
     "make_dense_operator.matrix": (make_dense_operator, lambda c, op, v:
                                    make_dense_operator(v), BAD_MATRICES),
-    "make_sparse_operator.matrix": (make_sparse_operator, _sparse_nan, [None]),
+    "make_sparse_operator.matrix": (make_sparse_operator, lambda c, op, v:
+                                    make_sparse_operator(v),
+                                    [_sparse_with(np.nan), _sparse_with(1 + 2j)]),
     "oracle_posterior.matrix": (oracle_posterior, lambda c, op, v: oracle_posterior(
         v, 1.0, 0.1), BAD_MATRICES),
     "load_dense_problem.matrix_path": (load_dense_problem, lambda c, op, v: _dense_files(
@@ -271,6 +280,10 @@ def test_vector_messages():
              (lambda: LambdaRule.optimal(np.ones((3, 1))),
               "x_true must be a 1-D vector, got shape (3, 1)"),
              (lambda: make_dense_operator([1.0, 2.0]), "matrix must be two-dimensional"),
+             (lambda: make_dense_operator([[1 + 2j, 0], [0, 1]]),
+              "matrix must be an array of real numbers, got complex128 values"),
+             (lambda: hess_init(op, np.ones(3, dtype=np.complex64)),
+              "b must be an array of real numbers, got complex64 values"),
              (lambda: SolverConfig("cg"), "unknown method 'cg'"),
              (lambda: PivotStrategy("diagonal"),
               "unknown pivot strategy kind 'diagonal'"),

@@ -88,6 +88,13 @@ class TestSvdSmall:
         np.testing.assert_allclose(svd.sigma, [2.0])
         np.testing.assert_allclose(np.abs(svd.ue1), [1.0, 0.0], atol=1e-15)
 
+    def test_ue1_is_a_read_only_view_of_u(self):
+        svd = svd_small(np.random.default_rng(4).standard_normal((6, 5)))
+        assert np.shares_memory(svd.ue1, svd.U)
+        np.testing.assert_array_equal(svd.ue1, svd.U[0])
+        with pytest.raises(ValueError, match="read-only"):
+            svd.ue1[0] = 1.0
+
     def test_zero_column(self):
         svd = svd_small([[0.0], [0.0]])
         np.testing.assert_array_equal(svd.sigma, [0.0])
@@ -264,7 +271,7 @@ class TestGcvMatchesReference:
         V = np.linalg.qr(rng.standard_normal((k, k)))[0]
         sigma = np.sort(10.0 ** rng.uniform(-8, 2, k))[::-1]
         sigma[-1] = 0.0
-        return ProjectedSvd(U=U, sigma=sigma, V=V, ue1=U[0, :].copy())
+        return ProjectedSvd(U=U, sigma=sigma, V=V)
 
     @pytest.mark.parametrize("k", [1, 7, 60])
     @pytest.mark.parametrize("zero_sigma", [False, True])
@@ -570,7 +577,7 @@ def _random_projected_svd(rng, k):
     v = -ue1
     v[0] += 1.0
     U = np.eye(k + 1) - 2.0 * np.outer(v, v) / (v @ v) if v @ v > 0 else np.eye(k + 1)
-    return ProjectedSvd(U=U, sigma=sigma, V=np.eye(k), ue1=U[0].copy())
+    return ProjectedSvd(U=U, sigma=sigma, V=np.eye(k))
 
 
 def _record_searches(monkeypatch):

@@ -293,6 +293,39 @@ def test_stop_tol_is_scale_free(gravity32, rule, c):
                                  ref.state.beta, ref.lambdas[-1], *A.shape)
 
 
+@pytest.mark.parametrize("method, rule", [("lsqr", "gcv"), ("hybrid_lsqr", "gcv"),
+                                          ("hybrid_lsqr", "wgcv")])
+@pytest.mark.parametrize("c", [2.0**-664, 2.0**664])
+def test_lsqr_family_is_scale_free(gravity32, method, rule, c):
+    # the counted 2-norms rescale a vector whose sum of squares under- or
+    # overflows, so A and b scaled near 1e+-200 give the same iterate,
+    # lambdas and residual norms scaled by c, and no warning of any kind
+    A = gravity32.op.matrix
+    cfg = SolverConfig(method, maxiter=20, lambda_rule=LambdaRule(kind=rule))
+    ref = solve(make_dense_operator(A), gravity32.b, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve(make_dense_operator(c * A), c * gravity32.b, cfg)
+    assert (res.k_stop, res.stop_reason) == (ref.k_stop, ref.stop_reason) == (20, "maxiter")
+    assert (np.linalg.norm(res.x_final - ref.x_final)
+            <= 1e-12 * np.linalg.norm(ref.x_final))
+    np.testing.assert_allclose(res.lambdas, c * np.array(ref.lambdas), rtol=1e-12)
+    np.testing.assert_allclose(res.residual_norms, c * np.array(ref.residual_norms),
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("rule", ["gcv", "wgcv"])
+@pytest.mark.parametrize("c", [2.0**-664, 2.0**664])
+def test_hybrid_lsqr_stop_tol_is_scale_free(gravity32, rule, c):
+    A = gravity32.op.matrix
+    cfg = SolverConfig("hybrid_lsqr", maxiter=30, lambda_rule=LambdaRule(kind=rule),
+                       stop_tol=1e-4)
+    ref = solve(make_dense_operator(A), gravity32.b, cfg)
+    res = solve(make_dense_operator(c * A), c * gravity32.b, cfg)
+    assert ref.stop_reason == res.stop_reason == "ghat_tol"
+    assert res.k_stop == ref.k_stop < 30
+
+
 def test_breakdown_at_init_returns_x0():
     op = make_dense_operator(A22)
     x0 = np.array([2.0, -1.0])
