@@ -14,8 +14,8 @@ from .golub_kahan import BidiagState, gk_init, gk_run, gk_step
 from .hessenberg import (BREAKDOWN_EXACT, BREAKDOWN_NONE, BREAKDOWN_RANK,
                          BreakdownError, HessenbergState, InputError, KrylovState,
                          PivotStrategy, hess_init, hess_run, hess_step)
-from .operators import (CountingOperator, InverseProblem, LinearOperator,
-                        add_noise, export_dense_matrix, load_dense_problem,
+from .operators import (InverseProblem, LinearOperator, add_noise,
+                        export_dense_matrix, load_dense_problem,
                         make_dense_operator, make_gravity_problem,
                         make_sparse_operator, make_tomo_problem, trace_view)
 from .projected import (LambdaRule, ProjectedSvd, gcv_value, ghat,

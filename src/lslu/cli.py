@@ -8,8 +8,9 @@ flags (kebab-case) and the keys its --config JSON object may set, whose
 values parse exactly like the flag text (flags override them; other
 fields are skipped with a warning).  Library constructors validate them.
 unread_reason says when a command does not read a field as set up (a
-parameter of another problem kind, an unread --lambda-value): such a
-flag exits 1 and such a key is skipped with a warning.
+parameter of another problem kind, a --lambda-rule with a plain method,
+an unread --lambda-value): such a flag exits 1 and such a key is
+skipped with a warning.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error.
 """
@@ -32,7 +33,6 @@ from .golub_kahan import gk_run
 from .hessenberg import InputError, PivotStrategy, check_maxiter, hess_run
 from .operators import (load_dense_problem, make_gravity_problem,
                         make_tomo_problem)
-from .pgm import write_pgm
 from .projected import LambdaRule
 from .solvers import METHODS, SolverConfig, solve
 from .uq import build_uq, check_noise_model, covariance_sum, variance_diagonal
@@ -145,6 +145,20 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def write_pgm(path, array):
+    """Write a 2-D array as a min-max scaled 8-bit binary PGM (P5)."""
+    array = np.atleast_2d(np.asarray(array, dtype=float))
+    lo, hi = float(array.min()), float(array.max())
+    if hi > lo:
+        scaled = np.round((array - lo) / (hi - lo) * 255.0)
+    else:
+        scaled = np.zeros_like(array)
+    header = f"P5\n{array.shape[1]} {array.shape[0]}\n255\n".encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(scaled.astype(np.uint8).tobytes())
+
+
 def build_problem(config):
     """Instantiate the configured test problem.
 
@@ -193,11 +207,11 @@ def unread_reason(config, command, name):
     if (name in set().union(*_PROBLEM_READS.values())
             and name not in _PROBLEM_READS[config.problem]):
         return f"--problem {config.problem}"
-    if name != "lambda_value" or command == "bounds":
+    if name not in ("lambda_rule", "lambda_value") or command == "bounds":
         return None
     if not config.method.startswith("hybrid"):
         return f"--method {config.method}: only the hybrid methods regularize"
-    if config.lambda_rule != "fixed":
+    if name == "lambda_value" and config.lambda_rule != "fixed":
         return f"--lambda-rule {config.lambda_rule}: only the fixed rule takes a value"
     return None
 

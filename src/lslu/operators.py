@@ -52,6 +52,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsymv
 
+from . import reductions
 from .hessenberg import (InputError, check_maxiter, check_real, check_vector,
                          finite_matrix)
 
@@ -64,17 +65,18 @@ class LinearOperator:
     nrows, ncols : int
         Output and input dimensions (m and n).
     forward : callable
-        Maps a length-n vector to a length-m vector (y = A x).
+        Maps a length-n vector to a real length-m vector (y = A x).
     adjoint : callable
-        Maps a length-m vector to a length-n vector (x = A^T y).
+        Maps a length-m vector to a real length-n vector (x = A^T y).
     matrix : ndarray, sparse matrix or _Deferred, optional
         The explicit matrix when one exists; retained for oracle use
         and export, never touched by the iterative solvers.  A
         _Deferred is formed on the first read of `matrix` and kept.
 
-    Apart from that one deferred formation, which a lock makes happen
-    once, instances are immutable after construction and safe to share
-    between concurrently running solves.
+    Each product is counted in the active `reductions.track()`.  Apart
+    from the one deferred formation of `matrix`, which a lock makes
+    happen once, instances are immutable after construction and safe to
+    share between concurrently running solves.
     """
 
     def __init__(self, nrows, ncols, forward, adjoint, matrix=None):
@@ -96,22 +98,10 @@ class LinearOperator:
         return (self.nrows, self.ncols)
 
     def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.ncols,):
-            raise ValueError(f"expected input of length {self.ncols}, got {x.shape}")
-        y = np.asarray(self._forward(x), dtype=float)
-        if y.shape != (self.nrows,):
-            raise ValueError("forward map returned wrong length")
-        return y
+        return _apply(self._forward, x, self.ncols, self.nrows, "forward")
 
     def adjoint(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.nrows,):
-            raise ValueError(f"expected input of length {self.nrows}, got {y.shape}")
-        x = np.asarray(self._adjoint(y), dtype=float)
-        if x.shape != (self.ncols,):
-            raise ValueError("adjoint map returned wrong length")
-        return x
+        return _apply(self._adjoint, y, self.nrows, self.ncols, "adjoint")
 
     def to_dense(self):
         """Explicit dense matrix (materialized column-by-column if needed)."""
@@ -121,6 +111,22 @@ class LinearOperator:
             return np.asarray(self.matrix, dtype=float)
         cols = np.eye(self.ncols)
         return np.column_stack([self.forward(cols[:, j]) for j in range(self.ncols)])
+
+
+def _apply(fn, v, size, out_size, name):
+    """fn(v), with v and its image checked as real vectors of lengths size
+    and out_size (a complex image by its dtype alone), counted as name."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (size,):
+        raise ValueError(f"expected input of length {size}, got {v.shape}")
+    image = np.asarray(fn(v))
+    if image.dtype.kind == "c":
+        raise ValueError(f"{name} map must return real numbers, got {image.dtype} values")
+    image = np.asarray(image, dtype=float)
+    if image.shape != (out_size,):
+        raise ValueError(f"{name} map returned wrong length")
+    reductions.record_product(name)
+    return image
 
 
 class _Deferred:
@@ -142,25 +148,6 @@ class _Deferred:
                     self._value = self._form()
                     self._form = None
         return self._value
-
-
-class CountingOperator(LinearOperator):
-    """Wrapper that tallies forward/adjoint applications (test instrumentation)."""
-
-    def __init__(self, op):
-        # the wrapped operator's matrix source, so that a deferred matrix
-        # stays unformed, and is formed once for both, when first read
-        super().__init__(op.nrows, op.ncols, op._forward, op._adjoint, op._matrix)
-        self.n_forward = 0
-        self.n_adjoint = 0
-
-    def forward(self, x):
-        self.n_forward += 1
-        return super().forward(x)
-
-    def adjoint(self, y):
-        self.n_adjoint += 1
-        return super().adjoint(y)
 
 
 @dataclass

@@ -7,7 +7,8 @@ them; the Golub-Kahan reorthogonalization's block products (rows @ vec)
 are not counted, so that family's count is a lower bound.  Infinity
 norms and coordinate maxima (the pivot searches) are deliberately *not*
 routed here: they are max-reductions, not inner products, and avoiding
-the latter is the whole point of the Hessenberg-based methods.
+the latter is the whole point of the Hessenberg-based methods.  track()
+counts each operator product too, beside the reductions.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ import numpy as np
 
 
 class ReductionCounter:
-    """Tally of long-vector inner-product/norm evaluations."""
+    """Tally of long-vector inner products/norms and of forward/adjoint products."""
 
     def __init__(self):
         self.count = 0
         self.by_length = {}
+        self.forward = 0
+        self.adjoint = 0
 
     def record(self, length):
         self.count += 1
@@ -37,7 +40,7 @@ _active = ContextVar("lslu_reduction_counter", default=None)
 
 @contextmanager
 def track():
-    """Count every dot/norm2 call made in this context while it is active."""
+    """Count every dot/norm2 call and operator product of this context while active."""
     counter = ReductionCounter()
     token = _active.set(counter)
     try:
@@ -50,6 +53,13 @@ def _record(length):
     counter = _active.get()
     if counter is not None:
         counter.record(int(length))
+
+
+def record_product(name):
+    """Count one operator product, name "forward" or "adjoint"."""
+    counter = _active.get()
+    if counter is not None:
+        setattr(counter, name, getattr(counter, name) + 1)
 
 
 def dot(x, y):

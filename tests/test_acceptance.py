@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from lslu import (CountingOperator, LambdaRule, PivotStrategy, SolverConfig,
+from lslu import (LambdaRule, PivotStrategy, SolverConfig,
                   build_uq, build_uq_bidiag, covariance_sum, gcv_value, ghat,
                   gk_run, hess_run, make_dense_operator, make_gravity_problem,
                   make_tomo_problem, run_hybrid_lslu, run_hybrid_lsqr,
@@ -245,16 +245,17 @@ def test_criterion_10_semiconvergence_and_competitiveness():
 
 def test_criterion_11_inner_product_free_witness():
     grav = make_gravity_problem(64, noise_level=1e-2, seed=0)
-    cop = CountingOperator(grav.op)
     for method, runner in (("lslu", run_lslu), ("hybrid_lslu", run_hybrid_lslu)):
         cfg = SolverConfig(
             method=method, maxiter=15, pure=True,
             lambda_rule=LambdaRule.wgcv(),
             stop_tol=1e-4 if method == "hybrid_lslu" else None)
         with reductions.track() as counter:
-            runner(cop, grav.b, cfg)
+            res = runner(grav.op, grav.b, cfg)
         assert counter.count == 0, method
         assert 64 not in counter.by_length
+        # the iteration's operator products, one of each per step, are live
+        assert counter.forward == counter.adjoint == res.k_reached > 0, method
     with reductions.track() as counter:
         run_lsqr(grav.op, grav.b, SolverConfig(method="lsqr", maxiter=5,
                                                pure=True))

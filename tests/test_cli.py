@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from lslu import InputError
-from lslu.cli import COMMANDS, RunConfig, UsageError, config_errors, flag, main
+from lslu.cli import (COMMANDS, RunConfig, UsageError, config_errors, flag, main,
+                      write_pgm)
 
 
 def run_cli(*args):
@@ -137,43 +138,65 @@ def test_library_warnings_without_source_paths(tmp_path, capsys):
     assert ".py:" not in err and "warnings.warn" not in err
 
 
+@pytest.mark.parametrize("array, pixels", [
+    ([[0.0, 1.0], [2.0, 4.0]], [0, 64, 128, 255]),
+    (np.full((2, 2), 7.0), [0, 0, 0, 0]),
+], ids=["scaled", "constant"])
+def test_pgm_is_min_max_scaled(tmp_path, array, pixels):
+    # a constant image, with no range to scale, is all black
+    write_pgm(tmp_path / "image.pgm", array)
+    assert (tmp_path / "image.pgm").read_bytes() == b"P5\n2 2\n255\n" + bytes(pixels)
+
+
 def test_unread_lambda_value_warns(tmp_path, capsys):
-    # a lambda value a command does not read exits 1 as a flag, naming it
-    # with why, and is skipped with one warning as a --config key; where
-    # it is read, or none is given, nothing is said
-    lam = ("--lambda-value", "0.05")
-    cases = [(("solve", "--method", "lslu"), "solve with --method lslu"),
-             (("solve",), "solve with --lambda-rule wgcv"),
-             (("compare", "--method", "lsqr", "--sample-sizes", "10"),
-              "compare with --method lsqr"),
-             (("compare", "--lambda-rule", "gcv", "--sample-sizes", "10"),
-              "compare with --lambda-rule gcv"),
-             (("solve", "--lambda-rule", "fixed"), None),
-             (("compare", "--lambda-rule", "fixed", "--sample-sizes", "10"), None),
-             (("bounds",), None)]
-    path = tmp_path / "lam.json"
-    path.write_text(json.dumps({"lambda_value": 0.05}))
-    for i, (args, reason) in enumerate(cases):
-        common = ("--n", "16", "--maxiter", "3")
-        out = tmp_path / str(i)
-        capsys.readouterr()
-        assert run_cli(*args, *lam, *common, "--output-dir", str(out / "flag")) == (
-            0 if reason is None else 1), args
-        err = capsys.readouterr().err
-        if reason is None:
-            assert "lambda-value" not in err, (args, err)
-        else:
-            assert err.startswith(f"error: --lambda-value is not read by {reason}: only")
-            assert err.count("\n") == 1 and not (out / "flag").exists(), (args, err)
-        assert run_cli(*args, "--config", str(path), *common,
-                       "--output-dir", str(out / "key")) == 0, args
-        err = capsys.readouterr().err
-        if reason is None:
-            assert "lambda_value" not in err, (args, err)
-        else:
-            assert err.startswith(
-                f"warning: {path}: lambda_value is not read by {reason}"), err
-            assert err.count("\n") == 1, (args, err)
+    # a lambda value or rule a command does not read exits 1 as a flag,
+    # naming it with why, and is skipped with one warning as a --config
+    # key; where it is read, or none is given, nothing is said
+    fields_cases = {
+        ("lambda_value", "0.05", 0.05): [
+            (("solve", "--method", "lslu"), "solve with --method lslu"),
+            (("solve",), "solve with --lambda-rule wgcv"),
+            (("compare", "--method", "lsqr", "--sample-sizes", "10"),
+             "compare with --method lsqr"),
+            (("compare", "--lambda-rule", "gcv", "--sample-sizes", "10"),
+             "compare with --lambda-rule gcv"),
+            (("solve", "--lambda-rule", "fixed"), None),
+            (("compare", "--lambda-rule", "fixed", "--sample-sizes", "10"), None),
+            (("bounds",), None)],
+        ("lambda_rule", "gcv", "gcv"): [
+            (("solve", "--method", "lslu"), "solve with --method lslu"),
+            (("solve", "--method", "lsqr"), "solve with --method lsqr"),
+            (("compare", "--method", "lsqr", "--sample-sizes", "10"),
+             "compare with --method lsqr"),
+            (("solve",), None),
+            (("compare", "--sample-sizes", "10"), None)],
+    }
+    for (name, value, key_value), cases in fields_cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({name: key_value}))
+        for i, (args, reason) in enumerate(cases):
+            common = ("--n", "16", "--maxiter", "3")
+            out = tmp_path / name / str(i)
+            capsys.readouterr()
+            assert run_cli(*args, flag(name), value, *common,
+                           "--output-dir", str(out / "flag")) == (
+                0 if reason is None else 1), args
+            err = capsys.readouterr().err
+            if reason is None:
+                assert flag(name) not in err, (args, err)
+            else:
+                assert err.startswith(f"error: {flag(name)} is not read by {reason}: "
+                                      "only"), err
+                assert err.count("\n") == 1 and not (out / "flag").exists(), (args, err)
+            assert run_cli(*args, "--config", str(path), *common,
+                           "--output-dir", str(out / "key")) == 0, args
+            err = capsys.readouterr().err
+            if reason is None:
+                assert name not in err, (args, err)
+            else:
+                assert err.startswith(
+                    f"warning: {path}: {name} is not read by {reason}"), err
+                assert err.count("\n") == 1, (args, err)
     for args in (("solve", "--method", "lslu"), ("uq", "--k-max", "3")):
         assert run_cli(*args, "--n", "16", "--maxiter", "3",
                        "--output-dir", str(tmp_path / "none")) == 0

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lslu import (CountingOperator, InputError, LambdaRule, PivotStrategy,
-                  SolverConfig, add_noise, bound_report, build_uq, compute_histories,
-                  ghat, gk_init, gk_run, hess_init, hess_run, hybrid_bound_report,
-                  load_dense_problem, make_dense_operator, make_gravity_problem,
-                  make_sparse_operator, make_tomo_problem, plain_bound_report,
-                  relation_residuals, replay, select_lambda, solve, svd_small,
-                  tikhonov_projected, wgcv_value)
+from lslu import (InputError, LambdaRule, PivotStrategy, SolverConfig, add_noise,
+                  bound_report, build_uq, compute_histories, ghat, gk_init, gk_run,
+                  hess_init, hess_run, hybrid_bound_report, load_dense_problem,
+                  make_dense_operator, make_gravity_problem, make_sparse_operator,
+                  make_tomo_problem, plain_bound_report, relation_residuals, replay,
+                  select_lambda, solve, svd_small, tikhonov_projected, wgcv_value)
+from lslu import reductions
 from lslu.uq import check_noise_model, oracle_posterior
 
 
@@ -110,19 +110,18 @@ def _bad_values(case):
     for case in INPUTS for value in _bad_values(case)])
 def test_bad_scalar_named(ctx, case, value):
     name, call, *_ = INPUTS[case]
-    op = CountingOperator(ctx["prob"].op)
-    with pytest.raises(InputError) as info:
-        call(ctx, op, value)
+    with reductions.track() as counter, pytest.raises(InputError) as info:
+        call(ctx, ctx["prob"].op, value)
     assert info.value.name == name
     assert name in str(info.value)
-    assert (op.n_forward, op.n_adjoint) == (0, 0)
+    assert (counter.forward, counter.adjoint) == (0, 0)
 
 
 @pytest.mark.parametrize("case", INPUTS)
 def test_numpy_scalar_accepted(ctx, case):
     _, call, legal, *_ = INPUTS[case]
     kind = np.float32 if case in REALS else np.int64
-    call(ctx, CountingOperator(ctx["prob"].op), kind(legal))
+    call(ctx, ctx["prob"].op, kind(legal))
 
 
 def test_message_fills_in_a_label():
@@ -263,12 +262,11 @@ def _names(owner):
 def test_bad_non_scalar_named(ctx, case, i):
     owner, call, values = NON_SCALARS[case]
     value = values[i](ctx) if callable(values[i]) else values[i]
-    op = CountingOperator(ctx["prob"].op)
-    with pytest.raises(InputError) as info:
-        call(ctx, op, value)
+    with reductions.track() as counter, pytest.raises(InputError) as info:
+        call(ctx, ctx["prob"].op, value)
     assert info.value.name in _names(owner), info.value
     assert info.value.name in str(info.value)
-    assert (op.n_forward, op.n_adjoint) == (0, 0)
+    assert (counter.forward, counter.adjoint) == (0, 0)
 
 
 def test_vector_messages():

@@ -12,12 +12,13 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dsymv
 
 import lslu
-from lslu import (CountingOperator, LinearOperator, SolverConfig, add_noise,
-                  export_dense_matrix, load_dense_problem, make_dense_operator,
-                  make_gravity_problem, make_sparse_operator, make_tomo_problem,
-                  solve, trace_view)
+from lslu import (LinearOperator, SolverConfig, add_noise, export_dense_matrix,
+                  load_dense_problem, make_dense_operator, make_gravity_problem,
+                  make_sparse_operator, make_tomo_problem, reductions, solve,
+                  trace_view)
 from lslu.operators import (_blocks_equal, _make_toeplitz_operator,
                             gravity_kernel_matrix)
+from lslu.solvers import METHODS
 
 
 class TestLinearOperator:
@@ -35,6 +36,54 @@ class TestLinearOperator:
     def test_numpy_integer_dimensions_accepted(self):
         op = LinearOperator(np.int64(3), np.int32(2), lambda x: x, lambda y: y)
         assert op.shape == (3, 2) and type(op.nrows) is int
+
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda v: v * (1 + 1j), "must return real numbers, got complex128 values"),
+        (lambda v: v.astype(np.complex64), "must return real numbers, got complex64 "
+                                           "values"),
+        (lambda v: v[:-1], "returned wrong length"),
+        (lambda v: np.append(v, 1.0), "returned wrong length"),
+    ], ids=["complex", "complex-zero-imaginary", "short", "long"])
+    def test_bad_image_names_its_map(self, side, spoil, message):
+        # rejected by dtype and shape alone, with no ComplexWarning, and
+        # not counted as a product
+        op = _spoiled_operator(side, spoil)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with reductions.track() as counter, pytest.raises(
+                    ValueError, match=f"^{side} map {message}$"):
+                getattr(op, side)(np.ones(op.ncols if side == "forward" else op.nrows))
+        assert (counter.forward, counter.adjoint) == (0, 0)
+
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_solve_rejects_a_complex_image(self, side, method):
+        # the first product with a complex image ends the solve, with no
+        # ComplexWarning and no iteration on the image's real part
+        op = _spoiled_operator(side, lambda v: v * (1 + 1j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{side} map must return real"):
+                solve(op, np.arange(1.0, 7.0), SolverConfig(method, maxiter=4))
+
+    def test_to_dense_without_a_matrix(self):
+        # one forward product per column
+        matrix = np.arange(1.0, 7.0).reshape(3, 2)
+        op = LinearOperator(3, 2, lambda x: matrix @ x, lambda y: matrix.T @ y)
+        with reductions.track() as counter:
+            dense = op.to_dense()
+        np.testing.assert_array_equal(dense, matrix)
+        assert (counter.forward, counter.adjoint) == (2, 0)
+
+
+def _spoiled_operator(side, spoil):
+    """A 6-by-4 operator whose side map applies spoil to its image."""
+    matrix = np.random.default_rng(5).standard_normal((6, 4))
+    maps = {"forward": lambda x: matrix @ x, "adjoint": lambda y: matrix.T @ y}
+    good = maps[side]
+    maps[side] = lambda v: spoil(good(v))
+    return LinearOperator(6, 4, maps["forward"], maps["adjoint"])
 
 
 class TestDenseOperator:
@@ -454,13 +503,6 @@ class TestDeferredMatrix:
         matrix = prob.op.matrix
         np.testing.assert_array_equal(matrix, gravity_kernel_matrix(4096))
         assert prob.op.matrix is matrix
-
-    def test_wrapping_forms_no_matrix(self):
-        op = make_gravity_problem(4096).op
-        wrapped, peak = _traced_peak(lambda: CountingOperator(op))
-        assert peak < 1 << 20
-        np.testing.assert_array_equal(wrapped.matrix, gravity_kernel_matrix(4096))
-        assert op.matrix is wrapped.matrix
 
     def test_concurrent_first_reads_and_solves(self):
         # two threads form the matrix at once while two solves run on the

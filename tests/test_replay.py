@@ -13,11 +13,11 @@ import pytest
 from scipy.linalg import hadamard
 
 import lslu.projected as projected
-from lslu import (BidiagState, CountingOperator, HessenbergState,
-                  LambdaRule, PivotStrategy, SolverConfig, bound_report, gk_init, gk_run,
-                  hess_init, hess_run, hybrid_bound_report, make_dense_operator,
-                  make_gravity_problem, make_tomo_problem, plain_bound_report, replay,
-                  solve)
+from lslu import (BidiagState, HessenbergState, LambdaRule, PivotStrategy,
+                  SolverConfig, bound_report, gk_init, gk_run, hess_init, hess_run,
+                  hybrid_bound_report, make_dense_operator, make_gravity_problem,
+                  make_tomo_problem, plain_bound_report, reductions, replay, solve)
+from lslu.solvers import METHODS
 
 FIELDS = ("x_final", "k_stop", "stop_reason", "lambdas", "ghats", "ys",
           "residual_norms", "relative_errors")
@@ -123,12 +123,11 @@ def test_replay_of_a_pure_solve_without_histories(gravity32):
 
 
 def test_replay_makes_no_operator_product(gravity32):
-    cop = CountingOperator(gravity32.op)
     config = SolverConfig("hybrid_lslu", 10, track_truth=gravity32.x_true)
-    state = grow(cop, gravity32.b, config)
-    counts = (cop.n_forward, cop.n_adjoint)
-    replay(state, config)
-    assert (cop.n_forward, cop.n_adjoint) == counts
+    state = grow(gravity32.op, gravity32.b, config)
+    with reductions.track() as counter:
+        replay(state, config)
+    assert (counter.forward, counter.adjoint) == (0, 0)
 
 
 def _hadamard_problem():
@@ -158,6 +157,13 @@ def _tomo16_unpivoted():
     return prob.op, prob.b
 
 
+def _rank_two():
+    # a 6-by-4 matrix of rank 2 and a generic b: both families stop at
+    # k = 2, on the third step, with three residual columns
+    b = np.random.default_rng(0).standard_normal(6)
+    return make_dense_operator(np.arange(1.0, 25.0).reshape(6, 4)), b
+
+
 def _exact_at_init():
     op = make_dense_operator(np.array([[1.0, 2.0], [3.0, 4.0]]))
     return op, op.forward(np.array([2.0, -1.0]))
@@ -174,6 +180,8 @@ _ENDINGS = {
                                     None, 8, False),
     "solution_space_spanned_lsqr": (lambda: _dense_problem((12, 8)), "lsqr", "full",
                                     None, 8, False),
+    "rank_deficient_lslu": (_rank_two, "lslu", "full", None, 2, False),
+    "rank_deficient_lsqr": (_rank_two, "lsqr", "full", None, 2, False),
     "dropped_column": (lambda: _sparse_problem(12), "lslu", "none", None, 6, False),
     "before_the_first_column": (_tomo16_unpivoted, "lslu", "none", None, 0, False),
     "exact_at_init": (_exact_at_init, "lslu", "full", np.array([2.0, -1.0]), 0, True),
@@ -197,6 +205,14 @@ def test_replay_of_a_broken_down_state(ending):
             reached = maxiter > k or (maxiter == k and added)
             assert fresh.stop_reason == ("breakdown" if reached else "maxiter")
             assert_same_result(replay(state, config), fresh)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rank_two_matrix_ends_rank_deficient(method):
+    op, b = _rank_two()
+    res = solve(op, b, SolverConfig(method, 20))
+    assert (res.k_stop, res.stop_reason) == (2, "breakdown")
+    assert (res.state.breakdown, res.state.residual_count) == ("rank_deficient", 3)
 
 
 def test_replay_rejects_what_it_cannot_replay(gravity32):

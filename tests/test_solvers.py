@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
-from lslu import (CountingOperator, InputError, LambdaRule, LinearOperator,
-                  PivotStrategy, SolverConfig, build_uq, gk_init, gk_run, hess_init,
+from lslu import (InputError, LambdaRule, LinearOperator, PivotStrategy,
+                  SolverConfig, build_uq, gk_init, gk_run, hess_init,
                   hess_run, compute_histories, ghat, make_dense_operator, run_hybrid_lslu,
                   run_hybrid_lsqr, run_lslu, run_lsqr, solve, svd_small)
 from lslu import reductions
@@ -358,12 +358,11 @@ def test_stacked_residual_ordering_fixed_lambda(gravity32):
 
 class TestInnerProductFreeWitness:
     def test_pure_mode_zero_reductions(self, gravity32):
-        cop = CountingOperator(gravity32.op)
         for method, runner in (("lslu", run_lslu), ("hybrid_lslu", run_hybrid_lslu)):
             cfg = SolverConfig(method=method, maxiter=10, pure=True,
                                stop_tol=1e-4 if method == "hybrid_lslu" else None)
             with reductions.track() as counter:
-                runner(cop, gravity32.b, cfg)
+                runner(gravity32.op, gravity32.b, cfg)
             assert counter.count == 0
             assert counter.by_length == {}
 
@@ -392,6 +391,7 @@ class TestInnerProductFreeWitness:
     def test_counts_stay_in_their_thread(self, gravity32):
         # one thread holds track() open while another runs an LSQR solve,
         # untracked; the first must count none of the solve's reductions
+        # or operator products
         opened, solved = threading.Event(), threading.Event()
         seen = []
 
@@ -399,7 +399,7 @@ class TestInnerProductFreeWitness:
             with reductions.track() as counter:
                 opened.set()
                 solved.wait(60)
-            seen.append(counter.count)
+            seen.append((counter.count, counter.forward, counter.adjoint))
 
         def solver():
             opened.wait(60)
@@ -412,7 +412,7 @@ class TestInnerProductFreeWitness:
             t.start()
         for t in threads:
             t.join(120)
-        assert solved.is_set() and seen == [0]
+        assert solved.is_set() and seen == [(0, 0, 0)]
 
     def test_interleaved_trackers_keep_their_counts(self, gravity32):
         # thread A opens its tracker, B opens its own, A closes, then B
@@ -446,11 +446,11 @@ class TestInnerProductFreeWitness:
         assert counts == {"a": 0, "b": expected.count} and expected.count > 0
 
     def test_pure_mode_work_pattern(self, gravity32):
-        cop = CountingOperator(gravity32.op)
-        run_lslu(cop, gravity32.b, SolverConfig(method="lslu", maxiter=10,
-                                                pure=True))
-        assert cop.n_forward == 10  # one per iteration, none for reporting
-        assert cop.n_adjoint == 10
+        config = SolverConfig(method="lslu", maxiter=10, pure=True)
+        with reductions.track() as counter:
+            run_lslu(gravity32.op, gravity32.b, config)
+        assert counter.forward == 10  # one per iteration, none for reporting
+        assert counter.adjoint == 10
 
     def test_post_hoc_histories_match_reporting_mode(self, gravity32):
         from lslu import compute_histories
@@ -471,12 +471,12 @@ class TestReportingFromFactorization:
                                                        pure):
         # reporting reads residuals off the factorization, so it adds no
         # operator product to the K of each kind the recurrence makes
-        cop = CountingOperator(gravity32.op)
-        res = solve(cop, gravity32.b, SolverConfig(
-            method, maxiter=10, pure=pure, track_truth=gravity32.x_true))
+        with reductions.track() as counter:
+            res = solve(gravity32.op, gravity32.b, SolverConfig(
+                method, maxiter=10, pure=pure, track_truth=gravity32.x_true))
         assert res.k_reached == 10
         assert len(res.residual_norms) == (0 if pure else 10)
-        assert (cop.n_forward, cop.n_adjoint) == (10, 10)
+        assert (counter.forward, counter.adjoint) == (10, 10)
 
     @staticmethod
     def _exact_problem():
@@ -561,6 +561,19 @@ class TestInputsCheckedAtInit:
                                                  "overflows$"):
                 init(op, [-1e308, 1.0], x0=[1.0, 0.0])
 
+    def test_initial_residual_scale_overflow(self, init):
+        # b is finite but its 2-norm, Golub-Kahan's scale, is not; the
+        # Hessenberg scale, a coordinate maximum, is
+        op, b = make_dense_operator(np.eye(2)), [1.7e308, 1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if init is hess_init:
+                assert init(op, b).beta == 1.7e308
+            else:
+                with pytest.raises(ValueError, match="^the scale of the initial "
+                                                     "residual b - A x0 overflows$"):
+                    init(op, b)
+
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("which,call", [("adjoint", 1), ("adjoint", 3),
@@ -602,10 +615,11 @@ BAD_TRUTHS = [
 @pytest.mark.parametrize("truth, message", BAD_TRUTHS)
 @pytest.mark.parametrize("method", METHODS)
 def test_bad_track_truth_named_before_any_product(gravity32, method, truth, message):
-    op = CountingOperator(gravity32.op)
-    with pytest.raises(ValueError, match=f"track_truth {message}"):
-        solve(op, gravity32.b, SolverConfig(method, maxiter=4, track_truth=truth))
-    assert op.n_forward == op.n_adjoint == 0
+    with reductions.track() as counter, pytest.raises(
+            ValueError, match=f"track_truth {message}"):
+        solve(gravity32.op, gravity32.b,
+              SolverConfig(method, maxiter=4, track_truth=truth))
+    assert counter.forward == counter.adjoint == 0
 
 
 @pytest.mark.parametrize("truth, message", BAD_TRUTHS)
@@ -616,11 +630,11 @@ def test_bad_optimal_rule_truth_named_before_any_product(gravity32, method, trut
     # solve rejects one of the wrong length
     if np.ndim(truth) != 1:
         message = "must be a 1-D vector"
-    op = CountingOperator(gravity32.op)
-    with pytest.raises(ValueError, match=f"x_true {message}"):
+    with reductions.track() as counter, pytest.raises(
+            ValueError, match=f"x_true {message}"):
         config = SolverConfig(method, maxiter=4, lambda_rule=LambdaRule.optimal(truth))
-        solve(op, gravity32.b, config)
-    assert op.n_forward == op.n_adjoint == 0
+        solve(gravity32.op, gravity32.b, config)
+    assert counter.forward == counter.adjoint == 0
 
 
 @pytest.mark.parametrize("truth, message", BAD_TRUTHS)
@@ -649,14 +663,14 @@ def test_run_wrappers_take_only_their_method(gravity32, run, method):
         fresh = solve(op, b, config or SolverConfig(method))
         assert ran.x_final.tobytes() == fresh.x_final.tobytes()
         assert ran.stop_reason == fresh.stop_reason
-    cop = CountingOperator(op)
-    for other in METHODS:
-        if other != method:
-            message = f"^method must be '{method}' for run_{method}, got '{other}'$"
-            with pytest.raises(InputError, match=message) as info:
-                run(cop, b, SolverConfig(other, maxiter=5))
-            assert info.value.name == "method"
-    assert (cop.n_forward, cop.n_adjoint) == (0, 0)
+    with reductions.track() as counter:
+        for other in METHODS:
+            if other != method:
+                message = f"^method must be '{method}' for run_{method}, got '{other}'$"
+                with pytest.raises(InputError, match=message) as info:
+                    run(op, b, SolverConfig(other, maxiter=5))
+                assert info.value.name == "method"
+    assert (counter.forward, counter.adjoint) == (0, 0)
 
 
 def test_projected_pass_goes_through_the_module_names(gravity32, monkeypatch):
@@ -686,11 +700,12 @@ def test_tall_problem_stops_when_the_solution_space_is_spanned(method):
     # at k = n the step flags rank_deficient before any operator product,
     # so the run takes exactly one adjoint product per column
     rng = np.random.default_rng(2)
-    cop = CountingOperator(make_dense_operator(rng.standard_normal((14, 9))))
-    res = solve(cop, rng.standard_normal(14), SolverConfig(method, maxiter=200))
+    op = make_dense_operator(rng.standard_normal((14, 9)))
+    with reductions.track() as counter:
+        res = solve(op, rng.standard_normal(14), SolverConfig(method, maxiter=200))
     assert res.stop_reason == "breakdown" and res.k_stop == 9
     assert res.state.breakdown == "rank_deficient"
-    assert cop.n_adjoint == 9
+    assert counter.adjoint == 9
 
 
 def test_steps_go_through_the_module_names(gravity32, monkeypatch):
