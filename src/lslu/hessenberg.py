@@ -189,9 +189,10 @@ def check_real(value, name, *, positive):
 def _as_float(value, name):
     try:
         array = np.asarray(value)
-        if array.dtype.kind != "c":  # a float cast would drop the imaginary part
+        # a float cast would drop an imaginary part or parse strings as numbers
+        if array.dtype.kind not in "cSU":
             return np.asarray(array, dtype=float)
-        kind = f"{array.dtype} values"
+        kind = type(value).__name__ if isinstance(value, str) else f"{array.dtype} values"
     except (TypeError, ValueError):
         kind = type(value).__name__
     raise InputError(name, "{name} must be an array of real numbers, got {kind}",
@@ -200,11 +201,13 @@ def _as_float(value, name):
 
 def check_vector(value, name, length=None, axis="columns"):
     """value as a float vector; an InputError naming it unless 1-D, finite
-    and, when given, of length `length` (the operator's rows or columns)."""
+    and, when given, of length `length` (the operator's rows or columns,
+    as axis says; axis None names no operator)."""
     vec = _as_float(value, name)
     if vec.ndim != 1 or length not in (None, vec.shape[0]):
-        want = ("a 1-D vector" if length is None
-                else f"a vector of length {length} (the operator's {axis})")
+        want = "a 1-D vector" if length is None else f"a vector of length {length}"
+        if length is not None and axis is not None:
+            want += f" (the operator's {axis})"
         raise InputError(name, f"{{name}} must be {want}, got shape {vec.shape}")
     if not np.isfinite(vec).all():
         raise InputError(name, "{name} has non-finite entries")

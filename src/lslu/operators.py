@@ -53,8 +53,8 @@ from scipy.linalg import toeplitz
 from scipy.linalg.blas import dsymv
 
 from . import reductions
-from .hessenberg import (InputError, check_maxiter, check_real, check_vector,
-                         finite_matrix)
+from .hessenberg import (InputError, _as_float, check_maxiter, check_real,
+                         check_vector, finite_matrix)
 
 
 class LinearOperator:
@@ -115,8 +115,10 @@ class LinearOperator:
 
 def _apply(fn, v, size, out_size, name):
     """fn(v), with v and its image checked as real vectors of lengths size
-    and out_size (a complex image by its dtype alone), counted as name."""
-    v = np.asarray(v, dtype=float)
+    and out_size (by dtype alone: a complex or string input, named x or
+    y, and a complex image are rejected unscanned), counted as name."""
+    if type(v) is not np.ndarray or v.dtype != float:  # a float array passes as is
+        v = _as_float(v, "x" if name == "forward" else "y")
     if v.shape != (size,):
         raise ValueError(f"expected input of length {size}, got {v.shape}")
     image = np.asarray(fn(v))
@@ -171,7 +173,8 @@ class InverseProblem:
 # entries per row block of the scans and products over a dense matrix
 # (512 KB of float64), so that none makes an m-by-n temporary; at
 # n = 4096 (16 rows) the Toeplitz product below took about 10% less time
-# than with 8 or 64 rows
+# than with 8 or 64 rows.  The tomography build traces its rays in
+# chunks of as many entries of the rays-by-crossings table.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -398,62 +401,88 @@ def make_gravity_problem(n, depth=0.25, noise_level=1e-2, seed=0):
     return InverseProblem(op, x_true, b_exact, b, e, noise_level, seed)
 
 
-def trace_view(n, points, direction):
-    """Exact intersection lengths of parallel rays with the cells of an n-by-n grid.
+def _trace_rays(n, points, directions):
+    """Exact intersection lengths of rays with the cells of an n-by-n grid.
 
-    The grid covers [0, n] x [0, n] with unit cells; cell (i, j) spans
-    [j, j+1] x [i, i+1] and has flat index i*n + j.  Ray r starts from
-    points[r] and every ray shares one direction.  Returns (rays, indices,
-    lengths), one entry per crossed cell, ordered by ray and then along
-    the ray.
+    Ray r starts from points[r] along the unit vector directions[r];
+    both are finite float (rays, 2) arrays.  Returns (counts, indices,
+    lengths): counts[r] cells are crossed by ray r, and indices and
+    lengths hold one entry per crossed cell, ordered by ray and then
+    along the ray.
+
+    A direction component below 1e-300 in magnitude makes its axis
+    parallel to the ray: the ray crosses none of that axis's grid lines
+    and hits the grid only strictly between the two outer ones.  Such a
+    component is replaced by 1 as a divisor and what it gives is masked
+    out, so nothing is divided by zero; a unit direction has a component
+    of at least 1/sqrt(2), so every ray's window is finite.
     """
-    points = np.asarray(points, dtype=float)
-    direction = np.asarray(direction, dtype=float)
-    nd = np.linalg.norm(direction)
-    if nd == 0:
-        raise ValueError("ray direction must be nonzero")
-    direction = direction / nd
-
     # Slab test for the bounding box, then all grid-line crossings inside it.
+    parallel = np.abs(directions) < 1e-300
+    divisors = np.where(parallel, 1.0, directions)
     hit = np.ones(points.shape[0], dtype=bool)
     t_lo = np.full(points.shape[0], -np.inf)
     t_hi = np.full(points.shape[0], np.inf)
-    axes = []
     for ax in range(2):
-        d, p = direction[ax], points[:, ax]
-        if abs(d) < 1e-300:
-            hit &= (p > 0) & (p < n)
-        else:
-            axes.append(ax)
-            t0, t1 = (0.0 - p) / d, (n - p) / d
-            t_lo = np.maximum(t_lo, np.minimum(t0, t1))
-            t_hi = np.minimum(t_hi, np.maximum(t0, t1))
+        p, d, skip = points[:, ax], divisors[:, ax], parallel[:, ax]
+        hit &= ~skip | ((p > 0) & (p < n))
+        t0, t1 = (0.0 - p) / d, (n - p) / d
+        t_lo = np.maximum(t_lo, np.where(skip, -np.inf, np.minimum(t0, t1)))
+        t_hi = np.minimum(t_hi, np.where(skip, np.inf, np.maximum(t0, t1)))
     hit &= t_hi > t_lo
 
-    # A crossing outside the window is moved onto t_hi: it sorts to the end
-    # of its ray and bounds only zero-length segments, which are dropped.
+    # A crossing outside the window, or on a parallel axis, is moved onto
+    # t_hi: it sorts to the end of its ray and bounds only zero-length
+    # segments, which are dropped.
     taus = [t_lo[:, None], t_hi[:, None]]
-    for ax in axes:
-        crossings = (np.arange(n + 1) - points[:, ax, None]) / direction[ax]
+    for ax in range(2):
+        crossings = (np.arange(n + 1) - points[:, ax, None]) / divisors[:, ax, None]
         inside = (crossings > t_lo[:, None]) & (crossings < t_hi[:, None])
+        inside &= ~parallel[:, ax, None]
         taus.append(np.where(inside, crossings, t_hi[:, None]))
     taus = np.sort(np.concatenate(taus, axis=1), axis=1)
 
     lengths = np.diff(taus, axis=1)
     keep = (lengths > 1e-14) & hit[:, None]
-    # per kept segment, in row-major order: its ray, its midpoint's
-    # parameter, and the cell holding the midpoint on each axis
+    # per kept segment, in row-major order: its midpoint's parameter, and
+    # the cell holding the midpoint on each axis
     counts = np.count_nonzero(keep, axis=1)
-    rays = np.repeat(np.arange(points.shape[0]), counts)
     half = (0.5 * (taus[:, :-1] + taus[:, 1:]))[keep]
     cells = []
     for ax in range(2):
         cell = np.repeat(points[:, ax], counts)
-        cell += half * direction[ax]
+        cell += half * np.repeat(directions[:, ax], counts)
         cell = np.floor(cell, out=cell).astype(int)
         np.maximum(cell, 0, out=cell)
         cells.append(np.minimum(cell, n - 1, out=cell))
-    return rays, cells[1] * n + cells[0], lengths[keep]
+    return counts, cells[1] * n + cells[0], lengths[keep]
+
+
+def trace_view(n, points, direction):
+    """Exact intersection lengths of parallel rays with the cells of an n-by-n grid.
+
+    The grid covers [0, n] x [0, n] with unit cells; cell (i, j) spans
+    [j, j+1] x [i, i+1] and has flat index i*n + j.  Ray r starts from
+    points[r], a finite real (rays, 2) array, and every ray shares one
+    direction, a finite nonzero 2-vector; an InputError names a bad one.
+    Returns (rays, indices, lengths), one entry per crossed cell, ordered
+    by ray and then along the ray.  The direction is normalized once and
+    the rays are traced by the routine that builds the tomography matrix.
+    """
+    check_maxiter(n, "n")
+    points = finite_matrix(points, "points")
+    if points.shape[1] != 2:
+        raise InputError("points", "{name} must have two columns (x, y), got shape "
+                         "{shape}", shape=points.shape)
+    direction = check_vector(direction, "direction", 2, axis=None)
+    with np.errstate(over="ignore"):
+        nd = np.linalg.norm(direction)
+    if not 0 < nd < math.inf:
+        raise InputError("direction", "{name} must be nonzero, with a norm in the "
+                         "float range, got {value}", value=direction.tolist())
+    directions = np.broadcast_to(direction / nd, points.shape)
+    counts, indices, lengths = _trace_rays(n, points, directions)
+    return np.repeat(np.arange(points.shape[0]), counts), indices, lengths
 
 
 def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed=0):
@@ -463,6 +492,14 @@ def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed
     has n_detectors parallel rays with unit-ish spacing covering the grid
     diagonal.  Row i*n_detectors + d holds the exact cell-intersection
     lengths of detector d at angle i.
+
+    All rays are traced view-major by one routine, in chunks of about
+    _BLOCK_ENTRIES entries of the rays-by-crossings table, and the CSR
+    matrix is assembled straight from its output: the per-ray counts
+    give the row pointers, the cells and lengths the indices and data.
+    Where a ray passes close to a grid corner, two of its segments can
+    land in one cell; `sum_duplicates` adds them.  The matrix equals the
+    one a per-ray reference tracer builds, bit for bit.
     """
     check_maxiter(n, "n", least=4)
     n_angles = n if n_angles is None else n_angles
@@ -476,21 +513,32 @@ def make_tomo_problem(n, n_angles=None, n_detectors=None, noise_level=1e-2, seed
     spacing = n * np.sqrt(2.0) / n_detectors
     offsets = (np.arange(n_detectors) - (n_detectors - 1) / 2.0) * spacing
 
-    rows_idx, cols_idx, vals = [], [], []
+    # each view's unit direction and the normal its detectors lie along
+    directions, normals = np.empty((n_angles, 2)), np.empty((n_angles, 2))
     for a in range(n_angles):
         theta = a * np.pi / n_angles
         direction = np.array([np.cos(theta), np.sin(theta)])
-        offset_dir = np.array([-np.sin(theta), np.cos(theta)])
-        rays, idx, lens = trace_view(n, center + offsets[:, None] * offset_dir,
-                                     direction)
-        rows_idx.append(a * n_detectors + rays)
-        cols_idx.append(idx)
-        vals.append(lens)
-    # where a ray passes close to a grid corner, two of its segments can
-    # land in one cell; the COO constructor sums them in triplet order
-    matrix = sp.csr_matrix((np.concatenate(vals),
-                            (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-                           shape=(m, n * n))
+        directions[a] = direction / np.linalg.norm(direction)
+        normals[a] = -np.sin(theta), np.cos(theta)
+    points = (center + offsets[:, None] * normals[:, None]).reshape(m, 2)
+    directions = np.repeat(directions, n_detectors, axis=0)
+
+    # a ray's row of the table holds its 2n + 4 window ends and crossings;
+    # scipy keeps 32-bit indices while they fit, so each chunk's are cast
+    # at once and no 64-bit copy of them all is made
+    step = max(1, _BLOCK_ENTRIES // (2 * n + 4))
+    index_dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    counts, indices, data = [], [], []
+    for i in range(0, m, step):
+        ray_counts, ray_indices, ray_lengths = _trace_rays(
+            n, points[i:i + step], directions[i:i + step])
+        counts.append(ray_counts)
+        indices.append(ray_indices.astype(index_dtype))
+        data.append(ray_lengths)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    data, indices = np.concatenate(data), np.concatenate(indices)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(m, n * n))
+    matrix.sum_duplicates()
     op = make_sparse_operator(matrix)
 
     jj, ii = np.meshgrid(np.arange(n) + 0.5, np.arange(n) + 0.5)

@@ -21,7 +21,8 @@ from lslu import (InputError, LambdaRule, PivotStrategy, SolverConfig, add_noise
                   hess_init, hess_run, hybrid_bound_report, load_dense_problem,
                   make_dense_operator, make_gravity_problem, make_sparse_operator,
                   make_tomo_problem, plain_bound_report, relation_residuals, replay,
-                  select_lambda, solve, svd_small, tikhonov_projected, wgcv_value)
+                  select_lambda, solve, svd_small, tikhonov_projected, trace_view,
+                  wgcv_value)
 from lslu import reductions
 from lslu.uq import check_noise_model, oracle_posterior
 
@@ -173,9 +174,9 @@ def _sparse_with(value):
 # vectors of the operator's 32 rows or columns a check must reject; a
 # complex one is rejected by its dtype, even with a zero imaginary part
 BAD_VECTORS = ["abc", {}, np.ones(31), np.ones((32, 1)), 2.0, _nan(32),
-               np.full(32, 1 + 2j), np.ones(32, dtype=complex)]
+               np.full(32, 1 + 2j), np.ones(32, dtype=complex), np.full(32, "1")]
 BAD_MATRICES = ["abc", np.ones(4), np.ones((2, 2, 2)), _nan(4, 3),
-                np.full((4, 3), 1 + 2j)]
+                np.full((4, 3), 1 + 2j), np.full((4, 3), "1")]
 # each non-scalar input: the callable or config class whose parameter or
 # field names it, a call (of the fixture's pieces, an operator whose
 # products are counted, and the value) that takes it, and values it must
@@ -203,6 +204,10 @@ NON_SCALARS = {
         [np.ones(1), np.ones(31), np.ones(33)]),
     "compute_histories.x_true": (compute_histories, lambda c, op, v: compute_histories(
         c["res"], v), BAD_VECTORS),
+    "trace_view.points": (trace_view, lambda c, op, v: trace_view(4, v, [1.0, 0.5]), [
+        [[np.nan, 1.0]], [[np.inf, 1.0]], [[1.0, 1.0, 1.0]], [1.0, 1.0], [["1", "1"]]]),
+    "trace_view.direction": (trace_view, lambda c, op, v: trace_view(4, [[0.0, 1.0]], v), [
+        [np.inf, 0.5], [1.0, 0.5, 0.0], [0.0, 0.0], [1e300, 1e300], ["1", "1"]]),
     "make_dense_operator.matrix": (make_dense_operator, lambda c, op, v:
                                    make_dense_operator(v), BAD_MATRICES),
     "make_sparse_operator.matrix": (make_sparse_operator, lambda c, op, v:
@@ -282,6 +287,15 @@ def test_vector_messages():
               "matrix must be an array of real numbers, got complex128 values"),
              (lambda: hess_init(op, np.ones(3, dtype=np.complex64)),
               "b must be an array of real numbers, got complex64 values"),
+             (lambda: hess_init(op, ["1", "2", "3"]),
+              "b must be an array of real numbers, got <U1 values"),
+             (lambda: trace_view(4, [[1.0, 1.0, 1.0]], [1.0, 0.5]),
+              "points must have two columns (x, y), got shape (1, 3)"),
+             (lambda: trace_view(4, [[1.0, 1.0]], [1.0, 0.5, 0.0]),
+              "direction must be a vector of length 2, got shape (3,)"),
+             (lambda: trace_view(4, [[1.0, 1.0]], [0.0, 0.0]),
+              "direction must be nonzero, with a norm in the float range, got "
+              "[0.0, 0.0]"),
              (lambda: SolverConfig("cg"), "unknown method 'cg'"),
              (lambda: PivotStrategy("diagonal"),
               "unknown pivot strategy kind 'diagonal'"),

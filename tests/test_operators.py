@@ -67,6 +67,34 @@ class TestLinearOperator:
             with pytest.raises(ValueError, match=f"^{side} map must return real"):
                 solve(op, np.arange(1.0, 7.0), SolverConfig(method, maxiter=4))
 
+    @pytest.mark.parametrize("side", ["forward", "adjoint"])
+    @pytest.mark.parametrize("value, kind", [
+        (np.array([1 + 2j, 0, 0]), "complex128 values"),
+        (np.zeros(3, dtype=complex), "complex128 values"),
+        (np.array(["1", "2", "3"]), "<U1 values"),
+        (["1", "2", "3"], "<U1 values"),
+    ], ids=["complex", "complex-zero-imaginary", "strings", "list-of-strings"])
+    def test_bad_input_named(self, side, value, kind):
+        # rejected by dtype alone, with no ComplexWarning, and not counted
+        op = make_dense_operator(np.eye(3))
+        name = "x" if side == "forward" else "y"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with reductions.track() as counter, pytest.raises(
+                    lslu.InputError,
+                    match=f"^{name} must be an array of real numbers, got {kind}$"):
+                getattr(op, side)(value)
+        assert (counter.forward, counter.adjoint) == (0, 0)
+
+    @pytest.mark.parametrize("value", [[1, 2, 3], np.arange(1, 4),
+                                       np.arange(1.0, 4.0, dtype=np.float32)])
+    def test_real_input_of_any_dtype_is_cast(self, value):
+        op = make_dense_operator(np.eye(3))
+        for side in ("forward", "adjoint"):
+            image = getattr(op, side)(value)
+            assert image.dtype == float
+            np.testing.assert_array_equal(image, [1.0, 2.0, 3.0])
+
     def test_to_dense_without_a_matrix(self):
         # one forward product per column
         matrix = np.arange(1.0, 7.0).reshape(3, 2)
@@ -646,6 +674,42 @@ class TestTomo:
         # the edge rays of the axis-aligned views miss the grid
         assert np.any(np.diff(matrix.indptr) == 0)
         np.testing.assert_array_equal(prob.b_exact, expected @ prob.x_true)
+
+    # chunks of 1 and 3 rays end inside the 11-ray views of n = 8, whose
+    # first view is the axis-parallel theta = 0, and 10**6 rays make one
+    # chunk of every view; 50 rays end inside the 181-ray views of
+    # (128, 4, 181), whose diagonal views sum duplicate cells
+    @pytest.mark.parametrize("n, n_angles, n_detectors, rays", [
+        (8, None, None, 1), (8, None, None, 3), (8, None, None, 10**6),
+        (128, 4, 181, 50),
+    ])
+    def test_chunks_ending_inside_views(self, monkeypatch, n, n_angles, n_detectors,
+                                        rays):
+        default = make_tomo_problem(n, n_angles, n_detectors).op.matrix
+        # a chunk holds _BLOCK_ENTRIES // (2n + 4) rays
+        monkeypatch.setattr(lslu.operators, "_BLOCK_ENTRIES", rays * (2 * n + 4))
+        prob = make_tomo_problem(n, n_angles, n_detectors)
+        matrix = prob.op.matrix
+        expected = _reference_tomo_matrix(n, *prob.image_shapes["data"])
+        for name in ("data", "indices", "indptr"):
+            got = getattr(matrix, name)
+            for want in (getattr(default, name), getattr(expected, name)):
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_construction_peak_below_matrix_bytes(self):
+        # beyond the problem it returns, the build's peak stays within the
+        # bytes of the matrix and its transposed copy
+        tracemalloc.start()
+        try:
+            prob = make_tomo_problem(64)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        matrix = prob.op.matrix
+        size = sum(a.nbytes for csr in (matrix, sp.csr_matrix(matrix.T))
+                   for a in (csr.data, csr.indices, csr.indptr))
+        assert peak - kept <= size
 
     @pytest.mark.parametrize("point, direction", [
         ([-1.0, 5.5], [1.0, 0.0]),    # parallel to the x axis, above the grid
