@@ -288,6 +288,7 @@ def make_sparse_operator(matrix):
         raise InputError("matrix", "{name} must be a matrix of real numbers, got "
                          "{kind}", kind=type(matrix).__name__) from None
     check_vector(csr.data, "matrix")  # the stored values, a COO's duplicates summed
+    # the CSC view csr.T gives the same bits but a 20-50% slower adjoint
     csc_t = sp.csr_matrix(csr.T)
     m, n = csr.shape
     return LinearOperator(m, n, lambda x: csr @ x, lambda y: csc_t @ y, matrix=csr)

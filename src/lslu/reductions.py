@@ -3,12 +3,16 @@
 Every length-m / length-n inner product or 2-norm that the solver
 drivers take one vector at a time goes through this module, so tests
 can witness that the LSLU family's iteration hot path performs none of
-them; the Golub-Kahan reorthogonalization's block products (rows @ vec)
-are not counted, so that family's count is a lower bound.  Infinity
-norms and coordinate maxima (the pivot searches) are deliberately *not*
-routed here: they are max-reductions, not inner products, and avoiding
-the latter is the whole point of the Hessenberg-based methods.  track()
-counts each operator product too, beside the reductions.
+them.  The Golub-Kahan reorthogonalization's block products (rows @ vec,
+one per classical Gram-Schmidt pass: one per half-step after the first,
+and a second wherever the DGKS test asks for another pass) are tallied
+apart, as `blocks`, so `count` keeps meaning one-vector reductions and
+the two together are that family's whole tally of long reductions.
+Infinity norms and coordinate maxima (the pivot searches) are
+deliberately *not* routed here: they are max-reductions, not inner
+products, and avoiding the latter is the whole point of the
+Hessenberg-based methods.  track() counts each operator product too,
+beside the reductions.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ import numpy as np
 
 
 class ReductionCounter:
-    """Tally of long-vector inner products/norms and of forward/adjoint products."""
+    """Tally of long-vector inner products/norms, of reorthogonalization
+    block products and of forward/adjoint products."""
 
     def __init__(self):
         self.count = 0
         self.by_length = {}
+        self.blocks = 0
         self.forward = 0
         self.adjoint = 0
 
@@ -40,7 +46,8 @@ _active = ContextVar("lslu_reduction_counter", default=None)
 
 @contextmanager
 def track():
-    """Count every dot/norm2 call and operator product of this context while active."""
+    """Count every dot/norm2 call, block product and operator product of
+    this context while active."""
     counter = ReductionCounter()
     token = _active.set(counter)
     try:
@@ -56,7 +63,8 @@ def _record(length):
 
 
 def record_product(name):
-    """Count one operator product, name "forward" or "adjoint"."""
+    """Count one product: "forward" or "adjoint" (an operator product) or
+    "blocks" (a reorthogonalization's rows @ vec)."""
     counter = _active.get()
     if counter is not None:
         setattr(counter, name, getattr(counter, name) + 1)

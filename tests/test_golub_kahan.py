@@ -3,7 +3,8 @@ import pytest
 
 from lslu import (BREAKDOWN_EXACT, BREAKDOWN_NONE, PivotStrategy, gk_init, gk_run,
                   gk_step, hess_init, hess_run, ls_projected, make_dense_operator,
-                  svd_small)
+                  make_gravity_problem, reductions, svd_small)
+from lslu.golub_kahan import _reorthogonalize
 
 
 def test_identity_hand_recurrence():
@@ -85,3 +86,37 @@ def test_options_after_x0_are_keyword_only(entry, option):
     op = make_dense_operator(np.eye(3))
     with pytest.raises(TypeError):
         entry(op, np.ones(3), None, option)
+
+
+@pytest.mark.parametrize("tilt, passes", [(1e-10, 2), (None, 1)],
+                         ids=["near_span", "generic"])
+def test_second_pass_only_when_dgks_asks(tilt, passes):
+    # a vector within 1e-10 of the rows' span loses almost all of its
+    # norm in the first pass, so the DGKS test takes a second one; a
+    # generic vector keeps more than 1/sqrt(2) and takes one.  Each pass
+    # is one block product and one counted norm.
+    rng = np.random.default_rng(3)
+    rows = np.linalg.qr(rng.standard_normal((50, 8)))[0].T
+    w = rng.standard_normal(50)
+    vec = w if tilt is None else rows.T @ rng.standard_normal(8) + tilt * w
+    once = vec - rows.T @ (rows @ vec)
+    with reductions.track() as counter:
+        norm = _reorthogonalize(vec, rows)
+    assert (counter.blocks, counter.count) == (passes, passes)
+    assert norm == pytest.approx(np.linalg.norm(vec), rel=1e-14)
+    assert np.abs(rows @ vec).max() <= 1e-15 * norm * np.sqrt(50)
+    if tilt is not None:  # the pass it added was needed
+        assert np.abs(rows @ once).max() > 1e-10 * np.linalg.norm(once)
+
+
+def test_deep_run_stays_orthonormal():
+    # gravity n=256 to k=100 loses orthogonality fast enough that the
+    # DGKS test fires on many half-steps; both bases stay orthonormal
+    grav = make_gravity_problem(256)
+    with reductions.track() as counter:
+        state = gk_run(grav.op, grav.b, maxiter=100)
+    assert state.k == 100
+    assert counter.blocks - (2 * state.k - 1) >= 50  # second passes
+    U, V = state.U, state.V
+    assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-14
+    assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-14

@@ -452,6 +452,26 @@ class TestInnerProductFreeWitness:
         assert counter.forward == 10  # one per iteration, none for reporting
         assert counter.adjoint == 10
 
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_lsqr_counts_every_long_reduction(self, k):
+        # pure hybrid LSQR on tomo n=24: per iteration two operator-image
+        # norms and the alpha and beta that the Gram-Schmidt passes leave,
+        # plus beta_1; one block product per half-step after the first, as
+        # no second pass fires here.  Hybrid LSLU takes no block product.
+        from lslu import make_tomo_problem
+        prob = make_tomo_problem(24, noise_level=1e-2, seed=0)
+        with reductions.track() as counter:
+            res = run_hybrid_lsqr(prob.op, prob.b, SolverConfig(
+                "hybrid_lsqr", maxiter=k, pure=True))
+        assert res.k_reached == k
+        assert counter.count == 4 * k + 1
+        assert counter.blocks == 2 * k - 1
+        assert counter.forward == counter.adjoint == k
+        with reductions.track() as counter:
+            run_hybrid_lslu(prob.op, prob.b, SolverConfig(
+                "hybrid_lslu", maxiter=k, pure=True))
+        assert (counter.count, counter.blocks) == (0, 0)
+
     def test_post_hoc_histories_match_reporting_mode(self, gravity32):
         from lslu import compute_histories
         res_pure = run_lslu(gravity32.op, gravity32.b,
