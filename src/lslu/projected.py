@@ -61,7 +61,11 @@ class ProjectedSvd:
 
 
 #: Below this many columns a fresh LAPACK SVD costs less than extending
-#: the previous one (measured crossover, see ROADMAP "Recent").
+#: the previous one.  Measured on tomo n=24 projected matrices of both
+#: families (2-vCPU Xeon, one BLAS thread, median of 300 calls, two
+#: runs): LAPACK against the extension took 122-242 against 175-361 us
+#: at k = 30, 155-314 against 176-398 us at k = 35 and 263-419 against
+#: 228-369 us at k = 40, so the crossover lies between 35 and 40.
 _EXTEND_MIN_K = 40
 #: The extension writes the new U and V a block of columns at a time,
 #: each block's vectors about this many entries; its other temporaries,

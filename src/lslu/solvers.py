@@ -1,11 +1,19 @@
 """End-to-end iterative solvers over either factorization.
 
-A solve grows a state (hess_init or gk_init, then iterate) and feeds
-each new k to the projected pass: SVD the small projected matrix, pick
-the regularization parameter, solve the projected problem, evaluate
-the stopping function.  replay runs the same pass over the columns a
-state already holds.  A plain method is its hybrid at the fixed
-parameter 0.  The LSLU family's hot path stays free of long-vector
+A solve grows a state (hess_init or gk_init, then iterate) and runs the
+projected pass over it: at each k, SVD the small projected matrix, pick
+the regularization parameter, solve the projected problem, evaluate the
+stopping function.  With a stop test the pass takes each new k as it is
+grown, so the state stops at k_stop; with none the state is grown to
+the end first and one pass then reads its held columns.  The two phases
+then do not evict each other's data from cache at every iteration: on
+a pure hybrid LSLU solve (2-vCPU Xeon, one BLAS thread) the steps ran
+9%, 3% and 33% faster and the pass 18%, 24% and 7% faster on gravity
+n=4096 (20 iterations), tomo n=64 (100) and tomo n=24 (200).  The pass
+reads only the first k columns, which later steps never rewrite, so
+both orders give the same bits.  replay runs the same pass over the
+columns a state already holds.  A plain method is its hybrid at the
+fixed parameter 0.  The LSLU family's hot path stays free of long-vector
 inner products; history reporting is the only place norms appear, and
 `pure=True` turns it off so tests can witness a zero reduction count.
 """
@@ -96,7 +104,13 @@ def _check_truths(config, n):
 
 
 def _drive(op, b, config):
-    """Grow the state with iterate, feeding each new k to the projected pass."""
+    """Grow the state with iterate and run the projected pass over it.
+
+    With config.stop_tol the pass takes each k as iterate yields it, so
+    no step runs past the stop.  Without it the state is grown to
+    config.maxiter (or its breakdown) first, then one pass runs over
+    k = 1..state.k, as replay does (see the module docstring for why).
+    """
     _check_truths(config, op.shape[1])
     if config.method.endswith("lslu"):
         state = hess_init(op, b, config.x0, strategy=config.pivot,
@@ -105,13 +119,19 @@ def _drive(op, b, config):
     else:
         state = gk_init(op, b, config.x0, maxiter=config.maxiter)
         step = gk_step
-    return _project(state, config, iterate(state, step, op, config.maxiter))
+    steps = iterate(state, step, op, config.maxiter)
+    if config.stop_tol is None:
+        for _ in steps:
+            pass
+        steps = range(1, state.k + 1)
+    return _project(state, config, steps)
 
 
 def replay(state, config):
     """The SolveResult a fresh solve of config gives, bit for bit, read
     off a grown state's columns: the projected pass over k =
-    1..config.maxiter, with no operator product.  config's x0 and pivot
+    1..config.maxiter, with no operator product (a solve without a stop
+    test runs this same pass once its state is grown).  config's x0 and pivot
     are not read (the state fixed them).  A state that is not a
     HessenbergState or BidiagState, a method of the other family, or a
     maxiter past state.k on a state that has not broken down raises a

@@ -13,10 +13,13 @@ import pytest
 from scipy.linalg import hadamard
 
 import lslu.projected as projected
+import lslu.solvers as solvers
 from lslu import (BidiagState, HessenbergState, LambdaRule, PivotStrategy,
                   SolverConfig, bound_report, gk_init, gk_run, hess_init, hess_run,
                   hybrid_bound_report, make_dense_operator, make_gravity_problem,
                   make_tomo_problem, plain_bound_report, reductions, replay, solve)
+from lslu.golub_kahan import gk_step
+from lslu.hessenberg import hess_step, iterate
 from lslu.solvers import METHODS
 
 FIELDS = ("x_final", "k_stop", "stop_reason", "lambdas", "ghats", "ys",
@@ -53,6 +56,15 @@ def _snapshot(state):
             out[key] = value.bit_generator.state
         elif key != "_r_factors":
             out[key] = value
+    return out
+
+
+def _held(state):
+    # _snapshot of what the state holds: the rows of the two bases past
+    # their columns are np.empty storage that no step filled
+    out = _snapshot(state)
+    out["_sol"] = state._sol[:state.k].tobytes()
+    out["_res"] = state._res[:state.residual_count].tobytes()
     return out
 
 
@@ -205,6 +217,59 @@ def test_replay_of_a_broken_down_state(ending):
             reached = maxiter > k or (maxiter == k and added)
             assert fresh.stop_reason == ("breakdown" if reached else "maxiter")
             assert_same_result(replay(state, config), fresh)
+
+
+def _interleaved(op, b, config):
+    # the order a solve with a stop test keeps: the pass takes each new k
+    # as the state grows it
+    if config.method.endswith("lslu"):
+        state = hess_init(op, b, config.x0, strategy=config.pivot,
+                          maxiter=config.maxiter)
+        step = hess_step
+    else:
+        state = gk_init(op, b, config.x0, maxiter=config.maxiter)
+        step = gk_step
+    return solvers._project(state, config, iterate(state, step, op, config.maxiter))
+
+
+def _gravity64():
+    prob = make_gravity_problem(64, noise_level=1e-2, seed=0)
+    return prob.op, prob.b
+
+
+# (problem, maxiter, the state's end): at maxiter (unpivoted LSLU breaks
+# down at k = 17), in exact_solution at k = 3, in rank_deficient at k = 2
+_ORDER_PROBLEMS = {"maxiter": (_gravity64, 15, "none"),
+                   "exact_solution": (_hadamard_problem, 20, "exact_solution"),
+                   "rank_deficient": (_rank_two, 20, "rank_deficient")}
+
+
+@pytest.mark.parametrize("method, pivot", [
+    (method, pivot) for method in METHODS
+    for pivot in (("none", "full", "sampled") if method.endswith("lslu") else ("full",))])
+@pytest.mark.parametrize("ending", list(_ORDER_PROBLEMS))
+def test_grown_then_projected_is_the_interleaved_solve(ending, method, pivot):
+    # a solve without a stop test grows its state to the end before the
+    # pass; it must give the bits of the pass fed each k as it is grown
+    make, maxiter, breakdown = _ORDER_PROBLEMS[ending]
+    op, b = make()
+    n = op.shape[1]
+    x_true = np.linspace(1.0, 2.0, n)
+    strategy = (PivotStrategy.sampled(5, seed=2) if pivot == "sampled"
+                else PivotStrategy(pivot))
+    rules = ([LambdaRule.fixed(0.01), LambdaRule.wgcv(), LambdaRule.optimal(x_true)]
+             if method.startswith("hybrid_") else [LambdaRule.wgcv()])
+    x0 = np.linspace(-1.0, 1.0, n)
+    for rule in rules:
+        # a nonzero x0 moves b by A x0, so the residual and the ending stay
+        for start, data, truth in ((None, b, None), (x0, b + op.forward(x0), x_true)):
+            config = SolverConfig(method, maxiter, x0=start, pivot=strategy,
+                                  lambda_rule=rule, track_truth=truth)
+            fresh, reference = solve(op, data, config), _interleaved(op, data, config)
+            assert fresh.state.breakdown == breakdown
+            assert fresh.stop_reason == ("maxiter" if breakdown == "none" else "breakdown")
+            assert_same_result(fresh, reference)
+            assert _held(fresh.state) == _held(reference.state)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -764,6 +764,50 @@ def test_steps_go_through_the_module_names(gravity32, monkeypatch):
         assert calls == [f"{prefix}_init"] + [f"{prefix}_step"] * 5
 
 
+@pytest.mark.parametrize("method, stop_tol", [(method, None) for method in METHODS]
+                         + [("hybrid_lslu", 1e-12), ("hybrid_lsqr", 1e-12)])
+def test_steps_and_projected_svds_in_order(gravity32, method, stop_tol, monkeypatch):
+    # without a stop test every step comes before the pass, so the two do
+    # not evict each other's data from cache at every iteration; with one
+    # the pass takes each step's k, so no step runs past the stop
+    import lslu.solvers
+    calls = []
+    for name in ("hess_step", "gk_step", "svd_small"):
+        def wrapped(*args, _inner=getattr(lslu.solvers, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(lslu.solvers, name, wrapped)
+    res = solve(gravity32.op, gravity32.b,
+                SolverConfig(method, maxiter=6, stop_tol=stop_tol))
+    step = "hess_step" if method.endswith("lslu") else "gk_step"
+    assert res.k_stop == 6
+    assert calls == ([step, "svd_small"] * 6 if stop_tol
+                     else [step] * 6 + ["svd_small"] * 6)
+
+
+@pytest.mark.parametrize("problem", ["gravity256", "tomo32"])
+def test_a_stopped_solve_takes_no_step_past_its_stop(request, problem):
+    # the stop test runs as the state grows, so a ghat_tol stop leaves the
+    # state at k_stop with one product of each kind per column; an
+    # unpivoted run may instead end in a breakdown, which takes one more
+    # adjoint product
+    from lslu import make_gravity_problem
+    prob = (make_gravity_problem(256, noise_level=1e-2, seed=0)
+            if problem == "gravity256" else request.getfixturevalue(problem))
+    runs = [("hybrid_lslu", pivot) for pivot in (
+        PivotStrategy.none(), PivotStrategy.full(), PivotStrategy.sampled(50, seed=0))]
+    runs.append(("hybrid_lsqr", PivotStrategy.full()))
+    for method, pivot in runs:
+        for rule in (LambdaRule.gcv(), LambdaRule.wgcv(), LambdaRule.fixed(0.01)):
+            with reductions.track() as counter:
+                res = solve(prob.op, prob.b, SolverConfig(
+                    method, maxiter=100, pivot=pivot, lambda_rule=rule, stop_tol=1e-4))
+            assert res.stop_reason == "ghat_tol" or pivot.kind == "none"
+            if res.stop_reason == "ghat_tol":
+                assert (counter.forward == counter.adjoint == res.k_stop
+                        == res.state.k < 100)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="cg")
