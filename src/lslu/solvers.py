@@ -9,10 +9,18 @@ the end first and one pass then reads its held columns.  The two phases
 then do not evict each other's data from cache at every iteration: on
 a pure hybrid LSLU solve (2-vCPU Xeon, one BLAS thread) the steps ran
 9%, 3% and 33% faster and the pass 18%, 24% and 7% faster on gravity
-n=4096 (20 iterations), tomo n=64 (100) and tomo n=24 (200).  The pass
-reads only the first k columns, which later steps never rewrite, so
-both orders give the same bits.  replay runs the same pass over the
-columns a state already holds.  A plain method is its hybrid at the
+n=4096 (20 iterations), tomo n=64 (100) and tomo n=24 (200).  At each k
+the pass solves from the first k columns, which later steps never
+rewrite, so both orders give the same bits in a solve of up to 40
+iterations, the SVD extension's crossover.  Past it, a pass without a
+stop test also hands svd_small the held columns it will reach later
+(up to min(maxiter, state.k)), and from about the midpoint the SVD
+keeps U^T on them instead of U: deep LSLU results then agree with the
+full-U route to rounding, not bitwise, and on tomo n=24 at 200
+iterations the solve's tracemalloc peak falls from 4.89 to 4.26 MB.
+Stop-test solves keep the full U, and hybrid LSQR its two rows, bit for
+bit.  replay runs the same pass over the columns a state already holds,
+so it keeps a fresh solve's bits.  A plain method is its hybrid at the
 fixed parameter 0.  The LSLU family's hot path stays free of long-vector
 inner products; history reporting is the only place norms appear, and
 `pure=True` turns it off so tests can witness a zero reduction count.
@@ -151,15 +159,22 @@ def replay(state, config):
 
 def _project(state, config, steps):
     # the projected pass: at each k from steps it reads the first k
-    # columns of the projected matrix and solution basis, beta and x0
+    # columns of the projected matrix and solution basis, beta and x0.
+    # Without a stop test it reaches every column the state holds up to
+    # maxiter, so the SVD at k may be extended from U^T on the columns
+    # k+1..last (svd_small's ahead) rather than from U.  Those columns
+    # are counted once, before the first step: a state grown as the pass
+    # goes (a stop test's order) holds none, so its pass keeps a full U.
     m, n, beta = state.m, state.n, state.beta
     rule = (config.lambda_rule if config.method.startswith("hybrid_")
             else LambdaRule.fixed(0.0))
+    last = min(config.maxiter, state.k) if config.stop_tol is None else 0
     ys, lambdas, ghats = [], [], []
     stop_reason = svd = None
     for k in steps:
         # the projected matrix grew by one column and row: extend its SVD
-        svd = svd_small(state.projected_matrix[:k + 1, :k], svd)
+        M = state.projected_matrix
+        svd = svd_small(M[:k + 1, :k], svd, M[:k + 1, k:last] if k <= last else None)
         lambdas.append(select_lambda(rule, svd, beta, m,
                                      basis=state.solution_basis[:, :k], x0=state.x0))
         ys.append(tikhonov_projected(svd, beta, lambdas[-1]))

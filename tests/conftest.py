@@ -20,6 +20,12 @@ def tomo16():
 
 
 @pytest.fixture(scope="session")
+def tomo24():
+    # the size of the benchmark's deep workload (816x576)
+    return make_tomo_problem(24, noise_level=1e-2, seed=0)
+
+
+@pytest.fixture(scope="session")
 def tomo32():
     return make_tomo_problem(32, noise_level=1e-2, seed=0)
 

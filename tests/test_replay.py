@@ -7,6 +7,7 @@ wrapper that grows its own.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +125,69 @@ def test_replay_past_the_svd_extension_crossover(tomo16, method):
     fresh = solve(tomo16.op, tomo16.b, config)
     assert state.k == fresh.k_reached == maxiter
     assert_same_result(replay(state, config), fresh)
+
+
+def _spy_on_the_pass(monkeypatch, state=None):
+    """Patch the pass's svd_small to log, per call, (k, the number of
+    later columns it was given or None, state.k at the call, whether
+    the SVD keeps probe rows); state.k is None without a state."""
+    log, inner = [], solvers.svd_small
+
+    def spy(H, prev=None, ahead=None):
+        svd = inner(H, prev, ahead)
+        log.append((H.shape[1], None if ahead is None else ahead.shape[1],
+                    None if state is None else state.k, svd.probes))
+        return svd
+
+    monkeypatch.setattr(solvers, "svd_small", spy)
+    return log
+
+
+DEEP = 120
+
+
+@pytest.mark.parametrize("case", ["no_stop", "below_state_k", "stop_never_fires",
+                                  "lsqr"])
+def test_replay_of_a_deep_solve(tomo24, monkeypatch, case):
+    # past the midpoint a pass without a stop test extends the SVD from
+    # the probe rows of the columns up to maxiter; replaying a longer
+    # state reads those same columns, so it keeps the fresh solve's bits.
+    # A stop test that does not fire keeps a full U throughout, and
+    # hybrid LSQR its two rows.
+    config = SolverConfig("hybrid_lsqr" if case == "lsqr" else "hybrid_lslu", DEEP,
+                          track_truth=tomo24.x_true,
+                          stop_tol=1e-300 if case == "stop_never_fires" else None)
+    log = _spy_on_the_pass(monkeypatch)
+    fresh = solve(tomo24.op, tomo24.b, config)
+    assert fresh.stop_reason == "maxiter" and fresh.k_stop == DEEP
+    probes = [k for k, _, _, kept in log if kept]
+    probed = case in ("no_stop", "below_state_k")
+    assert probes == (list(range(DEEP // 2 + 1, DEEP + 1)) if probed else [])
+    state = grow(tomo24.op, tomo24.b, config,
+                 maxiter=DEEP if case == "no_stop" else DEEP + 20)
+    log.clear()
+    assert_same_result(replay(state, config), fresh)
+    assert [kept for *_, kept in log] == [k in probes for k in range(1, DEEP + 1)]
+
+
+def test_interleaved_deep_pass_keeps_a_full_u(tomo24, monkeypatch):
+    # fed each k as the state grows it, a pass without a stop test holds
+    # no later column, so it takes the full-U route (that of a stop test
+    # that never fires) and never reads a column not yet grown; a solve
+    # reads only grown columns too
+    op, b = tomo24.op, tomo24.b
+    config = SolverConfig("hybrid_lslu", 70, track_truth=tomo24.x_true)
+    state = hess_init(op, b, strategy=config.pivot, maxiter=config.maxiter)
+    log = _spy_on_the_pass(monkeypatch, state)
+    result = solvers._project(state, config, iterate(state, hess_step, op, config.maxiter))
+    assert log == [(k, None, k, False) for k in range(1, 71)]
+    log.clear()
+    assert_same_result(result, solve(op, b, replace(config, stop_tol=1e-300)))
+    log.clear()
+    fresh = solve(op, b, config)
+    assert all(kept == (k > projected._EXTEND_MIN_K) for k, _, _, kept in log)
+    assert [ahead for _, ahead, _, _ in log] == [70 - k for k in range(1, 71)]
+    assert fresh.state.k == 70
 
 
 def test_replay_of_a_pure_solve_without_histories(gravity32):

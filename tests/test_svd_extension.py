@@ -10,6 +10,7 @@ checked against a loop of scipy's dlasd4, one call per root.
 """
 
 import ctypes
+import gc
 import sys
 import threading
 import tracemalloc
@@ -22,8 +23,8 @@ from scipy.linalg.blas import dnrm2
 from scipy.linalg.lapack import dlasd4
 
 import lslu.projected as projected
-from lslu import (LambdaRule, PivotStrategy, SolverConfig, gcv_value, gk_run,
-                  hess_run, make_dense_operator, make_gravity_problem,
+from lslu import (InputError, LambdaRule, PivotStrategy, SolverConfig, gcv_value,
+                  gk_run, hess_run, make_dense_operator, make_gravity_problem,
                   make_tomo_problem, solve, svd_small, tikhonov_projected)
 from lslu.projected import _dlasd8, _lapack_routine, extend_svd
 
@@ -287,6 +288,19 @@ def test_concurrent_extensions_share_nothing():
     assert together == [alone] * 4
 
 
+def spy_on_extensions(monkeypatch, record):
+    """Patch extend_svd to log record(H, ahead) at each call; the log."""
+    calls = []
+    original = projected.extend_svd
+
+    def spy(prev, H, ahead=None):
+        calls.append(record(H, ahead))
+        return original(prev, H, ahead)
+
+    monkeypatch.setattr(projected, "extend_svd", spy)
+    return calls
+
+
 class TestSvdSmallRoute:
     K = projected._EXTEND_MIN_K + 5
 
@@ -295,10 +309,7 @@ class TestSvdSmallRoute:
 
     def test_extends_past_the_crossover(self, monkeypatch):
         H = self._matrix()
-        calls = []
-        original = projected.extend_svd
-        monkeypatch.setattr(projected, "extend_svd",
-                            lambda prev, H: calls.append(H.shape) or original(prev, H))
+        calls = spy_on_extensions(monkeypatch, lambda H, ahead: H.shape)
         svd = svd_small(H, svd_small(H[:-1, :-1]))
         assert calls == [H.shape]
         assert_matches_lapack(svd, H)
@@ -329,10 +340,7 @@ class TestSvdSmallRoute:
         # so the dense column after it is extended too, not LAPACK's
         H = self._matrix()
         H[:, -2] = 0.0
-        calls = []
-        original = projected.extend_svd
-        monkeypatch.setattr(projected, "extend_svd",
-                            lambda prev, H: calls.append(H.shape) or original(prev, H))
+        calls = spy_on_extensions(monkeypatch, lambda H, ahead: H.shape)
         prev = svd_small(H[:-1, :-1], svd_small(H[:-2, :-2]))
         assert prev.U.shape == (self.K, self.K)
         svd = svd_small(H, prev)
@@ -343,7 +351,7 @@ class TestSvdSmallRoute:
     def test_secular_failure_falls_back_to_lapack(self, monkeypatch):
         H = self._matrix()
 
-        def fail(prev, H):
+        def fail(prev, H, ahead=None):
             raise np.linalg.LinAlgError("dlasd4 failed")
 
         monkeypatch.setattr(projected, "extend_svd", fail)
@@ -351,10 +359,7 @@ class TestSvdSmallRoute:
         np.testing.assert_array_equal(svd.U, np.linalg.svd(H)[0])
 
     def test_solver_extends_each_iteration(self, monkeypatch, gravity64):
-        calls = []
-        original = projected.extend_svd
-        monkeypatch.setattr(projected, "extend_svd",
-                            lambda prev, H: calls.append(H.shape[1]) or original(prev, H))
+        calls = spy_on_extensions(monkeypatch, lambda H, ahead: H.shape[1])
         maxiter = projected._EXTEND_MIN_K + 6
         res = solve(gravity64.op, gravity64.b,
                     SolverConfig(method="hybrid_lsqr", maxiter=maxiter))
@@ -362,20 +367,135 @@ class TestSvdSmallRoute:
         assert calls == list(range(projected._EXTEND_MIN_K + 1, maxiter + 1))
 
     def test_no_k_by_k_temporary(self):
-        for kind in ("hessenberg", "bidiagonal"):
-            H = projected_matrix(kind, 200, 5, "random", False)
-            prev = svd_small(H[:-1, :-1])
+        # the Hessenberg chain's probe rows of 60 later columns: formed
+        # from the full U at k = 200, then carried at k = 201
+        G = projected_matrix("hessenberg", 260, 5, "random", False)
+        probed = svd_small(G[:201, :200], svd_small(G[:200, :199]), G[:201, 200:])
+        assert probed.probes and probed.U.shape == (61, 201)
+        cases = [("hessenberg", projected_matrix("hessenberg", 200, 5, "random", False),
+                  None, None, (201, 201)),
+                 ("bidiagonal", projected_matrix("bidiagonal", 200, 5, "random", False),
+                  None, None, (2, 201)),
+                 ("probes", G[:202, :201], probed, G[:202, 201:], (60, 202))]
+        for kind, H, prev, ahead, shape in cases:
+            prev = prev or svd_small(H[:-1, :-1])
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
-                svd = extend_svd(prev, H)
+                svd = extend_svd(prev, H, ahead)
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-            # the bidiagonal U keeps two rows: no (k+1)-by-(k+1) U is made
-            assert svd.U.shape == ((201, 201) if kind == "hessenberg" else (2, 201))
+            # the bidiagonal U keeps two rows and the probes one per later
+            # column, never more than U's: no (k+1)-by-(k+1) U is made
+            assert svd.U.shape == shape, kind
+            assert svd.U.shape[0] <= svd.k + 1
             result = svd.U.nbytes + svd.V.nbytes
             assert peak - result <= 0.9 * svd.V.nbytes  # one k-by-k array is V's size
+
+
+# -- probe rows: U^T on the columns still to come ---------------------------
+
+def deep_state(problem, tomo24):
+    """A deep Hessenberg chain: tomo n=24 to k = 200, or a gravity problem
+    shallow enough (depth 0.1) to reach k = 80 without a breakdown."""
+    if problem == "tomo24":
+        prob, K = tomo24, 200
+    else:
+        prob, K = make_gravity_problem(256, depth=0.1, noise_level=1e-2, seed=0), 80
+    state = hess_run(prob.op, prob.b, maxiter=K)
+    assert state.k == K
+    return state
+
+
+@pytest.mark.parametrize("problem", ["tomo24", "gravity256"])
+def test_probe_chain_matches_the_full_u_chain(problem, tomo24):
+    # the chain given the later columns (ahead), as a solve without a stop
+    # test runs it, against the chain with a full U, at every k
+    M = deep_state(problem, tomo24).projected_matrix
+    K = M.shape[1]
+    full = probe = None
+    forms = []
+    for k in range(1, K + 1):
+        full = svd_small(M[:k + 1, :k], full)
+        probe = svd_small(M[:k + 1, :k], probe, M[:k + 1, k:K])
+        forms.append(probe.probes)
+        tol, s = C * k * EPS, full.sigma
+        sigma1 = s[0]
+        assert np.max(np.abs(probe.sigma - s)) <= tol * sigma1
+        # a singular vector moves by the backward error over its gap to
+        # the other singular values (zero among them: U has k + 1 columns)
+        others = np.abs(s[:, None] - s) + np.diag(np.full(k, np.inf))
+        gap = np.minimum(others.min(axis=1), s)
+        assert np.all(np.abs(probe.ue1[:k] - full.ue1[:k]) * gap <= tol * sigma1)
+        lam = 1e-2 * sigma1
+        y = tikhonov_projected(full, 1.3, lam)
+        assert (np.linalg.norm(tikhonov_projected(probe, 1.3, lam) - y)
+                <= tol * np.linalg.norm(y))
+        g = gcv_value(full, 1.3, lam)
+        assert abs(gcv_value(probe, 1.3, lam) - g) <= tol * g
+        if probe.probes:
+            # [e_1, a_p, ..., a_1]^T U: never more rows than U's
+            assert probe.U.shape == (K - k + 1, k + 1) and K - k < k
+            later = M[:k + 1, k:K][:, ::-1]
+            error = np.abs(probe.U[1:] - later.T @ full.U) * np.append(gap, s[-1])
+            assert np.all(error <= tol * sigma1 * np.linalg.norm(later, axis=0)[:, None])
+    # a full U up to the midpoint (or the crossover), probe rows after it
+    switch = max(K // 2, projected._EXTEND_MIN_K) + 1
+    assert forms == [False] * (switch - 1) + [True] * (K - switch + 1)
+
+
+def test_ahead_must_have_the_rows_of_h():
+    H = projected_matrix("hessenberg", 5, 0, "random", False)
+    for ahead in (np.zeros((5, 2)), np.zeros(6), np.zeros((7, 1))):
+        with pytest.raises(InputError, match="^ahead must be a matrix with H's 6 rows$"):
+            svd_small(H, None, ahead)
+    assert not svd_small(H, None, np.zeros((6, 0))).probes  # LAPACK: a full U
+
+
+def test_secular_failure_past_the_switch(tomo24, monkeypatch):
+    # dlasd8 fails once at k = 80, past the switch at k = 61: LAPACK's
+    # full U stands in, the next extension forms the probe rows from it,
+    # and the solve agrees with the unpatched one to rounding
+    config = SolverConfig("hybrid_lslu", 120, pure=True)
+    ref = solve(tomo24.op, tomo24.b, config)
+    original, calls = projected._dlasd8, []
+
+    def fail_once(d, z):
+        calls.append(d.shape[0])
+        if len(calls) == 80 - projected._EXTEND_MIN_K:
+            raise np.linalg.LinAlgError("dlasd8 failed (info=1)")
+        return original(d, z)
+
+    monkeypatch.setattr(projected, "_dlasd8", fail_once)
+    forms = spy_on_extensions(monkeypatch, lambda H, ahead: (H.shape[1], ahead.shape[1]))
+    res = solve(tomo24.op, tomo24.b, config)
+    assert len(calls) == len(forms) == 120 - projected._EXTEND_MIN_K
+    assert res.k_stop == 120 and res.stop_reason == "maxiter"
+    assert forms == [(k, 120 - k) for k in range(projected._EXTEND_MIN_K + 1, 121)]
+    assert np.linalg.norm(res.x_final - ref.x_final) <= 1e-12 * np.linalg.norm(ref.x_final)
+    np.testing.assert_allclose(res.lambdas, ref.lambdas, rtol=1e-12)
+    for y, y_ref in zip(res.ys, ref.ys):
+        assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+
+
+def test_deep_solve_without_a_stop_test_keeps_no_full_u(tomo24):
+    # the benchmark's deep solve: its tracemalloc peak lies in the last
+    # extension, where a solve with a stop test (one that never fires)
+    # holds the old and the new U, 0.64 MB; without one it holds a row
+    def peak(stop_tol):
+        config = SolverConfig("hybrid_lslu", 200, stop_tol=stop_tol)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            res = solve(tomo24.op, tomo24.b, config)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.stop_reason == "maxiter" and res.k_stop == 200
+        return top
+
+    assert peak(None) <= peak(1e-300) - 0.5e6
 
 
 @settings(max_examples=25, deadline=None)
